@@ -1,6 +1,6 @@
 use crate::oracle::{aes_oracle, TableOracle};
 use rcoal_aes::Block;
-use rcoal_core::{Coalescer, CoalescingPolicy};
+use rcoal_core::{count_block_accesses, CoalescingPolicy, SubwarpAssignment};
 use rcoal_rng::SeedableRng;
 use rcoal_rng::StdRng;
 use std::sync::Arc;
@@ -18,22 +18,22 @@ use std::sync::Arc;
 pub struct AccessPredictor {
     policy: CoalescingPolicy,
     warp_size: usize,
-    coalescer: Coalescer,
     rng: StdRng,
     mc_samples: usize,
     /// Workload table oracle mapping (byte, guess) → block index;
     /// defaults to the AES-128 last round.
     oracle: Arc<dyn TableOracle>,
-    /// Memoized per-guess address table: `addr_table[b]` is the
-    /// pseudo-address of ciphertext byte `b` under the current guess.
-    /// The 256-guess sweep calls the predictor with one guess many
-    /// times (once per sample), so the inverse-SBox walk runs 256 times
-    /// per guess instead of `samples × lines` times.
-    addr_table: Vec<u64>,
-    addr_table_guess: Option<u8>,
-    /// Per-warp lane-address scratch, reused across every prediction so
-    /// the sweep's hot loop allocates nothing.
-    addrs_scratch: Vec<Option<u64>>,
+    /// Memoized `(guess, table)`: `table[b]` is the block index of
+    /// observed byte `b` under `guess`. The 256-guess sweep calls the
+    /// predictor with one guess many times (once per sample), so the
+    /// oracle runs 256 times per guess instead of `samples × lines`
+    /// times, and each lane's block is one lookup. Built on first use.
+    block_table: Option<(u8, Box<[u64; 256]>)>,
+    /// Deterministic policies' assignments, built on first use of each
+    /// warp width (`None`: the policy cannot split a warp that narrow).
+    /// They draw nothing from the RNG, so one assignment per width
+    /// serves every warp and every Monte-Carlo replay.
+    fixed_assignments: Vec<(usize, Option<SubwarpAssignment>)>,
     /// Ciphertext byte-column scratch backing [`AccessPredictor::predict`].
     bytes_scratch: Vec<u8>,
 }
@@ -46,13 +46,11 @@ impl AccessPredictor {
         AccessPredictor {
             policy,
             warp_size: warp_size.max(1),
-            coalescer: Coalescer::new(),
             rng: StdRng::seed_from_u64(seed),
             mc_samples: 1,
             oracle: aes_oracle(),
-            addr_table: Vec::new(),
-            addr_table_guess: None,
-            addrs_scratch: Vec::new(),
+            block_table: None,
+            fixed_assignments: Vec::new(),
             bytes_scratch: Vec::new(),
         }
     }
@@ -69,7 +67,7 @@ impl AccessPredictor {
     /// block its table lookup touches.
     pub fn with_oracle(mut self, oracle: Arc<dyn TableOracle>) -> Self {
         self.oracle = oracle;
-        self.addr_table_guess = None;
+        self.block_table = None;
         self
     }
 
@@ -98,43 +96,63 @@ impl AccessPredictor {
     /// `predict` on the same column: the RNG draw order and the
     /// floating-point accumulation order are unchanged.
     pub fn predict_bytes(&mut self, bytes: &[u8], guess: u8) -> f64 {
-        if self.addr_table_guess != Some(guess) {
-            // Per-lane pseudo-addresses: the block index of the thread's
-            // table lookup, scaled to the coalescing granularity. Only
-            // block identity matters for the count, and it depends only
-            // on (observed byte, guess) — 256 possible values.
-            let block_size = self.coalescer.block_size();
-            self.addr_table.clear();
-            self.addr_table
-                .extend((0..=255u8).map(|b| self.oracle.block_of(b, guess) * block_size));
-            self.addr_table_guess = Some(guess);
-        }
+        // Only block identity matters for the count, and it depends only
+        // on (observed byte, guess) — 256 possible values.
+        let memo = match self.block_table.take() {
+            Some((memo_guess, table)) if memo_guess == guess => (guess, table),
+            _ => {
+                let oracle = &self.oracle;
+                let table = std::array::from_fn(|b| oracle.block_of(b as u8, guess));
+                (guess, Box::new(table))
+            }
+        };
+        let table = &self.block_table.insert(memo).1;
+        let mc = self.mc_samples as f64;
         let mut total = 0.0;
         for warp in bytes.chunks(self.warp_size) {
-            let table = &self.addr_table;
-            self.addrs_scratch.clear();
-            self.addrs_scratch
-                .extend(warp.iter().map(|&b| Some(table[usize::from(b)])));
-            for _ in 0..self.mc_samples {
-                match self.policy.assignment(warp.len(), &mut self.rng) {
-                    Ok(assignment) => {
-                        total += self
-                            .coalescer
-                            .count_accesses(&assignment, &self.addrs_scratch)
-                            as f64
-                            / self.mc_samples as f64;
-                    }
-                    Err(_) => {
-                        // A policy that cannot split this (partial) warp —
-                        // e.g. FSS(8) on a 4-line tail — degrades to the
-                        // worst case of one access per thread.
-                        total += warp.len() as f64 / self.mc_samples as f64;
-                    }
+            let accesses = |assignment: Option<&SubwarpAssignment>| match assignment {
+                Some(a) => count_block_accesses(a, |lane| Some(table[usize::from(warp[lane])])),
+                // A policy that cannot split this (partial) warp — e.g.
+                // FSS(8) on a 4-line tail — degrades to the worst case of
+                // one access per thread.
+                None => warp.len(),
+            };
+            if self.policy.is_randomized() {
+                for _ in 0..self.mc_samples {
+                    let assignment = self.policy.assignment(warp.len(), &mut self.rng).ok();
+                    total += accesses(assignment.as_ref()) as f64 / mc;
+                }
+            } else {
+                let cached = &mut self.fixed_assignments;
+                let assignment = fixed_assignment(cached, self.policy, warp.len(), &mut self.rng);
+                // The same addend in the same order as one count per
+                // replay, so the f64 total is unchanged.
+                let share = accesses(assignment) as f64 / mc;
+                for _ in 0..self.mc_samples {
+                    total += share;
                 }
             }
         }
         total
     }
+}
+
+/// The memoized assignment of a deterministic `policy` over a
+/// `width`-lane warp, built on first use (drawing nothing from `rng`).
+fn fixed_assignment<'a>(
+    cache: &'a mut Vec<(usize, Option<SubwarpAssignment>)>,
+    policy: CoalescingPolicy,
+    width: usize,
+    rng: &mut StdRng,
+) -> Option<&'a SubwarpAssignment> {
+    let slot = match cache.iter().position(|(w, _)| *w == width) {
+        Some(slot) => slot,
+        None => {
+            cache.push((width, policy.assignment(width, rng).ok()));
+            cache.len() - 1
+        }
+    };
+    cache[slot].1.as_ref()
 }
 
 /// Convenience wrapper: predicted last-round accesses for every plaintext
@@ -264,7 +282,7 @@ mod tests {
     fn predict_bytes_is_bit_identical_to_predict() {
         // The memoized byte-column path must replay the same RNG stream
         // and the same f64 accumulation as the Block-based path, across
-        // guess switches (which rebuild the address table).
+        // guess switches (which rebuild the block table).
         let (cts, k10) = ciphertexts(96, b"0123456789abcdef");
         let column: Vec<u8> = cts.iter().map(|ct| ct[5]).collect();
         for policy in [
@@ -303,7 +321,7 @@ mod tests {
         blocks.sort_unstable();
         blocks.dedup();
         assert_eq!(predicted, blocks.len() as f64);
-        // Switching oracles invalidates the memoized address table.
+        // Switching oracles invalidates the memoized block table.
         let aes_pred = p.with_oracle(aes_oracle()).predict(&texts, 0, key_byte);
         let mut aes_blocks: Vec<u8> = texts
             .iter()

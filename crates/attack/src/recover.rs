@@ -255,7 +255,7 @@ impl Attack {
         // Hoist the byte-`j` ciphertext columns out of the sweep: every
         // guess reads the same column, so extracting them per guess
         // would redo `256 × samples × lines` block indexing. Together
-        // with the predictor's per-guess address table this memoizes
+        // with the predictor's per-guess block table this memoizes
         // everything about a plaintext that the 256 guesses share.
         let columns: Vec<Vec<u8>> = samples
             .iter()

@@ -17,6 +17,8 @@
 //!    simulator source is bit-deterministic, chunked or not) and run
 //!    the two-pass engine; argmax and the true byte's rank must match
 //!    the streamed verdict.
+//! 4. The 10N leg must stream at least `SAMPLES_PER_SEC_FLOOR`
+//!    samples/s — the CI throughput floor.
 //!
 //! `RCOAL_SAMPLES` overrides the large-leg budget (default 1,000,000;
 //! CI uses a small value — the heap *ratio* is scale-free). Results
@@ -46,6 +48,12 @@ const BYTE: usize = 0;
 const CHUNK_CEILING: usize = 512;
 /// Peak-heap growth allowed between the two legs (CI floor).
 const HEAP_RATIO_FLOOR: f64 = 1.1;
+/// Streamed samples/s the large leg must sustain (CI floor). Sized like
+/// the `sim_throughput` floor, ~4x under a 2-vCPU dev VM, which streams
+/// ~10,500 samples/s at the CI budget: it catches an
+/// order-of-magnitude regression — the allocating coalesced-access
+/// count runs ~2,200 samples/s there — not scheduler noise.
+const SAMPLES_PER_SEC_FLOOR: f64 = 2_500.0;
 /// Absolute slack for allocator jitter on tiny CI budgets.
 const HEAP_SLACK_BYTES: usize = 1 << 20;
 
@@ -178,6 +186,14 @@ fn run() -> Result<(), String> {
         if heap_independent { "ok" } else { "FAIL" }
     );
 
+    // The CI throughput floor.
+    let samples_per_second = hi.samples as f64 / hi.seconds.max(1e-9);
+    let fast_enough = samples_per_second >= SAMPLES_PER_SEC_FLOOR;
+    println!(
+        "  throughput: {samples_per_second:.0} samples/s (floor {SAMPLES_PER_SEC_FLOOR:.0}) -> {}",
+        if fast_enough { "ok" } else { "FAIL" }
+    );
+
     // Differential cross-check against the materialized engine.
     let (mat_guess, mat_rank, mat_seconds) = materialized_verdict(large)?;
     let verdicts_match = mat_guess == hi.best_guess && mat_rank == hi.rank_of_true;
@@ -194,14 +210,13 @@ fn run() -> Result<(), String> {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"rcoal-bench/v1\",\n  \"bench\": \"sample_scaling\",\n  \"workload\": \"streamed single-byte recovery, paper AES config, exact access channel\",\n  \"byte\": {BYTE},\n  \"chunk\": {chunk},\n  \"samples_small\": {},\n  \"samples_large\": {},\n  \"small_seconds\": {:.6},\n  \"small_peak_heap_bytes\": {},\n  \"large_seconds\": {:.6},\n  \"large_peak_heap_bytes\": {},\n  \"heap_ratio\": {heap_ratio:.6},\n  \"heap_ratio_floor\": {HEAP_RATIO_FLOOR},\n  \"heap_independent\": {heap_independent},\n  \"samples_per_second\": {:.1},\n  \"best_guess\": {},\n  \"rank_of_true\": {},\n  \"materialized_best_guess\": {mat_guess},\n  \"materialized_rank_of_true\": {mat_rank},\n  \"materialized_attack_seconds\": {mat_seconds:.6},\n  \"verdicts_match\": {verdicts_match},\n  \"early_stop_samples\": {},\n  \"early_stop_checkpoints\": {},\n  \"early_stop_terminated\": {}\n}}\n",
+        "{{\n  \"schema\": \"rcoal-bench/v1\",\n  \"bench\": \"sample_scaling\",\n  \"workload\": \"streamed single-byte recovery, paper AES config, exact access channel\",\n  \"byte\": {BYTE},\n  \"chunk\": {chunk},\n  \"samples_small\": {},\n  \"samples_large\": {},\n  \"small_seconds\": {:.6},\n  \"small_peak_heap_bytes\": {},\n  \"large_seconds\": {:.6},\n  \"large_peak_heap_bytes\": {},\n  \"heap_ratio\": {heap_ratio:.6},\n  \"heap_ratio_floor\": {HEAP_RATIO_FLOOR},\n  \"heap_independent\": {heap_independent},\n  \"samples_per_second\": {samples_per_second:.1},\n  \"samples_per_second_floor\": {SAMPLES_PER_SEC_FLOOR:.1},\n  \"best_guess\": {},\n  \"rank_of_true\": {},\n  \"materialized_best_guess\": {mat_guess},\n  \"materialized_rank_of_true\": {mat_rank},\n  \"materialized_attack_seconds\": {mat_seconds:.6},\n  \"verdicts_match\": {verdicts_match},\n  \"early_stop_samples\": {},\n  \"early_stop_checkpoints\": {},\n  \"early_stop_terminated\": {}\n}}\n",
         lo.samples,
         hi.samples,
         lo.seconds,
         lo.peak_heap_bytes,
         hi.seconds,
         hi.peak_heap_bytes,
-        hi.samples as f64 / hi.seconds.max(1e-9),
         hi.best_guess,
         hi.rank_of_true,
         stop.samples,
@@ -220,6 +235,12 @@ fn run() -> Result<(), String> {
     }
     if !verdicts_match {
         return Err("streamed and materialized verdicts diverged".into());
+    }
+    if !fast_enough {
+        return Err(format!(
+            "streamed {samples_per_second:.0} samples/s, below the floor \
+             {SAMPLES_PER_SEC_FLOOR:.0}"
+        ));
     }
     Ok(())
 }

@@ -40,6 +40,7 @@ pub mod dram_oracle;
 pub mod golden;
 pub mod lockstep;
 pub mod oracle;
+pub mod predictor;
 pub mod report;
 pub mod strategies;
 pub mod streaming;
@@ -115,6 +116,7 @@ impl Default for SuiteOptions {
 pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, ConformanceError> {
     let sections = vec![
         oracle::unit_section(opts.seed),
+        predictor::section(opts.seed),
         oracle::sim_section(opts.seed, opts.cases)?,
         dram_oracle::section(opts.seed, (opts.cases / 4).max(16)),
         checker::section(opts.seed, (opts.cases / 10).max(12))?,

@@ -123,6 +123,40 @@ pub fn unit_section(seed: u64) -> SectionReport {
             }
         }
     }
+    // Both paths of the count: address spaces on either side of its
+    // 64-block bitmask window (exactly 64 blocks; 4160 bytes from a
+    // non-aligned base, 65–66 blocks; 256 blocks), then lane vectors
+    // shorter and longer than the assignment.
+    let shapes = [
+        (32, 0, 4096),
+        (32, 0x3028, 4160),
+        (32, 0, 1 << 14),
+        (20, 0, 4096),
+        (44, 0x3028, 4160),
+    ];
+    for (lanes, base, space) in shapes {
+        for policy in policy_pool() {
+            for case in 0..4 {
+                section.cases += 1;
+                let addrs: Vec<Option<u64>> = arb_addrs(&mut rng, lanes, space)
+                    .into_iter()
+                    .map(|a| a.map(|a| base + a))
+                    .collect();
+                let label =
+                    format!("{policy} {lanes} lanes over {space} B at {base:#x}, case {case}");
+                match policy.assignment(32, &mut rng) {
+                    Ok(assignment) => {
+                        for f in check_coalescer_case(&coalescer, &assignment, &addrs) {
+                            section.failures.push(format!("{label}: {f}"));
+                        }
+                    }
+                    Err(e) => section
+                        .failures
+                        .push(format!("{label}: assignment failed: {e}")),
+                }
+            }
+        }
+    }
     section
 }
 

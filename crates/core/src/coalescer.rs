@@ -152,30 +152,94 @@ impl Coalescer {
     }
 
     /// Counts coalesced accesses without materializing them — the fast path
-    /// used by the functional (timing-free) experiment mode and by attack
-    /// predictors.
+    /// used by the functional (timing-free) experiment mode. Same lane
+    /// conventions as [`Coalescer::coalesce`]; allocation-free (see
+    /// [`count_block_accesses`]).
     pub fn count_accesses(
         &self,
         assignment: &SubwarpAssignment,
         lane_addrs: &[Option<u64>],
     ) -> usize {
-        let mut total = 0;
-        let mut blocks: Vec<u64> = Vec::with_capacity(8);
-        for lanes in assignment.lanes_by_subwarp() {
-            blocks.clear();
-            for lane in lanes {
-                let Some(addr) = lane_addrs.get(lane).copied().flatten() else {
-                    continue;
-                };
-                let block_addr = addr & !(self.block_size - 1);
-                if !blocks.contains(&block_addr) {
-                    blocks.push(block_addr);
-                    total += 1;
+        let shift = self.block_size.trailing_zeros();
+        count_block_accesses(assignment, |lane| {
+            lane_addrs.get(lane).copied().flatten().map(|a| a >> shift)
+        })
+    }
+}
+
+/// Widest block window (and most subwarps) the bitmask count handles.
+const MASK_BITS: usize = u64::BITS as usize;
+
+/// Counts the distinct `(subwarp, block)` pairs among a warp's active
+/// lanes — the coalesced-access count — given each lane's block index.
+///
+/// `block_of(lane)` is the block lane `lane` touches, or `None` when the
+/// lane is inactive; it is called for `lane < assignment.warp_size()`
+/// only. This is the one counting kernel behind both
+/// [`Coalescer::count_accesses`] (the victim) and the attacker's
+/// predictions, and it allocates nothing:
+///
+/// * one pass over `(lane, sid)` ORs bit `block % 64` into the lane's
+///   subwarp mask while tracking the lowest and highest block. When they
+///   lie within 64 consecutive indices (and there are at most 64
+///   subwarps), distinct blocks have distinct bits and the count is the
+///   sum of the masks' popcounts;
+/// * otherwise a lane counts iff no earlier active lane of its subwarp
+///   touched the same block.
+///
+/// ```
+/// use rcoal_core::{count_block_accesses, SubwarpAssignment};
+///
+/// let warp = SubwarpAssignment::in_order(&[2, 2])?;
+/// let blocks = [Some(7), Some(7), Some(7), None];
+/// // Both subwarps touch block 7: two accesses; lane 3 is inactive.
+/// assert_eq!(count_block_accesses(&warp, |lane| blocks[lane]), 2);
+/// # Ok::<(), rcoal_core::PolicyError>(())
+/// ```
+pub fn count_block_accesses(
+    assignment: &SubwarpAssignment,
+    block_of: impl Fn(usize) -> Option<u64>,
+) -> usize {
+    let subwarps = assignment.num_subwarps();
+    if subwarps <= MASK_BITS {
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        let mut bit_of = |block: u64| {
+            lo = lo.min(block);
+            hi = hi.max(block);
+            1u64 << (block % MASK_BITS as u64)
+        };
+        let count = if subwarps == 1 {
+            // One subwarp (the baseline) keeps its mask in a register;
+            // OR-ing into `masks[0]` would chain every lane through a
+            // store-to-load round trip.
+            let mask = (0..assignment.warp_size())
+                .filter_map(&block_of)
+                .fold(0, |mask, block| mask | bit_of(block));
+            mask.count_ones() as usize
+        } else {
+            let mut masks = [0u64; MASK_BITS];
+            for (lane, sid) in assignment.iter() {
+                if let Some(block) = block_of(lane) {
+                    masks[usize::from(sid)] |= bit_of(block);
                 }
             }
+            masks[..subwarps]
+                .iter()
+                .map(|m| m.count_ones() as usize)
+                .sum()
+        };
+        if lo > hi || hi - lo < MASK_BITS as u64 {
+            return count;
         }
-        total
     }
+    (0..assignment.warp_size())
+        .filter(|&lane| {
+            block_of(lane).is_some_and(|block| {
+                let sid = assignment.sid(lane);
+                !(0..lane).any(|prev| assignment.sid(prev) == sid && block_of(prev) == Some(block))
+            })
+        })
+        .count()
 }
 
 #[cfg(test)]
@@ -307,6 +371,23 @@ mod tests {
                 c.coalesce(&a, &addrs).num_accesses()
             );
         }
+    }
+
+    #[test]
+    fn count_is_exact_at_the_window_edge_and_past_64_subwarps() {
+        let one = SubwarpAssignment::single(2).unwrap();
+        // Blocks 5 and 68 span 64 indices (mask path); 5 and 69 span 65
+        // and share residue 5 mod 64 (scan path). Both are two accesses.
+        assert_eq!(count_block_accesses(&one, |l| [Some(5), Some(68)][l]), 2);
+        assert_eq!(count_block_accesses(&one, |l| [Some(5), Some(69)][l]), 2);
+        assert_eq!(count_block_accesses(&one, |l| [Some(69), Some(69)][l]), 1);
+        assert_eq!(count_block_accesses(&one, |_| None), 0);
+        // 80 single-lane subwarps over 10 blocks: one access per lane.
+        let split = SubwarpAssignment::fully_split(80).unwrap();
+        assert_eq!(count_block_accesses(&split, |l| Some(l as u64 % 10)), 80);
+        // 80 lanes in 2 subwarps over 10 blocks: 10 accesses each.
+        let halves = SubwarpAssignment::in_order(&[40, 40]).unwrap();
+        assert_eq!(count_block_accesses(&halves, |l| Some(l as u64 % 10)), 20);
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod policy;
 mod prt;
 mod subwarp;
 
-pub use coalescer::{CoalesceResult, Coalescer, MemAccess};
+pub use coalescer::{count_block_accesses, CoalesceResult, Coalescer, MemAccess};
 pub use error::{ParsePolicyError, PolicyError};
 pub use policy::{CoalescingPolicy, SizeDistribution, NORMAL_SIGMA_DIVISOR};
 pub use prt::{PendingRequestTable, PrtEntry};

@@ -220,6 +220,7 @@ impl Value {
     /// Returns a [`JsonError`] locating the first syntax problem.
     pub fn parse(input: &str) -> Result<Value, JsonError> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -268,6 +269,7 @@ impl ObjBuilder {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -426,13 +428,21 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` at
+                    // once. Both delimiters are ASCII, so a run between
+                    // them starts and ends on char boundaries of the
+                    // `&str` input.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    let text = self
+                        .src
+                        .get(start..start + run)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -540,6 +550,21 @@ mod tests {
         assert_eq!(back, v);
         let uni = Value::parse(r#""\u00e9\ud83d\ude00""#).unwrap();
         assert_eq!(uni.as_str(), Some("é😀"));
+    }
+
+    #[test]
+    fn long_mixed_string_round_trips() {
+        // Plain ASCII runs, multi-byte UTF-8, every escape form, and a
+        // surrogate pair, repeated into one long string.
+        let source = r#"hex 00ff é漢😀 \" \\ \/ \b \f \n \r \t \u00e9\ud83d\ude00 Aé😀|"#;
+        let decoded = "hex 00ff é漢😀 \" \\ / \u{8} \u{c} \n \r \t é😀 Aé😀|";
+        let reps = 1000;
+        let doc = format!("[\"{}\", 1]", source.repeat(reps));
+        let v = Value::parse(&doc).unwrap();
+        let arr = v.as_arr().unwrap();
+        assert_eq!(arr[0].as_str(), Some(decoded.repeat(reps).as_str()));
+        assert_eq!(arr[1].as_u64(), Some(1));
+        assert_eq!(Value::parse(&v.to_json()), Ok(v));
     }
 
     #[test]
