@@ -25,25 +25,21 @@
 mod error;
 mod key_rank;
 mod noise;
-mod online;
 mod oracle;
 mod predict;
 mod recover;
 mod samples;
-mod stats;
 mod stream;
 
 pub use error::AttackError;
 pub use key_rank::{log2_key_rank, remaining_security_bits};
 pub use noise::{attenuated_correlation, GaussianNoise};
-pub use online::{even_checkpoints, recovery_curve, OnlineByteRecovery};
 pub use oracle::{aes_oracle, AesLastRoundOracle, TableOracle, XorWhiteningOracle};
-pub use predict::{predicted_accesses, AccessPredictor};
+pub use predict::AccessPredictor;
 pub use recover::{Attack, AttackSample, ByteRecovery, KeyRecovery, RecoveryOutcome};
 pub use samples::{samples_needed, samples_needed_approx, z_quantile};
-pub use stats::{argmax, pearson};
 pub use stream::{
-    stream_checkpoints, stream_recover_byte, stream_recover_key, EarlyStop, PearsonAccumulator,
-    SampleSource, SliceSource, StreamCheckpoint, StreamKeyRecovery, StreamOptions, StreamRecovery,
-    StreamingByteRecovery, StreamingKeyRecovery,
+    even_checkpoints, pearson, recovery_curve, stream_recover_byte, stream_recover_key, EarlyStop,
+    PearsonAccumulator, SampleSource, SliceSource, StreamCheckpoint, StreamKeyRecovery,
+    StreamOptions, StreamRecovery, StreamingByteRecovery, StreamingKeyRecovery,
 };

@@ -97,7 +97,7 @@ pub fn attenuated_correlation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::pearson;
+    use crate::stream::pearson;
 
     fn variance(xs: &[f64]) -> f64 {
         let m = xs.iter().sum::<f64>() / xs.len() as f64;

@@ -155,20 +155,6 @@ fn fixed_assignment<'a>(
     cache[slot].1.as_ref()
 }
 
-/// Convenience wrapper: predicted last-round accesses for every plaintext
-/// in `samples`, for key byte `j` under guess `m`.
-pub fn predicted_accesses(
-    predictor: &mut AccessPredictor,
-    samples: &[Vec<Block>],
-    j: usize,
-    guess: u8,
-) -> Vec<f64> {
-    samples
-        .iter()
-        .map(|cts| predictor.predict(cts, j, guess))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,15 +316,5 @@ mod tests {
         aes_blocks.sort_unstable();
         aes_blocks.dedup();
         assert_eq!(aes_pred, aes_blocks.len() as f64);
-    }
-
-    #[test]
-    fn predicted_accesses_maps_all_samples() {
-        let (cts, k10) = ciphertexts(32, b"0123456789abcdef");
-        let samples = vec![cts.clone(), cts];
-        let mut p = AccessPredictor::new(CoalescingPolicy::Baseline, 32, 0);
-        let v = predicted_accesses(&mut p, &samples, 0, k10[0]);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0], v[1]);
     }
 }

@@ -1,10 +1,9 @@
 use crate::error::AttackError;
 use crate::oracle::{aes_oracle, TableOracle};
 use crate::predict::AccessPredictor;
-use crate::stats::{argmax, pearson};
+use crate::stream::StreamingByteRecovery;
 use rcoal_aes::Block;
 use rcoal_core::CoalescingPolicy;
-use rcoal_parallel::{parallel_map, resolve_threads};
 use rcoal_telemetry::MetricsRegistry;
 use std::sync::Arc;
 
@@ -29,7 +28,8 @@ pub struct AttackSample {
 pub struct ByteRecovery {
     /// `correlations[m]` is the Pearson correlation of guess `m`.
     pub correlations: Vec<f64>,
-    /// The winning guess (argmax of the correlations).
+    /// The winning guess (argmax of the correlations; the first maximum
+    /// wins exact ties).
     pub best_guess: u8,
 }
 
@@ -126,7 +126,9 @@ impl RecoveryOutcome {
 /// the victim's coalescing policy.
 ///
 /// The attack holds no sample state; call [`Attack::recover_key`] (or the
-/// per-byte variants) with the collected [`AttackSample`]s.
+/// per-byte variants) with the collected [`AttackSample`]s, or stream
+/// samples through [`crate::stream_recover_key`]. Both run the same
+/// engine, [`StreamingByteRecovery`].
 #[derive(Debug, Clone)]
 pub struct Attack {
     policy: CoalescingPolicy,
@@ -195,8 +197,8 @@ impl Attack {
 
     /// Attaches a host-domain metrics sink. Byte sweeps then record
     /// `span.attack.byte.*` wall-clock spans, an `attack.guesses`
-    /// progress counter (one tick per guess correlated, live from any
-    /// worker thread), `attack.samples_correlated`, and an
+    /// counter (256 added per byte swept, once its correlations are
+    /// final), `attack.samples_correlated`, and an
     /// `attack.correlations_per_sec` throughput gauge. Metrics never
     /// influence the recovery itself — results stay bit-identical with
     /// and without a sink.
@@ -210,8 +212,8 @@ impl Attack {
         self.policy
     }
 
-    /// The configured worker-thread override (for the streaming engine,
-    /// which parallelizes per guess exactly like the materialized sweep).
+    /// The configured worker-thread override (the streaming engine
+    /// parallelizes per guess).
     pub(crate) fn threads_option(&self) -> Option<usize> {
         self.threads
     }
@@ -234,80 +236,49 @@ impl Attack {
     ///
     /// # Errors
     ///
-    /// [`AttackError::ByteIndex`] for `j >= 16` and
-    /// [`AttackError::NoSamples`] for an empty sample set.
+    /// Same as [`Attack::recover_byte`].
     pub fn correlations_for_byte(
         &self,
         samples: &[AttackSample],
         j: usize,
     ) -> Result<Vec<f64>, AttackError> {
-        if j >= self.oracle.key_bytes() {
-            return Err(AttackError::ByteIndex { j });
-        }
-        if samples.is_empty() {
-            return Err(AttackError::NoSamples);
-        }
-        let times: Vec<f64> = samples.iter().map(|s| s.time).collect();
-        let span = self.metrics.as_ref().map(|m| m.span("attack.byte"));
-        // Resolve the progress counter once; its clone-free atomic handle
-        // is safe to tick from every worker thread.
-        let guess_counter = self.metrics.as_ref().map(|m| m.counter("attack.guesses"));
-        // Hoist the byte-`j` ciphertext columns out of the sweep: every
-        // guess reads the same column, so extracting them per guess
-        // would redo `256 × samples × lines` block indexing. Together
-        // with the predictor's per-guess block table this memoizes
-        // everything about a plaintext that the 256 guesses share.
-        let columns: Vec<Vec<u8>> = samples
-            .iter()
-            .map(|s| s.ciphertexts.iter().map(|ct| ct[j]).collect())
-            .collect();
-        // Each guess derives its predictor seed from the guess value, so
-        // the 256 correlation computations are independent and sweep in
-        // parallel with bit-identical results.
-        let guesses: Vec<u8> = (0..=255u8).collect();
-        let correlations = parallel_map(resolve_threads(self.threads), &guesses, |_, &m| {
-            let mut predictor = self.predictor_for_guess(m);
-            let predicted: Vec<f64> = columns
-                .iter()
-                .map(|col| predictor.predict_bytes(col, m))
-                .collect();
-            let r = pearson(&predicted, &times);
-            if let Some(c) = &guess_counter {
-                c.inc();
-            }
-            r
-        });
-        if let (Some(span), Some(metrics)) = (span, &self.metrics) {
-            let elapsed = span.finish();
-            metrics
-                .counter("attack.samples_correlated")
-                .add(guesses.len() as u64 * samples.len() as u64);
-            let secs = elapsed.as_secs_f64();
-            if secs > 0.0 {
-                metrics
-                    .gauge("attack.correlations_per_sec")
-                    .set((guesses.len() as f64 / secs) as u64);
-            }
-        }
-        Ok(correlations)
+        Ok(self.recover_byte(samples, j)?.correlations)
     }
 
-    /// Attacks key byte `j`.
+    /// Attacks key byte `j`: pushes `samples` through one
+    /// [`StreamingByteRecovery`] and snapshots it.
     ///
     /// # Errors
     ///
-    /// Same as [`Attack::correlations_for_byte`].
+    /// [`AttackError::ByteIndex`] for `j >= self.key_bytes()` and
+    /// [`AttackError::NoSamples`] for an empty sample set.
     pub fn recover_byte(
         &self,
         samples: &[AttackSample],
         j: usize,
     ) -> Result<ByteRecovery, AttackError> {
-        let correlations = self.correlations_for_byte(samples, j)?;
-        let best_guess = argmax(&correlations).unwrap_or(0) as u8;
-        Ok(ByteRecovery {
-            correlations,
-            best_guess,
-        })
+        let mut engine = StreamingByteRecovery::new(self, j)?;
+        if samples.is_empty() {
+            return Err(AttackError::NoSamples);
+        }
+        let span = self.metrics.as_ref().map(|m| m.span("attack.byte"));
+        engine.push_chunk(samples);
+        let recovery = engine.snapshot();
+        if let (Some(span), Some(metrics)) = (span, &self.metrics) {
+            let elapsed = span.finish();
+            let guesses = recovery.correlations.len() as u64;
+            metrics.counter("attack.guesses").add(guesses);
+            metrics
+                .counter("attack.samples_correlated")
+                .add(guesses * samples.len() as u64);
+            let secs = elapsed.as_secs_f64();
+            if secs > 0.0 {
+                metrics
+                    .gauge("attack.correlations_per_sec")
+                    .set((guesses as f64 / secs) as u64);
+            }
+        }
+        Ok(recovery)
     }
 
     /// Attacks every subkey byte the oracle exposes (16 for AES).
@@ -431,6 +402,44 @@ mod tests {
         let rec = attack.recover_byte(&samples, 0).unwrap();
         assert_eq!(rec.correlation_of(k10[0]), 0.0);
         assert!(rec.correlations.iter().all(|&c| c == 0.0));
+    }
+
+    #[test]
+    fn exact_ties_go_to_the_first_guess() {
+        // Under a whitening oracle a guess only XOR-relabels blocks, and
+        // the baseline count (distinct blocks) is relabel-invariant: all
+        // 256 predictions, hence all 256 correlations, tie exactly. The
+        // first maximum wins.
+        use rcoal_rng::{Rng, SeedableRng, StdRng};
+        let attack = Attack::baseline(32)
+            .with_oracle(Arc::new(crate::oracle::XorWhiteningOracle::new(4, 8)));
+        let mut rng = StdRng::seed_from_u64(5);
+        let samples: Vec<AttackSample> = (0..40)
+            .map(|_| {
+                let cts: Vec<Block> = (0..32)
+                    .map(|_| {
+                        let mut b = [0u8; 16];
+                        rng.fill(&mut b);
+                        b
+                    })
+                    .collect();
+                let mut blocks: Vec<u8> = cts.iter().map(|ct| (ct[0] ^ 0xa7) >> 4).collect();
+                blocks.sort_unstable();
+                blocks.dedup();
+                AttackSample {
+                    ciphertexts: Arc::new(cts),
+                    time: blocks.len() as f64,
+                }
+            })
+            .collect();
+        let rec = attack.recover_byte(&samples, 0).unwrap();
+        let first = rec.correlations[0];
+        assert!(first > 0.99, "every guess sees the channel, r = {first}");
+        assert!(rec
+            .correlations
+            .iter()
+            .all(|c| c.to_bits() == first.to_bits()));
+        assert_eq!(rec.best_guess, 0);
     }
 
     #[test]

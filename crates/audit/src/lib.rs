@@ -36,10 +36,10 @@ mod stream;
 
 pub use gate::{evaluate_gate, Expectation, GateOutcome};
 pub use report::{
-    audit_samples, audit_target_with_stages, audit_with_stages, mechanism_of, tolerance_for,
-    AuditError, AuditTarget, ChannelQuantiles, ChannelTest, LeakageReport, StageChannel,
-    TheoryCheck, TrajectoryPoint, AUDIT_SCHEMA,
+    audit_samples, audit_target_with_stages, mechanism_of, tolerance_for, AuditError, AuditTarget,
+    ChannelQuantiles, ChannelTest, LeakageReport, StageChannel, TheoryCheck, TrajectoryPoint,
+    AUDIT_SCHEMA,
 };
 pub use spec::{defaults, AuditChannel, AuditSpec};
-pub use stats::{binned_mi, welch_t_test, MiEstimate, WelchT, T_CLAMP};
+pub use stats::{MiEstimate, WelchT, T_CLAMP};
 pub use stream::{StreamingAudit, StreamingChannelTest};

@@ -1,14 +1,13 @@
-//! The audit itself: partition, test, estimate, cross-check — and the
-//! typed [`LeakageReport`] with its stable `rcoal-audit/v1` encoding.
+//! The typed [`LeakageReport`] with its stable `rcoal-audit/v1`
+//! encoding, the theory cross-check, and the slice entry points, which
+//! run a [`StreamingAudit`] over the collected samples.
 
 use crate::spec::{AuditChannel, AuditSpec};
-use crate::stats::{binned_mi, welch_t_test, MiEstimate, WelchT};
-use rcoal_attack::{
-    aes_oracle, even_checkpoints, recovery_curve, Attack, AttackError, AttackSample, TableOracle,
-};
+use crate::stats::{MiEstimate, WelchT};
+use crate::stream::StreamingAudit;
+use rcoal_attack::{aes_oracle, AttackError, AttackSample, TableOracle};
 use rcoal_core::CoalescingPolicy;
 use rcoal_scenario::json::{ObjBuilder, Value};
-use rcoal_telemetry::Hist64;
 use rcoal_theory::{Mechanism, SecurityModel};
 use std::error::Error;
 use std::fmt;
@@ -250,194 +249,62 @@ pub fn audit_samples(
     true_key_byte: u8,
     spec: &AuditSpec,
 ) -> Result<LeakageReport, AuditError> {
-    audit_with_stages(policy, warp_size, samples, true_key_byte, &[], spec)
-}
-
-/// Audits a sample stream plus index-aligned stage channels.
-///
-/// The partition for every t-test is the TVLA "specific" variant: each
-/// sample is classed by the attacker's own access-count prediction for
-/// the *true* key byte (above/below the median prediction), so the test
-/// asks exactly "do samples the attacker expects to be slow actually
-/// run slow?". Randomized policies decorrelate the prediction from the
-/// realized count, collapsing the class separation — which is the
-/// defense working, and the gate's passing condition.
-///
-/// # Errors
-///
-/// [`AuditError::Spec`] for an invalid spec; [`AuditError::Attack`]
-/// when the stream is empty or the byte index is out of range.
-pub fn audit_with_stages(
-    policy: CoalescingPolicy,
-    warp_size: usize,
-    samples: &[AttackSample],
-    true_key_byte: u8,
-    stages: &[StageChannel],
-    spec: &AuditSpec,
-) -> Result<LeakageReport, AuditError> {
     audit_target_with_stages(
         &AuditTarget::aes(policy, warp_size, true_key_byte),
         samples,
-        stages,
+        &[],
         spec,
     )
 }
 
 /// Audits a sample stream for an arbitrary workload target (see
-/// [`AuditTarget`]), plus index-aligned stage channels. The AES entry
-/// points above are thin wrappers over this.
+/// [`AuditTarget`]), plus index-aligned stage channels: a
+/// [`StreamingAudit`] with a budget of `samples.len()`, fed the slice
+/// as one chunk.
+///
+/// The partition for every t-test is the TVLA "specific" variant: each
+/// sample is classed by the attacker's own access-count prediction for
+/// the *true* key byte (above/below the median prediction, see
+/// [`crate::StreamingChannelTest::finish`]), so the test asks exactly
+/// "do samples the attacker expects to be slow actually run slow?".
+/// Randomized policies decorrelate the prediction from the realized
+/// count, collapsing the class separation — which is the defense
+/// working, and the gate's passing condition.
 ///
 /// # Errors
 ///
-/// [`AuditError::Spec`] for an invalid spec; [`AuditError::Attack`]
-/// when the stream is empty or the byte index is out of range for the
-/// target's oracle.
+/// [`AuditError::Spec`] for an invalid spec or a stage channel whose
+/// length differs from the stream's; [`AuditError::Attack`] when the
+/// stream is empty or the byte index is out of range for the target's
+/// oracle.
 pub fn audit_target_with_stages(
     target: &AuditTarget,
     samples: &[AttackSample],
     stages: &[StageChannel],
     spec: &AuditSpec,
 ) -> Result<LeakageReport, AuditError> {
-    let AuditTarget {
-        policy,
-        warp_size,
-        true_key_byte,
-        ..
-    } = *target;
     spec.validate().map_err(AuditError::Spec)?;
     if samples.is_empty() {
         return Err(AuditError::Attack(AttackError::NoSamples));
     }
-    for stage in stages {
-        if stage.values.len() != samples.len() {
-            return Err(AuditError::Spec(format!(
-                "stage channel '{}' has {} values for {} samples",
-                stage.name,
-                stage.values.len(),
-                samples.len()
-            )));
-        }
+    if let Some(stage) = stages.iter().find(|s| s.values.len() != samples.len()) {
+        return Err(stage_length_error(
+            &stage.name,
+            stage.values.len(),
+            samples.len(),
+        ));
     }
-
-    let attack = Attack::against(policy, warp_size)
-        .with_seed(spec.attack_seed)
-        .with_oracle(Arc::clone(&target.oracle));
-
-    // Attacker-side predictions for the true key byte, one per sample.
-    let mut predictor = attack.predictor_for_guess(true_key_byte);
-    let predictions: Vec<f64> = samples
-        .iter()
-        .map(|s| predictor.predict(&s.ciphertexts, spec.byte, true_key_byte))
-        .collect();
-    let times: Vec<f64> = samples.iter().map(|s| s.time).collect();
-
-    // Median split over predictions: low class <= median < high class.
-    // Saturated geometries (few table blocks under many threads, e.g.
-    // RECTANGLE's R = 8 under N = 32) can pin the median at the maximum
-    // prediction, emptying the high class and silencing the t-test on a
-    // channel that still leaks; ties then go high instead, so the split
-    // separates the saturated mass from the rare low outliers.
-    let median = median_of(&predictions);
-    let strict: Vec<bool> = predictions.iter().map(|&p| p > median).collect();
-    let high: Vec<bool> = if strict.iter().filter(|&&h| h).count() >= 2 {
-        strict
-    } else {
-        predictions.iter().map(|&p| p >= median).collect()
-    };
-
-    let timing = channel_test("timing", &predictions, &times, &high, spec);
-    let stage_tests: Vec<ChannelTest> = stages
-        .iter()
-        .map(|s| channel_test(&s.name, &predictions, &s.values, &high, spec))
-        .collect();
-
-    // Correlation trajectory of the streaming attack at evenly spaced
-    // checkpoints (always including the full stream) — the same
-    // schedule the attack crate uses everywhere.
-    let n = samples.len();
-    let mut checkpoints = even_checkpoints(n, spec.checkpoints);
-    if checkpoints.is_empty() {
-        checkpoints.push(n);
-    }
-    let curve = recovery_curve(&attack, samples, spec.byte, &checkpoints)?;
-    let trajectory: Vec<TrajectoryPoint> = curve
-        .iter()
-        .map(|(samples, rec)| TrajectoryPoint {
-            samples: *samples,
-            corr_true: rec.correlation_of(true_key_byte),
-            rank: rec.rank_of(true_key_byte),
-        })
-        .collect();
-    let empirical_rho = trajectory.last().map_or(0.0, |p| p.corr_true);
-    let empirical_s = normalized_s(empirical_rho);
-
-    let theory = theory_check(policy, warp_size, spec, empirical_rho, n, target.theory_r);
-
-    let mut hist = Hist64::new();
-    for &t in &times {
-        hist.record(t.max(0.0).round() as u64);
-    }
-    let quantiles = ChannelQuantiles {
-        count: hist.count(),
-        mean: hist.mean(),
-        p50: hist.p50().unwrap_or(0),
-        p95: hist.p95().unwrap_or(0),
-        p99: hist.p99().unwrap_or(0),
-    };
-
-    let leaky = timing.leaky;
-    Ok(LeakageReport {
-        policy,
-        warp_size,
-        byte: spec.byte,
-        channel: spec.channel,
-        samples: n,
-        spec: spec.clone(),
-        timing,
-        stages: stage_tests,
-        trajectory,
-        empirical_rho,
-        empirical_s,
-        theory,
-        quantiles,
-        leaky,
-    })
+    let mut audit = StreamingAudit::new(target.clone(), spec.clone(), samples.len())?
+        .with_stage_channels(stages.iter().map(|s| s.name.as_str()));
+    let values: Vec<&[f64]> = stages.iter().map(|s| s.values.as_slice()).collect();
+    audit.push_chunk_with_stages(samples, &values)?;
+    audit.finish()
 }
 
-fn channel_test(
-    name: &str,
-    predictions: &[f64],
-    values: &[f64],
-    high: &[bool],
-    spec: &AuditSpec,
-) -> ChannelTest {
-    let low_class: Vec<f64> = values
-        .iter()
-        .zip(high)
-        .filter(|(_, &h)| !h)
-        .map(|(&v, _)| v)
-        .collect();
-    let high_class: Vec<f64> = values
-        .iter()
-        .zip(high)
-        .filter(|(_, &h)| h)
-        .map(|(&v, _)| v)
-        .collect();
-    let welch = welch_t_test(&low_class, &high_class);
-    let mi = binned_mi(predictions, values, spec.mi_bins);
-    let leaky = welch.exceeds(spec.t_threshold) && mi.corrected_bits > spec.mi_floor_bits;
-    ChannelTest {
-        name: name.to_string(),
-        welch,
-        mi,
-        leaky,
-    }
-}
-
-fn median_of(xs: &[f64]) -> f64 {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[(sorted.len() - 1) / 2]
+pub(crate) fn stage_length_error(name: &str, values: usize, samples: usize) -> AuditError {
+    AuditError::Spec(format!(
+        "stage channel '{name}' has {values} values for {samples} samples"
+    ))
 }
 
 pub(crate) fn normalized_s(rho: f64) -> f64 {
@@ -587,6 +454,7 @@ impl LeakageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcoal_attack::Attack;
     use std::sync::Arc;
 
     /// Synthetic sample stream where the channel value IS the access
@@ -686,11 +554,9 @@ mod tests {
             name: "short".into(),
             values: vec![1.0; 3],
         };
-        let err = audit_with_stages(
-            CoalescingPolicy::Baseline,
-            32,
+        let err = audit_target_with_stages(
+            &AuditTarget::aes(CoalescingPolicy::Baseline, 32, tb),
             &samples,
-            tb,
             &[stage],
             &AuditSpec::new(),
         )
@@ -710,11 +576,9 @@ mod tests {
             name: "flat".into(),
             values: vec![7.0; samples.len()],
         };
-        let report = audit_with_stages(
-            CoalescingPolicy::Baseline,
-            32,
+        let report = audit_target_with_stages(
+            &AuditTarget::aes(CoalescingPolicy::Baseline, 32, true_byte),
             &samples,
-            true_byte,
             &[leak, flat],
             &AuditSpec::new(),
         )

@@ -1,5 +1,6 @@
 //! What to audit and how strictly: [`AuditSpec`] and [`AuditChannel`].
 
+use crate::stats::T_CLAMP;
 use std::fmt;
 use std::str::FromStr;
 
@@ -195,6 +196,14 @@ impl AuditSpec {
         if self.t_threshold.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(format!("t-threshold {} must be positive", self.t_threshold));
         }
+        // |t| is clamped at T_CLAMP, so a larger threshold (or ∞) can
+        // never flag and would silence the gate.
+        if self.t_threshold > T_CLAMP {
+            return Err(format!(
+                "t-threshold {} must not exceed the t clamp {T_CLAMP:e}",
+                self.t_threshold
+            ));
+        }
         if self.mi_bins < 2 {
             return Err(format!("mi bins {} must be at least 2", self.mi_bins));
         }
@@ -205,6 +214,16 @@ impl AuditSpec {
             return Err(format!(
                 "mi floor {} must be non-negative",
                 self.mi_floor_bits
+            ));
+        }
+        // Corrected MI cannot exceed log2(bins), the entropy of a
+        // uniform marginal over the bins: a floor there (or ∞) can never
+        // be passed and would silence the gate.
+        let mi_ceiling = (self.mi_bins as f64).log2();
+        if self.mi_floor_bits >= mi_ceiling {
+            return Err(format!(
+                "mi floor {} bits must be below log2({}) = {mi_ceiling} bits",
+                self.mi_floor_bits, self.mi_bins
             ));
         }
         if self.checkpoints == 0 {
@@ -261,5 +280,27 @@ mod tests {
             .validate()
             .is_err());
         assert!(AuditSpec::new().with_checkpoints(0).validate().is_err());
+        // Thresholds no report can reach would silence the gate.
+        assert!(AuditSpec::new()
+            .with_t_threshold(T_CLAMP)
+            .validate()
+            .is_ok());
+        for t in [f64::INFINITY, f64::NAN, 2e6, T_CLAMP * (1.0 + f64::EPSILON)] {
+            let err = AuditSpec::new().with_t_threshold(t).validate().unwrap_err();
+            assert!(err.contains("t-threshold"), "{t}: {err}");
+        }
+        assert!(AuditSpec::new().with_mi_floor_bits(3.99).validate().is_ok());
+        for floor in [f64::INFINITY, f64::NAN, 4.0, 5.0] {
+            let err = AuditSpec::new()
+                .with_mi_floor_bits(floor)
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("mi floor"), "{floor}: {err}");
+        }
+        assert!(AuditSpec::new()
+            .with_mi_bins(2)
+            .with_mi_floor_bits(1.0)
+            .validate()
+            .is_err());
     }
 }

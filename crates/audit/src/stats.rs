@@ -1,11 +1,13 @@
-//! The two leakage estimators: Welch's t-test and binned mutual
-//! information with Miller–Madow bias correction.
+//! The arithmetic of the two leakage estimators — Welch's t-test and
+//! binned mutual information with Miller–Madow bias correction — over
+//! the sufficient statistics [`crate::StreamingChannelTest`] keeps.
 //!
-//! Both are deliberately plain: single-pass moment accumulation and
-//! fixed equal-width binning, no randomness, no iteration-order
-//! dependence — so a [`crate::LeakageReport`] built from
-//! thread-count-invariant inputs is itself bit-identical across thread
-//! counts.
+//! Both are deliberately plain: class moments and fixed equal-width
+//! binning, no randomness, no iteration-order dependence — so a
+//! [`crate::LeakageReport`] built from thread-count-invariant inputs is
+//! itself bit-identical across thread counts. `rcoal-conformance`
+//! checks them against slice estimators written from the textbook
+//! formulas.
 
 /// Cap applied to the t-statistic when the pooled standard error
 /// underflows (two internally-constant classes with different means).
@@ -37,43 +39,13 @@ impl WelchT {
     }
 }
 
-/// Mean and unbiased sample variance in one pass.
-fn moments(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len();
-    if n == 0 {
-        return (0.0, 0.0);
-    }
-    let mean = xs.iter().sum::<f64>() / n as f64;
-    if n < 2 {
-        return (mean, 0.0);
-    }
-    let ss = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>();
-    (mean, ss / (n - 1) as f64)
-}
-
-/// Welch's two-sample t-test (unequal variances, unequal sizes).
+/// Welch's two-sample t-test (unequal variances, unequal sizes) from
+/// class counts, means, and unbiased variances.
 ///
 /// Degenerate inputs degrade gracefully rather than erroring: a class
 /// with fewer than two observations yields `t = 0` (no evidence either
 /// way), and two zero-variance classes with distinct means clamp to
 /// [`T_CLAMP`] (unbounded evidence).
-pub fn welch_t_test(low: &[f64], high: &[f64]) -> WelchT {
-    let (mean_low, var_low) = moments(low);
-    let (mean_high, var_high) = moments(high);
-    welch_from_moments(
-        low.len(),
-        mean_low,
-        var_low,
-        high.len(),
-        mean_high,
-        var_high,
-    )
-}
-
-/// The Welch decision applied to precomputed class moments — shared
-/// between the slice path above and the streamed count-weighted path
-/// ([`crate::StreamingChannelTest`]), so degenerate handling, the
-/// clamp, and the dof formula cannot drift apart.
 pub(crate) fn welch_from_moments(
     n_low: usize,
     mean_low: f64,
@@ -139,53 +111,16 @@ pub(crate) fn bin_of(x: f64, min: f64, max: f64, bins: usize) -> usize {
     ((f * bins as f64) as usize).min(bins - 1)
 }
 
-/// Binned mutual information between two paired streams, in bits, with
-/// Miller–Madow bias correction.
+/// Binned mutual information, in bits, with Miller–Madow bias
+/// correction, folded over already-binned histograms (`joint` is
+/// `x_bins × y_bins`, row-major by x).
 ///
-/// Both axes are split into at most `max_bins` equal-width bins over
-/// their observed ranges (an axis with a single value collapses to one
-/// bin, making the estimate exactly zero). The plug-in estimate
-/// overstates dependence by roughly
+/// The plug-in estimate overstates dependence by roughly
 /// `(occupied_joint - occupied_x - occupied_y + 1) / (2 n ln 2)` bits
 /// (Miller–Madow); `corrected_bits` subtracts that and clamps at zero,
 /// so independent streams report ≈ 0 instead of a spurious positive
-/// floor.
-pub fn binned_mi(xs: &[f64], ys: &[f64], max_bins: usize) -> MiEstimate {
-    let n = xs.len().min(ys.len());
-    let bins = max_bins.max(1);
-    let zero = MiEstimate {
-        bits: 0.0,
-        bias_bits: 0.0,
-        corrected_bits: 0.0,
-        x_bins: 0,
-        y_bins: 0,
-        n,
-    };
-    if n == 0 {
-        return zero;
-    }
-    let (x_min, x_max) = min_max(&xs[..n]);
-    let (y_min, y_max) = min_max(&ys[..n]);
-    let x_bins = if x_max > x_min { bins } else { 1 };
-    let y_bins = if y_max > y_min { bins } else { 1 };
-    let mut joint = vec![0u64; x_bins * y_bins];
-    let mut mx = vec![0u64; x_bins];
-    let mut my = vec![0u64; y_bins];
-    for (&x, &y) in xs[..n].iter().zip(&ys[..n]) {
-        let bx = bin_of(x, x_min, x_max, x_bins);
-        let by = bin_of(y, y_min, y_max, y_bins);
-        joint[bx * y_bins + by] += 1;
-        mx[bx] += 1;
-        my[by] += 1;
-    }
-    mi_from_histograms(&joint, &mx, &my, n)
-}
-
-/// The MI fold over already-binned histograms — shared between the
-/// slice path above and the streamed count-ledger path
-/// ([`crate::StreamingChannelTest`]). Equal histograms produce
-/// bit-identical estimates: the fold visits `(bx, by)` cells in the
-/// same order either way.
+/// floor. The fold visits `(bx, by)` cells in a fixed order, so equal
+/// histograms give bit-identical estimates.
 pub(crate) fn mi_from_histograms(joint: &[u64], mx: &[u64], my: &[u64], n: usize) -> MiEstimate {
     let (x_bins, y_bins) = (mx.len(), my.len());
     let nf = n as f64;
@@ -229,109 +164,4 @@ pub(crate) fn min_max(xs: &[f64]) -> (f64, f64) {
         max = max.max(x);
     }
     (min, max)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn identical_classes_score_zero_t() {
-        let a: Vec<f64> = (0..200).map(|i| f64::from(i % 17)).collect();
-        let w = welch_t_test(&a, &a);
-        assert_eq!(w.t, 0.0);
-        assert!(!w.exceeds(4.5));
-        assert_eq!(w.n_low, 200);
-        assert_eq!(w.n_high, 200);
-    }
-
-    #[test]
-    fn shifted_classes_are_detected() {
-        // Same shape, mean shifted by one within-class standard
-        // deviation: t ≈ shift / (sd * sqrt(2/n)) ≈ 10 at n = 200.
-        let a: Vec<f64> = (0..200).map(|i| f64::from(i % 17)).collect();
-        let b: Vec<f64> = a.iter().map(|x| x + 5.0).collect();
-        let w = welch_t_test(&a, &b);
-        assert!(w.exceeds(4.5), "t = {}", w.t);
-        assert!(w.t > 0.0, "high class has the larger mean");
-        assert!(w.dof > 100.0, "equal shapes keep dof near n_a + n_b - 2");
-        let flipped = welch_t_test(&b, &a);
-        assert!((flipped.t + w.t).abs() < 1e-12, "antisymmetric in classes");
-    }
-
-    #[test]
-    fn degenerate_classes_clamp_instead_of_nan() {
-        let w = welch_t_test(&[1.0], &[2.0, 3.0]);
-        assert_eq!(w.t, 0.0, "singleton class carries no evidence");
-        let w = welch_t_test(&[1.0, 1.0], &[1.0, 1.0]);
-        assert_eq!(w.t, 0.0);
-        let w = welch_t_test(&[1.0, 1.0], &[2.0, 2.0]);
-        assert_eq!(w.t, T_CLAMP, "distinct constants clamp");
-        assert!(w.t.is_finite());
-    }
-
-    #[test]
-    fn mi_of_identical_streams_is_entropy() {
-        // X uniform over {0,1,2,3}, Y = X: I(X;Y) = H(X) = 2 bits.
-        let xs: Vec<f64> = (0..400).map(|i| f64::from(i % 4)).collect();
-        let mi = binned_mi(&xs, &xs, 4);
-        assert!((mi.bits - 2.0).abs() < 1e-9, "plug-in = {}", mi.bits);
-        assert!(
-            (mi.corrected_bits - 2.0).abs() < 0.05,
-            "corrected = {}",
-            mi.corrected_bits
-        );
-        assert_eq!(mi.x_bins, 4);
-        assert_eq!(mi.y_bins, 4);
-    }
-
-    #[test]
-    fn mi_of_independent_streams_is_near_zero_after_correction() {
-        // Coprime periods (7, 5) make the joint distribution uniform
-        // over a full 35-cycle: exactly independent in the limit, and
-        // 2100 samples is an integer number of cycles so the plug-in
-        // MI is exactly zero up to float error.
-        let xs: Vec<f64> = (0..2100).map(|i| f64::from(i % 7)).collect();
-        let ys: Vec<f64> = (0..2100).map(|i| f64::from((i * 3) % 5)).collect();
-        let mi = binned_mi(&xs, &ys, 16);
-        assert!(mi.bits < 0.01, "plug-in = {}", mi.bits);
-        assert!(
-            mi.corrected_bits < 0.01,
-            "corrected = {}",
-            mi.corrected_bits
-        );
-    }
-
-    #[test]
-    fn mi_bias_correction_beats_plug_in_on_sparse_noise() {
-        // A short independent sample: the plug-in estimate is visibly
-        // positive purely from binning noise; Miller–Madow pulls the
-        // corrected estimate at least halfway back toward zero.
-        let xs: Vec<f64> = (0..64).map(|i| f64::from((i * 7) % 13)).collect();
-        let ys: Vec<f64> = (0..64).map(|i| f64::from((i * 11) % 9)).collect();
-        let mi = binned_mi(&xs, &ys, 16);
-        assert!(mi.bits > 0.1, "sparse plug-in is biased up: {}", mi.bits);
-        assert!(
-            mi.bias_bits > 0.1,
-            "bias term is material: {}",
-            mi.bias_bits
-        );
-        assert!(
-            mi.corrected_bits < mi.bits - 0.1,
-            "correction removes a chunk of the bias: {} vs {}",
-            mi.corrected_bits,
-            mi.bits
-        );
-    }
-
-    #[test]
-    fn mi_degenerate_inputs() {
-        assert_eq!(binned_mi(&[], &[], 8).corrected_bits, 0.0);
-        // Constant X carries no information regardless of Y.
-        let xs = vec![3.0; 100];
-        let ys: Vec<f64> = (0..100).map(f64::from).collect();
-        let mi = binned_mi(&xs, &ys, 8);
-        assert_eq!(mi.bits, 0.0);
-        assert_eq!(mi.x_bins, 1);
-    }
 }

@@ -1,29 +1,25 @@
-//! Streamed leakage instruments: the TVLA/MI estimators and the full
-//! audit accepting chunked observation streams.
+//! The audit's one implementation: the TVLA/MI estimators and the full
+//! leakage audit over a chunked observation stream.
 //!
-//! The batch entry points ([`crate::audit_samples`] and friends) hold
-//! every observation in memory; at million-sample budgets that is
-//! exactly the materialization the streaming attack engine exists to
-//! avoid. This module keeps the *verdict* identical while storing only
-//! sufficient statistics:
+//! Streams store only sufficient statistics, so peak heap does not grow
+//! with the sample count; an already-collected slice
+//! ([`crate::audit_samples`], [`crate::audit_target_with_stages`]) is
+//! simply pushed as one chunk.
 //!
 //! * [`StreamingChannelTest`] groups `(prediction, value)` pairs by
 //!   exact value into a count ledger. The simulated channels are
 //!   discrete (coalesced-access and cycle counts), so the ledger's
 //!   size is the number of *distinct* pairs — independent of how many
-//!   samples stream through it. From the ledger it reproduces the
-//!   batch mutual-information estimate **bit-for-bit** (identical
-//!   histograms fed to the same fold) and the Welch t-test up to
-//!   count-weighted summation order.
-//! * [`StreamingAudit`] wires the ledger, a
-//!   [`StreamingByteRecovery`] trajectory, and the channel histogram
-//!   into a full [`LeakageReport`] matching the batch report on the
-//!   same stream: trajectory, ρ̂, MI, and quantiles bitwise, the
-//!   t-statistic within float-summation error.
+//!   samples stream through it. From the ledger it computes the
+//!   median-split Welch t-test and the binned mutual information.
+//! * [`StreamingAudit`] wires one ledger per channel (timing plus any
+//!   stage channels), a [`StreamingByteRecovery`] trajectory, and the
+//!   channel histogram into a full [`LeakageReport`]. The report is
+//!   bit-identical whatever the chunking.
 
 use crate::report::{
-    normalized_s, theory_check, AuditError, AuditTarget, ChannelQuantiles, ChannelTest,
-    LeakageReport, TrajectoryPoint,
+    normalized_s, stage_length_error, theory_check, AuditError, AuditTarget, ChannelQuantiles,
+    ChannelTest, LeakageReport, TrajectoryPoint,
 };
 use crate::spec::AuditSpec;
 use crate::stats::{bin_of, mi_from_histograms, min_max, welch_from_moments, MiEstimate};
@@ -34,9 +30,8 @@ use rcoal_telemetry::Hist64;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A streamed counterpart of one channel's TVLA verdict: feed
-/// `(prediction, value)` pairs in, get the same [`ChannelTest`] a batch
-/// audit computes over the concatenated stream.
+/// One channel's TVLA verdict over a stream: feed `(prediction, value)`
+/// pairs in, get the [`ChannelTest`] of the concatenated stream.
 ///
 /// Observations are grouped by exact `(f64::to_bits)` pair, so memory
 /// is proportional to the number of *distinct* pairs rather than the
@@ -88,7 +83,7 @@ impl StreamingChannelTest {
 
     /// Distinct prediction values with their total multiplicities,
     /// sorted ascending by `f64::total_cmp` — the grouped image of the
-    /// batch path's sorted prediction vector.
+    /// sorted prediction vector.
     fn grouped_predictions(&self) -> Vec<(f64, u64)> {
         let mut by_pred: BTreeMap<u64, u64> = BTreeMap::new();
         for (&(p, _), &c) in &self.pairs {
@@ -102,8 +97,8 @@ impl StreamingChannelTest {
         out
     }
 
-    /// The median the batch partition uses: element `(n - 1) / 2` of
-    /// the predictions sorted by `total_cmp`.
+    /// The lower median: element `(n - 1) / 2` of the predictions
+    /// sorted by `total_cmp`.
     fn median_prediction(&self, grouped: &[(f64, u64)]) -> f64 {
         let target = (self.n as u64 - 1) / 2;
         let mut cumulative = 0u64;
@@ -116,13 +111,16 @@ impl StreamingChannelTest {
         grouped.last().map_or(0.0, |&(p, _)| p)
     }
 
-    /// Computes the channel verdict against `spec`'s thresholds — the
-    /// streamed equivalent of the batch audit's per-channel test.
+    /// Computes the channel verdict against `spec`'s thresholds.
     ///
-    /// The partition mirrors the batch rule exactly: class by
-    /// prediction strictly above the median, falling back to `>=` when
-    /// the strict high class would have fewer than two members
-    /// (saturated geometries).
+    /// The t-test partition classes each observation by its prediction:
+    /// low `<=` median `<` high. Saturated geometries (few table blocks
+    /// under many threads, e.g. RECTANGLE's R = 8 under N = 32) can pin
+    /// the median at the maximum prediction, emptying the high class
+    /// and silencing the t-test on a channel that still leaks; when the
+    /// strict high class would have fewer than two members, ties go
+    /// high instead (`>=`), so the split separates the saturated mass
+    /// from the rare low outliers.
     pub fn finish(&self, spec: &AuditSpec) -> ChannelTest {
         let welch = self.welch();
         let mi = self.mi(spec.mi_bins);
@@ -210,7 +208,7 @@ impl StreamingChannelTest {
         };
         // min/max over the distinct values equal min/max over the full
         // stream, so the bin edges — and therefore every per-value bin
-        // index — match the batch estimator exactly.
+        // index — match a slice estimator's over the same stream.
         let (x_min, x_max) = min_max(&xs);
         let (y_min, y_max) = min_max(&ys);
         let x_bins = if x_max > x_min { bins } else { 1 };
@@ -229,26 +227,25 @@ impl StreamingChannelTest {
     }
 }
 
-/// A full leakage audit over a chunked sample stream: the streamed
-/// equivalent of [`crate::audit_samples`], with peak heap independent
-/// of how many samples flow through.
+/// A full leakage audit over a chunked sample stream; on discrete
+/// channels its peak heap does not depend on how many samples flow
+/// through.
 ///
-/// Create with a total `budget`, feed chunks of any size with
-/// [`StreamingAudit::push_chunk`], and call [`StreamingAudit::finish`].
-/// When exactly `budget` samples are pushed, the resulting
-/// [`LeakageReport`] matches the batch report over the concatenated
-/// stream: the trajectory checkpoints land on the same
-/// [`even_checkpoints`] schedule regardless of chunk boundaries, the
-/// per-guess correlations are bit-identical (shared accumulator), and
-/// the MI estimate and channel quantiles are exact. Stage channels are
-/// a batch-only feature (they require collected telemetry, which
-/// streamed generation rejects).
+/// Create with a total `budget`, optionally declare stage channels with
+/// [`StreamingAudit::with_stage_channels`], feed chunks of any size with
+/// [`StreamingAudit::push_chunk`] (or
+/// [`StreamingAudit::push_chunk_with_stages`]), and call
+/// [`StreamingAudit::finish`]. The trajectory checkpoints land on the
+/// [`even_checkpoints`] schedule of `budget` regardless of chunk
+/// boundaries, and every instrument consumes the stream in order, so
+/// the report does not depend on the chunking.
 #[derive(Debug)]
 pub struct StreamingAudit {
     target: AuditTarget,
     spec: AuditSpec,
     predictor: AccessPredictor,
     timing: StreamingChannelTest,
+    stages: Vec<StreamingChannelTest>,
     recovery: StreamingByteRecovery,
     hist: Hist64,
     planned: Vec<usize>,
@@ -282,12 +279,23 @@ impl StreamingAudit {
             spec,
             predictor,
             timing: StreamingChannelTest::new("timing"),
+            stages: Vec::new(),
             recovery,
             hist: Hist64::new(),
             planned,
             next_checkpoint: 0,
             trajectory: Vec::new(),
         })
+    }
+
+    /// Adds one stage channel per name (e.g. per-launch telemetry
+    /// scalars), each tested against the same per-sample prediction as
+    /// the timing channel. Feed their values with
+    /// [`StreamingAudit::push_chunk_with_stages`].
+    pub fn with_stage_channels<'a>(mut self, names: impl IntoIterator<Item = &'a str>) -> Self {
+        self.stages
+            .extend(names.into_iter().map(StreamingChannelTest::new));
+        self
     }
 
     /// Samples audited so far.
@@ -300,10 +308,46 @@ impl StreamingAudit {
         self.recovery.is_empty()
     }
 
-    /// Feeds the next chunk of the stream, splitting internally at
-    /// checkpoint boundaries so the recorded trajectory is independent
-    /// of how the stream is chunked.
+    /// Feeds the next chunk of the stream (timing channel only).
     pub fn push_chunk(&mut self, samples: &[AttackSample]) {
+        self.push_aligned(samples, &[]);
+    }
+
+    /// Feeds the next chunk together with each stage channel's values
+    /// for it: `stage_values[k][i]` is stage `k`'s observation for
+    /// `samples[i]`, stages in [`StreamingAudit::with_stage_channels`]
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`AuditError::Spec`] when the value slices do not line up with
+    /// the declared stage channels or with the chunk; nothing is
+    /// recorded then.
+    pub fn push_chunk_with_stages(
+        &mut self,
+        samples: &[AttackSample],
+        stage_values: &[&[f64]],
+    ) -> Result<(), AuditError> {
+        if stage_values.len() != self.stages.len() {
+            return Err(AuditError::Spec(format!(
+                "{} stage value slices for {} stage channels",
+                stage_values.len(),
+                self.stages.len()
+            )));
+        }
+        for (stage, values) in self.stages.iter().zip(stage_values) {
+            if values.len() != samples.len() {
+                return Err(stage_length_error(&stage.name, values.len(), samples.len()));
+            }
+        }
+        self.push_aligned(samples, stage_values);
+        Ok(())
+    }
+
+    /// Feeds a chunk, splitting it internally at checkpoint boundaries
+    /// so the recorded trajectory is independent of how the stream is
+    /// chunked. `stage_values` is empty or validated against `samples`.
+    fn push_aligned(&mut self, samples: &[AttackSample], stage_values: &[&[f64]]) {
         let mut pos = 0;
         while pos < samples.len() {
             let consumed = self.recovery.len();
@@ -312,17 +356,19 @@ impl StreamingAudit {
                 Some(&boundary) if boundary > consumed => remaining.min(boundary - consumed),
                 _ => remaining,
             };
-            let sub = &samples[pos..pos + take];
-            for s in sub {
+            for (i, s) in samples.iter().enumerate().skip(pos).take(take) {
                 let prediction = self.predictor.predict(
                     &s.ciphertexts,
                     self.spec.byte,
                     self.target.true_key_byte,
                 );
                 self.timing.push(prediction, s.time);
+                for (stage, values) in self.stages.iter_mut().zip(stage_values) {
+                    stage.push(prediction, values[i]);
+                }
                 self.hist.record(s.time.max(0.0).round() as u64);
             }
-            self.recovery.push_chunk(sub);
+            self.recovery.push_chunk(&samples[pos..pos + take]);
             pos += take;
             if self.planned.get(self.next_checkpoint) == Some(&self.recovery.len()) {
                 self.record_checkpoint();
@@ -345,11 +391,15 @@ impl StreamingAudit {
     /// # Errors
     ///
     /// [`AuditError::Attack`] ([`AttackError::NoSamples`]) when nothing
-    /// was pushed.
+    /// was pushed; [`AuditError::Spec`] when a stage channel missed
+    /// values (a chunk fed through [`StreamingAudit::push_chunk`]).
     pub fn finish(mut self) -> Result<LeakageReport, AuditError> {
         let n = self.recovery.len();
         if n == 0 {
             return Err(AuditError::Attack(AttackError::NoSamples));
+        }
+        if let Some(stage) = self.stages.iter().find(|s| s.observations() != n) {
+            return Err(stage_length_error(&stage.name, stage.observations(), n));
         }
         // Streams that fall short of the budget still close their
         // trajectory with the full-stream point.
@@ -357,6 +407,7 @@ impl StreamingAudit {
             self.record_checkpoint();
         }
         let timing = self.timing.finish(&self.spec);
+        let stages = self.stages.iter().map(|s| s.finish(&self.spec)).collect();
         let empirical_rho = self.trajectory.last().map_or(0.0, |p| p.corr_true);
         let empirical_s = normalized_s(empirical_rho);
         let theory = theory_check(
@@ -383,7 +434,7 @@ impl StreamingAudit {
             samples: n,
             spec: self.spec,
             timing,
-            stages: Vec::new(),
+            stages,
             trajectory: self.trajectory,
             empirical_rho,
             empirical_s,
@@ -397,13 +448,11 @@ impl StreamingAudit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::audit_samples;
-    use crate::stats::{binned_mi, welch_t_test};
     use rcoal_core::CoalescingPolicy;
 
     /// Synthetic stream where the channel value IS the baseline
     /// predictor's access count for the true byte (ρ̂ = 1); mirrors the
-    /// batch report tests.
+    /// report tests.
     fn perfect_leak_samples(n: usize) -> (Vec<AttackSample>, u8) {
         let true_byte = 0x3c;
         let attack =
@@ -431,59 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_mi_is_bit_identical_to_batch() {
-        // Discrete values including negatives and repeats.
-        let preds: Vec<f64> = (0..500).map(|i| f64::from(i % 7) - 3.0).collect();
-        let vals: Vec<f64> = (0..500).map(|i| f64::from((i * i) % 11) * 0.5).collect();
-        let mut ledger = StreamingChannelTest::new("synthetic");
-        for (&p, &v) in preds.iter().zip(&vals) {
-            ledger.push(p, v);
-        }
-        for bins in [2, 8, 16] {
-            let streamed = ledger.mi(bins);
-            let batch = binned_mi(&preds, &vals, bins);
-            assert_eq!(streamed, batch, "bins {bins}");
-        }
-    }
-
-    #[test]
-    fn ledger_welch_matches_batch_partition() {
-        let preds: Vec<f64> = (0..300).map(|i| f64::from(i % 9)).collect();
-        let vals: Vec<f64> = (0..300)
-            .map(|i| f64::from(i % 9) * 2.0 + f64::from(i % 5))
-            .collect();
-        let mut ledger = StreamingChannelTest::new("synthetic");
-        for (&p, &v) in preds.iter().zip(&vals) {
-            ledger.push(p, v);
-        }
-        // Replicate the batch partition by hand.
-        let mut sorted = preds.clone();
-        sorted.sort_by(f64::total_cmp);
-        let median = sorted[(sorted.len() - 1) / 2];
-        let (mut low, mut high) = (Vec::new(), Vec::new());
-        for (&p, &v) in preds.iter().zip(&vals) {
-            if p > median {
-                high.push(v);
-            } else {
-                low.push(v);
-            }
-        }
-        let batch = welch_t_test(&low, &high);
-        let streamed = ledger.welch();
-        assert_eq!(streamed.n_low, batch.n_low);
-        assert_eq!(streamed.n_high, batch.n_high);
-        assert!(
-            (streamed.t - batch.t).abs() < 1e-9,
-            "streamed {} vs batch {}",
-            streamed.t,
-            batch.t
-        );
-        assert!((streamed.mean_low - batch.mean_low).abs() < 1e-12);
-        assert!((streamed.mean_high - batch.mean_high).abs() < 1e-12);
-        assert!((streamed.dof - batch.dof).abs() < 1e-6);
-    }
-
-    #[test]
     fn ledger_memory_tracks_distinct_pairs_not_stream_length() {
         let mut ledger = StreamingChannelTest::new("discrete");
         for i in 0..10_000usize {
@@ -498,39 +494,62 @@ mod tests {
     }
 
     #[test]
-    fn streamed_audit_matches_batch_report() {
-        let (samples, true_byte) = perfect_leak_samples(200);
-        let spec = AuditSpec::new();
-        let batch =
-            audit_samples(CoalescingPolicy::Baseline, 32, &samples, true_byte, &spec).unwrap();
-        for chunk in [7usize, 64, 200] {
-            let mut audit = StreamingAudit::new(
-                AuditTarget::aes(CoalescingPolicy::Baseline, 32, true_byte),
-                spec.clone(),
-                samples.len(),
-            )
-            .unwrap();
-            for c in samples.chunks(chunk) {
-                audit.push_chunk(c);
-            }
-            let streamed = audit.finish().unwrap();
-            assert_eq!(streamed.samples, batch.samples);
-            assert_eq!(streamed.trajectory, batch.trajectory, "chunk {chunk}");
-            assert_eq!(streamed.empirical_rho, batch.empirical_rho);
-            assert_eq!(streamed.timing.mi, batch.timing.mi);
-            assert_eq!(streamed.timing.leaky, batch.timing.leaky);
-            assert_eq!(streamed.leaky, batch.leaky);
-            assert_eq!(streamed.quantiles, batch.quantiles);
-            assert_eq!(streamed.theory, batch.theory);
-            assert_eq!(streamed.timing.welch.n_low, batch.timing.welch.n_low);
-            assert_eq!(streamed.timing.welch.n_high, batch.timing.welch.n_high);
-            assert!(
-                (streamed.timing.welch.t - batch.timing.welch.t).abs() < 1e-9,
-                "t streamed {} vs batch {}",
-                streamed.timing.welch.t,
-                batch.timing.welch.t
-            );
+    fn stage_channels_are_chunking_invariant() {
+        let (samples, true_byte) = perfect_leak_samples(90);
+        let mirror: Vec<f64> = samples.iter().map(|s| s.time * 3.0 + 1.0).collect();
+        let noise: Vec<f64> = (0..samples.len())
+            .map(|i| f64::from((i as u32 * 7919) % 13))
+            .collect();
+        let target = AuditTarget::aes(CoalescingPolicy::Baseline, 32, true_byte);
+        let reports: Vec<LeakageReport> = [1usize, 7, samples.len()]
+            .iter()
+            .map(|&chunk| {
+                let mut audit =
+                    StreamingAudit::new(target.clone(), AuditSpec::new(), samples.len())
+                        .unwrap()
+                        .with_stage_channels(["mirror", "noise"]);
+                for (k, c) in samples.chunks(chunk).enumerate() {
+                    let at = k * chunk..k * chunk + c.len();
+                    audit
+                        .push_chunk_with_stages(c, &[&mirror[at.clone()], &noise[at]])
+                        .unwrap();
+                }
+                audit.finish().unwrap()
+            })
+            .collect();
+        assert_eq!(reports[0].stages.len(), 2);
+        assert!(reports[0].stages[0].leaky, "the mirrored stage flags");
+        assert!(!reports[0].stages[1].leaky, "the key-free stage is quiet");
+        for r in &reports[1..] {
+            assert_eq!(r.to_json(), reports[0].to_json());
         }
+    }
+
+    #[test]
+    fn misaligned_stage_values_are_spec_errors() {
+        let (samples, true_byte) = perfect_leak_samples(10);
+        let target = AuditTarget::aes(CoalescingPolicy::Baseline, 32, true_byte);
+        let staged = || {
+            StreamingAudit::new(target.clone(), AuditSpec::new(), 10)
+                .unwrap()
+                .with_stage_channels(["lat"])
+        };
+        let mut audit = staged();
+        let err = audit.push_chunk_with_stages(&samples, &[]).unwrap_err();
+        assert!(matches!(err, AuditError::Spec(_)), "{err}");
+        let err = audit
+            .push_chunk_with_stages(&samples, &[&[1.0; 9]])
+            .unwrap_err();
+        assert!(err.to_string().contains("lat"), "{err}");
+        assert!(audit.is_empty(), "a rejected chunk records nothing");
+        // A timing-only push leaves the stage channel short.
+        let mut audit = staged();
+        audit.push_chunk(&samples);
+        let err = audit.finish().unwrap_err();
+        assert!(
+            err.to_string().contains("'lat' has 0 values for 10"),
+            "{err}"
+        );
     }
 
     #[test]

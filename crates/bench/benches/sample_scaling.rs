@@ -14,9 +14,9 @@
 //!    floor. A rewrite that quietly materializes the stream fails here
 //!    by ~100x, not by a rounding error.
 //! 3. Cross-check: materialize the identical 10N-sample set (the
-//!    simulator source is bit-deterministic, chunked or not) and run
-//!    the two-pass engine; argmax and the true byte's rank must match
-//!    the streamed verdict.
+//!    simulator source is bit-deterministic, chunked or not) and replay
+//!    it as one slice through `Attack::recover_byte`; argmax and the
+//!    true byte's rank must match the generator-fed stream's verdict.
 //! 4. The 10N leg must stream at least `SAMPLES_PER_SEC_FLOOR`
 //!    samples/s — the CI throughput floor.
 //!
@@ -111,7 +111,7 @@ fn stream_leg(
 }
 
 /// Materializes the identical sample set the streaming legs consumed
-/// and runs the two-pass engine over it.
+/// and replays it as one slice through `Attack::recover_byte`.
 fn materialized_verdict(budget: usize) -> Result<(u8, usize, f64), String> {
     let (mut source, subkey) = source_for(budget)?;
     // The simulator source is endless by design (the budget lives in
@@ -194,7 +194,8 @@ fn run() -> Result<(), String> {
         if fast_enough { "ok" } else { "FAIL" }
     );
 
-    // Differential cross-check against the materialized engine.
+    // Cross-check the generator-fed stream against a slice replay of
+    // the same samples.
     let (mat_guess, mat_rank, mat_seconds) = materialized_verdict(large)?;
     let verdicts_match = mat_guess == hi.best_guess && mat_rank == hi.rank_of_true;
     println!(

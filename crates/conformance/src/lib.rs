@@ -12,7 +12,10 @@
 //!    coalescer (subwarp partition → unique-block count) and of DRAM
 //!    service timing (FR-FCFS row-hit/miss accounting from first
 //!    principles), checked request-for-request against the cycle-level
-//!    simulator across a seeded corpus of randomized scenarios.
+//!    simulator across a seeded corpus of randomized scenarios. The
+//!    attack and audit statistics get the same treatment: the streaming
+//!    Pearson engine against a two-pass sweep ([`streaming`]) and the
+//!    audit's ledger estimators against slice Welch/MI ([`audit_oracle`]).
 //! 2. **Golden-master fixtures** ([`golden`]) — content-hashed
 //!    `SimStats` / run-result snapshots for paper-default configurations
 //!    committed as JSON under `tests/goldens/`, with drift reported as a
@@ -35,6 +38,7 @@
 
 use std::fmt;
 
+pub mod audit_oracle;
 pub mod checker;
 pub mod dram_oracle;
 pub mod golden;
@@ -123,6 +127,7 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, ConformanceError> {
         strategies::scenario_section(opts.seed, 64),
         lockstep::section(opts.seed, (opts.cases / 4).max(24)),
         streaming::section(opts.seed, opts.cases / 2)?,
+        audit_oracle::section(opts.seed)?,
         golden::section(&opts.goldens_dir, opts.update_goldens)?,
     ];
     Ok(SuiteReport { sections })

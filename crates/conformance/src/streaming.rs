@@ -1,15 +1,18 @@
 //! Differential conformance for the streaming attack engine.
 //!
-//! The single-pass engine in `rcoal-attack::stream` claims three
-//! contracts, each of which this section checks against an independent
-//! reference on paper-configuration AES samples:
+//! Every correlation in the workspace comes from `rcoal-attack::stream`
+//! (`Attack::recover_key` and `recovery_curve` are adapters over it),
+//! so this section checks the engine against independent references on
+//! paper-configuration AES samples:
 //!
-//! 1. **Engine equivalence** — [`stream_recover_key`] over a chunked
-//!    [`SliceSource`] must reproduce the materialized
-//!    `Attack::recover_key` verdict byte for byte: same argmax, same
-//!    rank of the true subkey byte, same recovered key. (Correlations
-//!    come from different summation orders — Welford vs two-pass — so
-//!    the *verdicts* are the conformance surface, not the floats.)
+//! 1. **Engine vs oracle** — [`stream_recover_key`] over a chunked
+//!    [`SliceSource`] must reproduce a straight-line oracle sweep byte
+//!    for byte: every guess's `predictor_for_guess(m).predict_bytes`
+//!    over the byte column, correlated against time by
+//!    [`two_pass_pearson`] (means first, then centered sums). Each
+//!    guess's correlation must agree within 1e-9 (Welford and two-pass
+//!    differ only in summation order), and the argmax, the true
+//!    subkey byte's rank, and the recovered key must match exactly.
 //! 2. **Bit-identical accumulators** — the per-guess
 //!    [`PearsonAccumulator`] state (six f64 words, compared bitwise)
 //!    must be invariant to the chunk size the stream arrives in *and*
@@ -48,7 +51,7 @@ const STOP_BUDGET: usize = 240;
 
 /// Generates `n` paper-config AES attack samples under `policy` and
 /// returns them with the true attacked subkey.
-fn paper_samples(
+pub(crate) fn paper_samples(
     policy: CoalescingPolicy,
     n: usize,
     seed: u64,
@@ -67,8 +70,87 @@ fn paper_samples(
     Ok((samples, data.attacked_subkey()))
 }
 
-/// Contract 1: streamed key recovery matches the materialized engine
-/// byte for byte. Counts one case per subkey byte.
+/// Two-pass Pearson correlation: the means first, then the centered
+/// sums. Degenerate inputs (mismatched lengths, fewer than two
+/// elements, a zero-variance or non-finite series) read 0.0, and finite
+/// results are clamped to `[-1, 1]` — the contract of
+/// [`rcoal_attack::pearson`], computed independently of its Welford
+/// accumulator.
+pub fn two_pass_pearson(x: &[f64], y: &[f64]) -> f64 {
+    let n = x.len();
+    if n != y.len() || n < 2 {
+        return 0.0;
+    }
+    let nf = n as f64;
+    let mx = x.iter().sum::<f64>() / nf;
+    let my = y.iter().sum::<f64>() / nf;
+    let mut cov = 0.0;
+    let mut vx = 0.0;
+    let mut vy = 0.0;
+    for i in 0..n {
+        let dx = x[i] - mx;
+        let dy = y[i] - my;
+        cov += dx * dy;
+        vx += dx * dx;
+        vy += dy * dy;
+    }
+    if !(vx > 0.0 && vy > 0.0 && vx.is_finite() && vy.is_finite()) {
+        return 0.0;
+    }
+    let r = cov / (vx.sqrt() * vy.sqrt());
+    if r.is_finite() {
+        r.clamp(-1.0, 1.0)
+    } else {
+        0.0
+    }
+}
+
+/// The straight-line oracle sweep for key byte `byte`: for each guess,
+/// a fresh `attack.predictor_for_guess(m)` predicts every sample's byte
+/// column in order, and [`two_pass_pearson`] correlates the predictions
+/// with the sample times. Returns the 256 correlations.
+pub(crate) fn oracle_correlations(
+    attack: &Attack,
+    samples: &[AttackSample],
+    byte: usize,
+) -> Vec<f64> {
+    let times: Vec<f64> = samples.iter().map(|s| s.time).collect();
+    let columns: Vec<Vec<u8>> = samples
+        .iter()
+        .map(|s| s.ciphertexts.iter().map(|ct| ct[byte]).collect())
+        .collect();
+    (0..=u8::MAX)
+        .map(|m| {
+            let mut predictor = attack.predictor_for_guess(m);
+            let predicted: Vec<f64> = columns
+                .iter()
+                .map(|col| predictor.predict_bytes(col, m))
+                .collect();
+            two_pass_pearson(&predicted, &times)
+        })
+        .collect()
+}
+
+/// The first guess with the largest correlation.
+pub(crate) fn oracle_argmax(correlations: &[f64]) -> u8 {
+    let mut best = (0, f64::NEG_INFINITY);
+    for (m, &r) in correlations.iter().enumerate() {
+        if r > best.1 {
+            best = (m, r);
+        }
+    }
+    best.0 as u8
+}
+
+/// Rank of guess `m`: how many guesses correlate strictly better.
+pub(crate) fn oracle_rank(correlations: &[f64], m: u8) -> usize {
+    correlations.get(usize::from(m)).map_or(0, |&mine| {
+        correlations.iter().filter(|&&r| r > mine).count()
+    })
+}
+
+/// Contract 1: streamed key recovery matches the oracle sweep byte for
+/// byte. Counts one case per subkey byte plus one for the key.
 fn key_equivalence(
     report: &mut SectionReport,
     samples: &[AttackSample],
@@ -77,9 +159,6 @@ fn key_equivalence(
 ) -> Result<(), ConformanceError> {
     let attack =
         Attack::against(CoalescingPolicy::Baseline, WARP_SIZE).with_seed(seed ^ ATTACK_SEED_XOR);
-    let materialized = attack
-        .recover_key(samples)
-        .map_err(|e| ConformanceError::new(format!("materialized recover_key: {e}")))?;
     // A deliberately awkward chunk size: not a divisor of the sample
     // count, so the last chunk is ragged.
     let opts = StreamOptions::new(samples.len()).with_chunk(17);
@@ -87,32 +166,47 @@ fn key_equivalence(
     let streamed = stream_recover_key(&attack, &mut source, &opts)
         .map_err(|e| ConformanceError::new(format!("streamed recover_key: {e}")))?;
 
-    for (j, (mat, st)) in materialized
+    let mut oracle_key = [0u8; 16];
+    for ((j, st), slot) in streamed
+        .recovery
         .bytes
         .iter()
-        .zip(&streamed.recovery.bytes)
         .enumerate()
+        .zip(&mut oracle_key)
     {
         report.cases += 1;
-        if mat.best_guess != st.best_guess {
+        let oracle = oracle_correlations(&attack, samples, j);
+        *slot = oracle_argmax(&oracle);
+        if st.best_guess != *slot {
             report.failures.push(format!(
-                "byte {j}: streamed argmax {:#04x} != materialized {:#04x}",
-                st.best_guess, mat.best_guess
+                "byte {j}: streamed argmax {:#04x} != oracle {:#04x}",
+                st.best_guess, *slot
             ));
         }
         let true_byte = subkey[j];
-        let (mr, sr) = (mat.rank_of(true_byte), st.rank_of(true_byte));
-        if mr != sr {
+        let (or, sr) = (oracle_rank(&oracle, true_byte), st.rank_of(true_byte));
+        if or != sr {
             report.failures.push(format!(
-                "byte {j}: streamed rank of true byte {sr} != materialized {mr}"
+                "byte {j}: streamed rank of true byte {sr} != oracle {or}"
+            ));
+        }
+        if let Some((m, (s, o))) = st
+            .correlations
+            .iter()
+            .zip(&oracle)
+            .enumerate()
+            .find(|(_, (s, o))| (*s - *o).abs() > 1e-9)
+        {
+            report.failures.push(format!(
+                "byte {j}, guess {m:#04x}: streamed r {s} vs two-pass oracle {o}"
             ));
         }
     }
     report.cases += 1;
-    if materialized.recovered_key() != streamed.recovery.recovered_key() {
+    if streamed.recovery.recovered_key() != oracle_key {
         report
             .failures
-            .push("streamed recovered_key differs from materialized".into());
+            .push("streamed recovered_key differs from the oracle sweep".into());
     }
     Ok(())
 }
@@ -276,6 +370,8 @@ pub fn section(seed: u64, cases: usize) -> Result<SectionReport, ConformanceErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcoal_attack::PearsonAccumulator;
+    use rcoal_rng::{Rng, SeedableRng, StdRng};
 
     #[test]
     fn streaming_section_passes_clean() {
@@ -293,5 +389,151 @@ mod tests {
     fn section_counts_every_check_as_a_case() {
         let report = section(7, 48).expect("section runs");
         assert!(report.cases >= 31);
+    }
+
+    // ---- The Welford accumulator against the two-pass oracle ----
+
+    /// The raw-sum correlation `(Σxy − ΣxΣy/n) / …` with an absolute
+    /// variance guard — the cancellation strawman.
+    fn raw_sum_pearson(xs: &[f64], ys: &[f64]) -> f64 {
+        let n = xs.len() as f64;
+        if xs.len() < 2 {
+            return 0.0;
+        }
+        let (mut sx, mut sx2, mut sy, mut sy2, mut sxy) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        for (&x, &y) in xs.iter().zip(ys) {
+            sx += x;
+            sx2 += x * x;
+            sy += y;
+            sy2 += y * y;
+            sxy += x * y;
+        }
+        let cov = sxy - sx * sy / n;
+        let vx = sx2 - sx * sx / n;
+        let vy = sy2 - sy * sy / n;
+        if vx <= 1e-12 || vy <= 1e-12 {
+            return 0.0;
+        }
+        cov / (vx * vy).sqrt()
+    }
+
+    fn accumulate(xs: &[f64], ys: &[f64]) -> PearsonAccumulator {
+        let mut acc = PearsonAccumulator::new();
+        for (&x, &y) in xs.iter().zip(ys) {
+            acc.push(x, y);
+        }
+        acc
+    }
+
+    #[test]
+    fn streaming_pearson_matches_two_pass_on_seeded_corpora() {
+        let mut rng = StdRng::seed_from_u64(0x57_3a41);
+        for case in 0..50 {
+            let n = 2 + (case * 37) % 400;
+            let scale = 10f64.powi((case % 7) - 3);
+            let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0) * scale).collect();
+            let ys: Vec<f64> = xs
+                .iter()
+                .map(|x| 0.4 * x + rng.gen_range(0.0..1.0) * scale)
+                .collect();
+            let acc = accumulate(&xs, &ys);
+            let two_pass = two_pass_pearson(&xs, &ys);
+            assert!(
+                (acc.correlation() - two_pass).abs() < 1e-9,
+                "case {case}: streaming {} vs two-pass {two_pass}",
+                acc.correlation()
+            );
+            assert_eq!(
+                rcoal_attack::pearson(&xs, &ys).to_bits(),
+                acc.correlation().to_bits(),
+                "pearson is the accumulator fold"
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_streams_report_zero_like_pearson() {
+        // n < 2.
+        assert_eq!(PearsonAccumulator::new().correlation(), 0.0);
+        assert_eq!(accumulate(&[1.0], &[2.0]).correlation(), 0.0);
+        assert_eq!(two_pass_pearson(&[1.0], &[2.0]), 0.0);
+        // Constant x.
+        let ys: Vec<f64> = (0..20).map(f64::from).collect();
+        let xs = vec![5.0; 20];
+        assert_eq!(accumulate(&xs, &ys).correlation(), 0.0);
+        assert_eq!(two_pass_pearson(&xs, &ys), 0.0);
+        // Constant y.
+        assert_eq!(accumulate(&ys, &xs).correlation(), 0.0);
+        // Non-finite contamination.
+        let bad = [1.0, f64::NAN, 3.0];
+        let good = [1.0, 2.0, 3.0];
+        assert_eq!(accumulate(&bad, &good).correlation(), 0.0);
+        assert_eq!(accumulate(&good, &bad).correlation(), 0.0);
+        assert_eq!(two_pass_pearson(&bad, &good), 0.0);
+        let inf = [1.0, f64::INFINITY, 3.0];
+        assert_eq!(accumulate(&inf, &good).correlation(), 0.0);
+        // Mismatched lengths.
+        assert_eq!(two_pass_pearson(&good, &good[..2]), 0.0);
+        // Clamped to [-1, 1].
+        let x: Vec<f64> = (0..50).map(|i| f64::from(i) * 1e-9 + 1e9).collect();
+        let y: Vec<f64> = x.iter().map(|v| v * 2.0).collect();
+        let r = accumulate(&x, &y).correlation();
+        assert!((-1.0..=1.0).contains(&r), "r = {r}");
+    }
+
+    #[test]
+    fn adversarial_magnitudes_break_raw_sums_but_not_welford() {
+        let mut rng = StdRng::seed_from_u64(0xbad_cafe);
+        let n = 4000;
+        let small: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let ys: Vec<f64> = small
+            .iter()
+            .map(|s| 0.8 * s + 0.2 * rng.gen_range(0.0..1.0))
+            .collect();
+
+        // (a) Large mean: x = 1e4 + s. Σx² ≈ n·1e8 quantizes away the
+        // O(1) variance bits, so the raw-sum subtraction loses orders of
+        // magnitude of precision; the centered recurrences never form
+        // the large intermediates.
+        let xs: Vec<f64> = small.iter().map(|s| 1e4 + s).collect();
+        let two_pass = two_pass_pearson(&xs, &ys);
+        assert!(two_pass > 0.9, "the channel is strongly correlated");
+        let welford_dev = (accumulate(&xs, &ys).correlation() - two_pass).abs();
+        let raw_dev = (raw_sum_pearson(&xs, &ys) - two_pass).abs();
+        assert!(welford_dev < 1e-9, "welford deviates {welford_dev}");
+        assert!(
+            raw_dev > 1e-9 && raw_dev > 100.0 * welford_dev.max(1e-16),
+            "raw sums must lose precision here: raw_dev {raw_dev}, welford_dev {welford_dev}"
+        );
+
+        // (b) Tiny variance under a dominating mean: the same correlated
+        // channel attenuated to amplitude 1e-8 on a 1e-3 pedestal. The
+        // true correlation is unchanged, but the raw path's absolute
+        // 1e-12 variance guard zeroes the channel entirely.
+        let xs: Vec<f64> = small.iter().map(|s| 1e-3 + s * 1e-8).collect();
+        let two_pass = two_pass_pearson(&xs, &ys);
+        assert!(
+            two_pass > 0.9,
+            "attenuation does not change the correlation"
+        );
+        let welford = accumulate(&xs, &ys).correlation();
+        assert!(
+            (welford - two_pass).abs() < 1e-9,
+            "welford {welford} vs two-pass {two_pass}"
+        );
+        assert_eq!(
+            raw_sum_pearson(&xs, &ys),
+            0.0,
+            "the raw path's absolute variance guard swallows the channel"
+        );
+    }
+
+    #[test]
+    fn oracle_argmax_and_rank_follow_the_first_maximum() {
+        let r = [1.0, 5.0, 5.0, 2.0];
+        assert_eq!(oracle_argmax(&r), 1);
+        assert_eq!(oracle_argmax(&[-3.0, -1.0, -2.0]), 1);
+        assert_eq!(oracle_rank(&r, 2), 0, "ties don't worsen rank");
+        assert_eq!(oracle_rank(&r, 0), 3);
     }
 }

@@ -1148,7 +1148,9 @@ pub fn ablation_samples_needed_with(
     try_parallel_map(resolve_threads(None), &jobs, |_, &(name, policy, data)| {
         let k10 = data.true_last_round_key();
         let samples = data.attack_samples(TimingSource::ByteAccesses(0))?;
-        let attack = Attack::against(policy, 32).with_seed(seed ^ 0x5eed);
+        let attack = Attack::against(policy, 32)
+            .with_seed(seed ^ 0x5eed)
+            .with_threads(Some(1));
 
         // Probe a geometric grid of prefix sizes with the streaming
         // attack (each prediction is computed once); recovery must hold
@@ -1506,18 +1508,22 @@ pub fn workload_matrix_with(
     let sweep = SweepSpec::grid(base)
         .with_workloads(workloads.iter().map(|w| (*w).to_string()).collect())
         .with_policies(policies);
-    let results = runner.run_sweep(&sweep)?;
-    let refs: Vec<&ExperimentData> = results.iter().collect();
-    try_parallel_map(resolve_threads(None), &refs, |_, data| {
-        let report = crate::audit_data(data, 32, &rcoal_audit::AuditSpec::new())?;
-        Ok(WorkloadMatrixRow {
-            workload: data.workload.clone(),
-            policy: data.policy,
-            tvla_t: report.timing.welch.t,
-            mi_bits: report.timing.mi.corrected_bits,
-            empirical_rho: report.empirical_rho,
-            theory_ok: report.theory.map(|t| t.ok),
-            leaky: report.leaky,
+    // Rows audit one after another: each audit already fans its 256
+    // guess lanes out across the worker pool.
+    runner
+        .run_sweep(&sweep)?
+        .iter()
+        .map(|data| {
+            let report = crate::audit_data(data, 32, &rcoal_audit::AuditSpec::new())?;
+            Ok(WorkloadMatrixRow {
+                workload: data.workload.clone(),
+                policy: data.policy,
+                tvla_t: report.timing.welch.t,
+                mi_bits: report.timing.mi.corrected_bits,
+                empirical_rho: report.empirical_rho,
+                theory_ok: report.theory.map(|t| t.ok),
+                leaky: report.leaky,
+            })
         })
-    })
+        .collect()
 }
