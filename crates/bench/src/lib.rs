@@ -1,13 +1,13 @@
-//! Shared helpers for the figure-regenerating benches.
+//! Shared helpers for the recorded benches.
 //!
-//! Every bench target under `benches/` regenerates one table or figure of
-//! the RCoal paper (printing the series the paper plots) and then times a
-//! representative core operation with Criterion. Sample counts mirror the
-//! paper's §VI scale (100 plaintexts of 32 lines) unless noted.
+//! Each bench target under `benches/` measures one property of the
+//! implementation (simulator throughput, streaming-attack memory,
+//! parallel scaling, sweep-cache, supervision, telemetry and audit
+//! overhead) and rewrites its committed `BENCH_*.json` record. The
+//! paper's tables and figures are printed by
+//! `examples/reproduce_all.rs`, not by benches.
 
-use rcoal_experiments::figures::ScatterData;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 /// Canonical seed used by the benches so printed numbers are reproducible
 /// run to run.
@@ -64,168 +64,5 @@ impl PeakAlloc {
     /// Live heap bytes right now.
     pub fn current_bytes() -> usize {
         HEAP_CURRENT.load(Ordering::Relaxed)
-    }
-}
-
-/// Minimal Criterion-compatible benchmark driver.
-///
-/// The crates-io `criterion` crate is unavailable in the offline build,
-/// so the bench targets link against this drop-in subset instead: the
-/// same `criterion_group!`/`criterion_main!` macros, `Criterion`,
-/// benchmark groups with `sample_size`, and `Bencher::iter`. Timings are
-/// median-of-samples over batched iterations — enough to spot order-of-
-/// magnitude regressions while keeping every figure bench runnable with
-/// `cargo bench`.
-#[derive(Debug, Default)]
-pub struct Criterion {
-    _private: (),
-}
-
-impl Criterion {
-    /// Opens a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        println!("\nbenchmark group: {name}");
-        BenchmarkGroup {
-            _criterion: self,
-            sample_size: 10,
-        }
-    }
-}
-
-/// A named collection of benchmarks sharing sampling configuration.
-#[derive(Debug)]
-pub struct BenchmarkGroup<'a> {
-    _criterion: &'a mut Criterion,
-    sample_size: usize,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets how many timing samples to collect per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(2);
-        self
-    }
-
-    /// Times the closure-driven routine and prints a summary line.
-    /// Accepts anything string-like (`&str`, `String`, `format!` output),
-    /// matching the real Criterion's flexible benchmark IDs.
-    pub fn bench_function<I, F>(&mut self, id: I, mut f: F) -> &mut Self
-    where
-        I: AsRef<str>,
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.as_ref();
-        let mut samples = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let mut b = Bencher {
-                elapsed: Duration::ZERO,
-                iters: 0,
-            };
-            f(&mut b);
-            if b.iters > 0 {
-                samples.push(b.elapsed.as_secs_f64() / b.iters as f64);
-            }
-        }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let median = samples.get(samples.len() / 2).copied().unwrap_or(0.0);
-        println!(
-            "  {id}: median {:.3} ms/iter ({} samples)",
-            median * 1e3,
-            samples.len()
-        );
-        self
-    }
-
-    /// Ends the group (kept for Criterion API compatibility).
-    pub fn finish(&mut self) {}
-}
-
-/// Passed to each benchmark body; runs and times the hot closure.
-#[derive(Debug)]
-pub struct Bencher {
-    elapsed: Duration,
-    iters: u64,
-}
-
-impl Bencher {
-    /// Runs `routine` repeatedly, accumulating wall-clock time.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        // One warm-up call outside the timed region.
-        std::hint::black_box(routine());
-        let start = Instant::now();
-        std::hint::black_box(routine());
-        self.elapsed += start.elapsed();
-        self.iters += 1;
-    }
-}
-
-/// Declares a benchmark group function, mirroring `criterion::criterion_group!`.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut criterion = $crate::Criterion::default();
-            $( $target(&mut criterion); )+
-        }
-    };
-}
-
-/// Declares the bench entry point, mirroring `criterion::criterion_main!`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
-/// Renders a guess-correlation scatter panel (Figures 8, 12–14) as text:
-/// correlation of the correct guess, the range of wrong guesses, and the
-/// recovery verdict.
-pub fn describe_scatter(figure: &str, panels: &[ScatterData]) {
-    println!("{figure}: correlation of 256 guesses for key byte 0");
-    println!(
-        "  {:>3} | {:>13} | {:>23} | {:>4} | verdict",
-        "M", "corr(correct)", "wrong guesses (min..max)", "rank"
-    );
-    for p in panels {
-        let correct = p.correlations[p.correct_byte as usize];
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (m, &c) in p.correlations.iter().enumerate() {
-            if m != p.correct_byte as usize {
-                lo = lo.min(c);
-                hi = hi.max(c);
-            }
-        }
-        let verdict = if p.rank_of_correct == 0 {
-            "KEY BYTE RECOVERED"
-        } else {
-            "recovery defeated"
-        };
-        println!(
-            "  {:>3} | {:>13.3} | {:>10.3} .. {:>8.3} | {:>4} | {verdict}",
-            p.m, correct, lo, hi, p.rank_of_correct
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn describe_scatter_handles_a_panel() {
-        let mut correlations = vec![0.0; 256];
-        correlations[7] = 0.9;
-        describe_scatter(
-            "test",
-            &[ScatterData {
-                m: 2,
-                correlations,
-                correct_byte: 7,
-                rank_of_correct: 0,
-            }],
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! One generator per table/figure of the paper's evaluation. Each
-//! function returns typed rows; the bench targets in `rcoal-bench` print
-//! them and EXPERIMENTS.md records paper-vs-measured.
+//! function returns typed rows; `examples/reproduce_all.rs` prints them
+//! and EXPERIMENTS.md records paper-vs-measured.
 
 //! Every generator is a *declarative sweep plus a typed fold*: it
 //! describes its simulations as a [`SweepSpec`] (a policy grid or an
@@ -13,11 +13,10 @@
 //! [`ExperimentData`] into figure rows, parallelizing only the
 //! attack-side post-processing.
 //!
-//! Each generator has a `*_with` variant taking a shared runner — pass
-//! the same runner to several generators and configurations they have
-//! in common (the baseline timing run, most prominently) simulate
-//! exactly once. The legacy signatures are kept as thin wrappers over a
-//! fresh private runner.
+//! Each simulating generator is a `*_with` function taking the runner —
+//! pass the same runner to several generators and configurations they
+//! have in common (the baseline timing run, most prominently) simulate
+//! exactly once; pass `&SweepRunner::new()` for a one-off run.
 
 use crate::engine::SweepRunner;
 use crate::error::ExperimentError;
@@ -68,11 +67,6 @@ pub struct Fig5Data {
 /// Figure 5: the total execution time is proportional to the last-round
 /// time (both are driven by coalesced accesses), which is why an attacker
 /// observing only total time still sees the last-round channel.
-pub fn fig05_last_vs_total(num_plaintexts: usize, seed: u64) -> Result<Fig5Data, ExperimentError> {
-    fig05_last_vs_total_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`fig05_last_vs_total`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -124,14 +118,6 @@ pub struct Fig6Data {
 
 /// Figure 6: the baseline attack succeeds against stock coalescing and
 /// collapses when coalescing is disabled (every count is the constant 32).
-pub fn fig06_coalescing_onoff(
-    num_plaintexts: usize,
-    seed: u64,
-) -> Result<Fig6Data, ExperimentError> {
-    fig06_coalescing_onoff_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`fig06_coalescing_onoff`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -178,15 +164,6 @@ pub struct MotivationData {
 
 /// §III: disabling coalescing for a 1024-line plaintext costs far more
 /// than any RCoal configuration.
-pub fn motivation_disable_coalescing(
-    num_plaintexts: usize,
-    lines: usize,
-    seed: u64,
-) -> Result<MotivationData, ExperimentError> {
-    motivation_disable_coalescing_with(&SweepRunner::new(), num_plaintexts, lines, seed)
-}
-
-/// [`motivation_disable_coalescing`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -238,14 +215,6 @@ pub struct Fig7Row {
 
 /// Figure 7: FSS costs performance as `M` grows (a) and degrades the
 /// naive attack's correlation (b).
-pub fn fig07_fss_performance(
-    num_plaintexts: usize,
-    seed: u64,
-) -> Result<Vec<Fig7Row>, ExperimentError> {
-    fig07_fss_performance_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`fig07_fss_performance`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -324,14 +293,6 @@ fn defense_scatter(
 
 /// Figure 8: FSS-enabled GPU under the FSS attack (Algorithm 1) — the
 /// attack re-establishes the correlation, FSS alone is insufficient.
-pub fn fig08_fss_attack(
-    num_plaintexts: usize,
-    seed: u64,
-) -> Result<Vec<ScatterData>, ExperimentError> {
-    fig08_fss_attack_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`fig08_fss_attack`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -345,14 +306,6 @@ pub fn fig08_fss_attack_with(
 }
 
 /// Figure 12: FSS+RTS under the FSS+RTS attack.
-pub fn fig12_fss_rts(
-    num_plaintexts: usize,
-    seed: u64,
-) -> Result<Vec<ScatterData>, ExperimentError> {
-    fig12_fss_rts_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`fig12_fss_rts`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -366,11 +319,6 @@ pub fn fig12_fss_rts_with(
 }
 
 /// Figure 13: RSS under the RSS attack.
-pub fn fig13_rss(num_plaintexts: usize, seed: u64) -> Result<Vec<ScatterData>, ExperimentError> {
-    fig13_rss_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`fig13_rss`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -384,14 +332,6 @@ pub fn fig13_rss_with(
 }
 
 /// Figure 14: RSS+RTS under the RSS+RTS attack.
-pub fn fig14_rss_rts(
-    num_plaintexts: usize,
-    seed: u64,
-) -> Result<Vec<ScatterData>, ExperimentError> {
-    fig14_rss_rts_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`fig14_rss_rts`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -534,14 +474,6 @@ pub struct ComparisonData {
 /// Figures 15 + 16: sweep the four mechanisms over `M ∈ {2,4,8,16}`,
 /// collecting the corresponding-attack correlation and the performance
 /// cost from the same runs.
-pub fn fig15_16_comparison(
-    num_plaintexts: usize,
-    seed: u64,
-) -> Result<ComparisonData, ExperimentError> {
-    fig15_16_comparison_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`fig15_16_comparison`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -613,6 +545,10 @@ pub fn fig15_16_comparison_with(
     })
 }
 
+/// Floor on |ρ̄| in the Figure 17 score: about the sampling noise of an
+/// average correlation over 16 bytes × ~150 plaintexts (`1/√(16·N)`).
+const SCORE_CORR_FLOOR: f64 = 0.02;
+
 /// Figure 17: RCoal_Score from the Figure 15/16 data.
 ///
 /// A measured average correlation below the sampling noise floor
@@ -625,19 +561,6 @@ pub fn fig15_16_comparison_with(
 /// [`ExperimentError::MissingData`] when a security row has no matching
 /// performance row.
 pub fn fig17_rcoal_score(comparison: &ComparisonData) -> Result<Vec<ScoreRow>, ExperimentError> {
-    fig17_rcoal_score_with_floor(comparison, 0.02)
-}
-
-/// [`fig17_rcoal_score`] with an explicit correlation floor.
-///
-/// # Errors
-///
-/// [`ExperimentError::MissingData`] when a security row has no matching
-/// performance row.
-pub fn fig17_rcoal_score_with_floor(
-    comparison: &ComparisonData,
-    corr_floor: f64,
-) -> Result<Vec<ScoreRow>, ExperimentError> {
     let sec_cfg = RCoalScore::security_oriented();
     let perf_cfg = RCoalScore::performance_oriented();
     comparison
@@ -654,7 +577,7 @@ pub fn fig17_rcoal_score_with_floor(
                         s.mechanism, s.m
                     ))
                 })?;
-            let corr = s.avg_correct_corr.abs().max(corr_floor);
+            let corr = s.avg_correct_corr.abs().max(SCORE_CORR_FLOOR);
             Ok(ScoreRow {
                 mechanism: s.mechanism.clone(),
                 m: s.m,
@@ -684,15 +607,6 @@ pub struct Fig18Row {
 /// Figure 18: scalability to 1024-line plaintexts (32 warps). Security
 /// uses functional access counts (fast, exact); timing uses a smaller
 /// number of simulated launches (`timing_plaintexts`).
-pub fn fig18_scalability(
-    num_plaintexts: usize,
-    timing_plaintexts: usize,
-    seed: u64,
-) -> Result<Vec<Fig18Row>, ExperimentError> {
-    fig18_scalability_with(&SweepRunner::new(), num_plaintexts, timing_plaintexts, seed)
-}
-
-/// [`fig18_scalability`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -804,7 +718,8 @@ mod tests {
 
     #[test]
     fn workload_matrix_audits_every_cell() {
-        let rows = workload_matrix(
+        let rows = workload_matrix_with(
+            &SweepRunner::new(),
             &["aes", "present80", "gather"],
             vec![CoalescingPolicy::Baseline, CoalescingPolicy::Disabled],
             96,
@@ -900,22 +815,6 @@ pub struct SelectiveRow {
 /// Ablation: protecting only the last-round loads (selective) retains the
 /// uniform defense's last-round security at a fraction of its
 /// performance cost.
-pub fn ablation_selective(
-    num_plaintexts: usize,
-    timing_plaintexts: usize,
-    m: usize,
-    seed: u64,
-) -> Result<Vec<SelectiveRow>, ExperimentError> {
-    ablation_selective_with(
-        &SweepRunner::new(),
-        num_plaintexts,
-        timing_plaintexts,
-        m,
-        seed,
-    )
-}
-
-/// [`ablation_selective`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -1006,15 +905,6 @@ pub struct NoiseRow {
 /// channel, validating the attenuation law the paper's Eq. 4 builds on
 /// (and quantifying why the real-hardware attack of Jiang et al. needed
 /// ~10^6 samples while the clean simulator needs ~10^2).
-pub fn ablation_noise(
-    num_plaintexts: usize,
-    sigmas_rel: &[f64],
-    seed: u64,
-) -> Result<Vec<NoiseRow>, ExperimentError> {
-    ablation_noise_with(&SweepRunner::new(), num_plaintexts, sigmas_rel, seed)
-}
-
-/// [`ablation_noise`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -1115,15 +1005,6 @@ pub struct SamplesNeededRow {
 /// byte 0, per mechanism — the empirical counterpart of Eq. 4 / Table II.
 /// Uses the per-byte access channel so the measurement is exact rather
 /// than scheduler-noise-limited.
-pub fn ablation_samples_needed(
-    policies: &[(String, CoalescingPolicy)],
-    max_samples: usize,
-    seed: u64,
-) -> Result<Vec<SamplesNeededRow>, ExperimentError> {
-    ablation_samples_needed_with(&SweepRunner::new(), policies, max_samples, seed)
-}
-
-/// [`ablation_samples_needed`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -1218,7 +1099,7 @@ pub struct SampleCostPoint {
 /// online corresponding attack ([`rcoal_attack::stream_recover_byte`])
 /// with the default early-stop rule, so nothing is materialized and a
 /// million-sample budget runs with peak heap independent of the budget.
-/// Like [`ablation_samples_needed`], the sweep reads the exact per-byte
+/// Like [`ablation_samples_needed_with`], the sweep reads the exact per-byte
 /// access channel (byte 0) so the measurement is not
 /// scheduler-noise-limited; unlike it, the attacker itself decides when
 /// the leader is stable and stops drawing samples.
@@ -1285,11 +1166,6 @@ pub struct MshrRow {
 /// MSHR merging collapses a warp's duplicate same-block requests back
 /// into one memory transaction per distinct block — quietly rebuilding
 /// the very channel that disabling coalescing was meant to close.
-pub fn ablation_mshr(num_plaintexts: usize, seed: u64) -> Result<Vec<MshrRow>, ExperimentError> {
-    ablation_mshr_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`ablation_mshr`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -1375,11 +1251,6 @@ pub struct L1Row {
 /// misses each pay full latency). The stock argmax attacker fails, but
 /// the leak has moved, not vanished: randomization is needed at every
 /// level of the hierarchy (§VII).
-pub fn ablation_l1(num_plaintexts: usize, seed: u64) -> Result<Vec<L1Row>, ExperimentError> {
-    ablation_l1_with(&SweepRunner::new(), num_plaintexts, seed)
-}
-
-/// [`ablation_l1`] against a shared runner/cache.
 ///
 /// # Errors
 ///
@@ -1470,27 +1341,8 @@ pub struct WorkloadMatrixRow {
 /// and the RCoal defenses — are properties of *table-indexed loads*,
 /// not of AES specifically.
 ///
-/// # Errors
-///
-/// Propagates sweep expansion, simulation, and audit failures.
-pub fn workload_matrix(
-    workloads: &[&str],
-    policies: Vec<CoalescingPolicy>,
-    num_plaintexts: usize,
-    seed: u64,
-) -> Result<Vec<WorkloadMatrixRow>, ExperimentError> {
-    workload_matrix_with(
-        &SweepRunner::new(),
-        workloads,
-        policies,
-        num_plaintexts,
-        seed,
-    )
-}
-
-/// [`workload_matrix`] against a shared runner/cache. AES rows hash
-/// identically to legacy (pre-registry) scenarios, so a warm cache
-/// replays them for free.
+/// AES rows hash identically to legacy (pre-registry) scenarios, so a
+/// warm cache replays them for free.
 ///
 /// # Errors
 ///

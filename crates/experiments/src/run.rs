@@ -426,7 +426,7 @@ struct FunctionalCounts {
 
 /// Counts coalesced accesses without the cycle model, drawing the same
 /// per-warp subwarp assignments the simulator would (same seed, same warp
-/// order).
+/// order, same [`LaunchPolicy::draw_assignments`]).
 fn functional_counts(
     kernel: &dyn Kernel,
     launch: LaunchPolicy,
@@ -440,17 +440,9 @@ fn functional_counts(
         requests: 0,
         by_byte: [0; 16],
     };
-    let (default_policy, vulnerable_policy) = launch.policies();
     for w in 0..kernel.num_warps() {
         let width = kernel.warp_width(w).min(gpu.warp_size);
-        // Same draw order as the simulator's launch stage, so seeded
-        // functional runs reproduce its assignments exactly.
-        let assignment = default_policy.assignment(width, &mut rng)?;
-        let vulnerable_assignment = if matches!(launch, LaunchPolicy::Uniform(_)) {
-            assignment.clone()
-        } else {
-            vulnerable_policy.assignment(width, &mut rng)?
-        };
+        let (assignment, vulnerable_assignment) = launch.draw_assignments(width, &mut rng)?;
         for instr in kernel.trace(w).instrs() {
             if let TraceInstr::Load { addrs, tag } = instr {
                 let a = if launch.is_vulnerable_tag(*tag) {
@@ -682,6 +674,22 @@ mod tests {
             );
             assert_eq!(timing.total_requests, functional.total_requests);
         }
+        // A selective launch with a randomized default draws twice per
+        // warp, so a swapped draw order in either path shows here.
+        let cfg = ExperimentConfig::new(CoalescingPolicy::rss_rts(8).unwrap(), 4, 32)
+            .with_seed(7)
+            .with_launch(LaunchPolicy::Selective {
+                vulnerable: CoalescingPolicy::rss_rts(8).unwrap(),
+                default: CoalescingPolicy::rss(4).unwrap(),
+                vulnerable_tags: (LAST_ROUND_TAG_BASE, LAST_ROUND_TAG_BASE + 16),
+            });
+        let timing = cfg.clone().run().unwrap();
+        let functional = cfg.functional_only().run().unwrap();
+        assert_eq!(timing.total_accesses, functional.total_accesses);
+        assert_eq!(
+            timing.last_round_accesses_by_byte,
+            functional.last_round_accesses_by_byte
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! baseline attack was demonstrated on) bypasses L1 for global memory.
 //! Enabling it is an ablation lever — a 1 KiB lookup table that fits in
 //! L1 serves every lookup from the cache after warm-up, flattening the
-//! coalescing timing channel (see `ablation_l1` in `rcoal-experiments`).
+//! coalescing timing channel (see `ablation_l1_with` in `rcoal-experiments`).
 
 /// Set-associative cache state over block-aligned addresses.
 #[derive(Debug, Clone)]

@@ -1,4 +1,5 @@
-use rcoal_core::CoalescingPolicy;
+use rcoal_core::{CoalescingPolicy, PolicyError, SubwarpAssignment};
+use rcoal_rng::Rng;
 
 /// How a kernel launch maps coalescing policies onto its loads.
 ///
@@ -45,16 +46,35 @@ impl LaunchPolicy {
         }
     }
 
-    /// The two distinct policies a warp must hold assignments for, in
-    /// `(default, vulnerable)` order. For `Uniform` both are the same.
-    pub fn policies(&self) -> (CoalescingPolicy, CoalescingPolicy) {
+    /// Draws one warp's `(default, vulnerable)` subwarp assignments.
+    ///
+    /// This is the launch stage's one draw order, shared by the
+    /// simulator and functional counting so seeded runs of either see
+    /// the same assignments: `Selective` draws the default assignment
+    /// first and the vulnerable one second; `Uniform` draws once and
+    /// uses that assignment for both.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CoalescingPolicy::assignment`]'s validation.
+    pub fn draw_assignments<R: Rng + ?Sized>(
+        &self,
+        width: usize,
+        rng: &mut R,
+    ) -> Result<(SubwarpAssignment, SubwarpAssignment), PolicyError> {
         match *self {
-            LaunchPolicy::Uniform(p) => (p, p),
+            LaunchPolicy::Uniform(p) => {
+                let assignment = p.assignment(width, rng)?;
+                Ok((assignment.clone(), assignment))
+            }
             LaunchPolicy::Selective {
                 vulnerable,
                 default,
                 ..
-            } => (default, vulnerable),
+            } => {
+                let default_assignment = default.assignment(width, rng)?;
+                Ok((default_assignment, vulnerable.assignment(width, rng)?))
+            }
         }
     }
 
@@ -79,6 +99,7 @@ impl From<CoalescingPolicy> for LaunchPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcoal_rng::{SeedableRng, StdRng};
 
     #[test]
     fn uniform_applies_everywhere() {
@@ -86,8 +107,35 @@ mod tests {
         assert_eq!(lp.policy_for_tag(0), CoalescingPolicy::Baseline);
         assert_eq!(lp.policy_for_tag(31), CoalescingPolicy::Baseline);
         assert!(!lp.is_vulnerable_tag(20));
-        let (d, v) = lp.policies();
-        assert_eq!(d, v);
+    }
+
+    #[test]
+    fn draw_order_is_one_draw_uniform_and_default_first_selective() {
+        let (default, vulnerable) = (
+            CoalescingPolicy::rss(4).unwrap(),
+            CoalescingPolicy::rss_rts(8).unwrap(),
+        );
+        let mut expect = StdRng::seed_from_u64(3);
+        let first = default.assignment(32, &mut expect).unwrap();
+        let second = vulnerable.assignment(32, &mut expect).unwrap();
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let (d, v) = LaunchPolicy::Uniform(default)
+            .draw_assignments(32, &mut rng)
+            .unwrap();
+        assert_eq!((&d, &v), (&first, &first));
+        assert_eq!(vulnerable.assignment(32, &mut rng).unwrap(), second);
+
+        let selective = LaunchPolicy::Selective {
+            vulnerable,
+            default,
+            vulnerable_tags: (16, 32),
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        assert_eq!(
+            selective.draw_assignments(32, &mut rng).unwrap(),
+            (first, second)
+        );
     }
 
     #[test]

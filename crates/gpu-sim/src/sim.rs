@@ -748,17 +748,9 @@ impl GpuSimulator {
         let mut sms: Vec<Sm<'k>> = (0..cfg.num_sms)
             .map(|_| Sm::with_policy(cfg.warp_schedulers, cfg.scheduler))
             .collect();
-        let (default_policy, vulnerable_policy) = launch.policies();
         for w in 0..kernel.num_warps() {
             let width = kernel.warp_width(w).min(cfg.warp_size);
-            let assignment = default_policy.assignment(width, &mut rng)?;
-            // Uniform launches must consume exactly one draw per warp so
-            // seeded runs line up with the functional counting path.
-            let vulnerable_assignment = if matches!(launch, LaunchPolicy::Uniform(_)) {
-                assignment.clone()
-            } else {
-                vulnerable_policy.assignment(width, &mut rng)?
-            };
+            let (assignment, vulnerable_assignment) = launch.draw_assignments(width, &mut rng)?;
             sms[w % cfg.num_sms].push_warp(kernel.trace(w), assignment, vulnerable_assignment);
         }
 

@@ -11,25 +11,8 @@
 //! never converts a number it merely transports — callers pick the
 //! interpretation (`as_u64`, `as_f64`, ...) at the leaf.
 
+pub use rcoal_telemetry::json_escape;
 use std::fmt;
-
-/// Escapes a string for embedding in a JSON string literal (same
-/// convention as `rcoal_telemetry::json_escape`).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// A parse error with the byte offset where it was detected.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,12 +6,12 @@
 //! Run with: `cargo run --release --example defense_tuning`
 
 use rcoal::prelude::*;
-use rcoal_experiments::figures::{fig15_16_comparison, fig17_rcoal_score};
+use rcoal_experiments::figures::{fig15_16_comparison_with, fig17_rcoal_score};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 100;
     println!("simulating 4 mechanisms x M in {{2,4,8,16}} with {n} plaintexts each ...\n");
-    let comparison = fig15_16_comparison(n, 7)?;
+    let comparison = fig15_16_comparison_with(&SweepRunner::new(), n, 7)?;
 
     println!(
         "{:<8} {:>3} | {:>9} {:>10} | {:>12} {:>12}",

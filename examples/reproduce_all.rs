@@ -1,10 +1,13 @@
 //! Regenerates every table and figure of the paper in one run and prints
 //! a markdown report (the source of EXPERIMENTS.md).
 //!
-//! Run with: `cargo run --release --example reproduce_all [--quick]`
-//! Full mode takes a few minutes; `--quick` shrinks sample counts ~4x.
+//! Run with: `cargo run --release --example reproduce_all [-- --quick]`
+//! Full mode takes 35–40 s on a 2-vCPU host; `--quick` runs a third of
+//! the samples in about 15 s.
 
+use rcoal::attack::samples_needed;
 use rcoal::prelude::*;
+use rcoal::sim::{AccessPattern, SchedulerPolicy, SyntheticKernel};
 use rcoal_experiments::figures::*;
 use rcoal_experiments::SweepRunner;
 
@@ -193,6 +196,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.mechanism, s.m, s.security_oriented, s.performance_oriented
         );
     }
+    let winner = |score: fn(&ScoreRow) -> f64| {
+        scores
+            .iter()
+            .max_by(|a, b| score(a).total_cmp(&score(b)))
+            .map(|s| format!("**{} M={}** ({:.1})", s.mechanism, s.m, score(s)))
+            .ok_or("empty score table")
+    };
+    println!(
+        "\nWinners: security-oriented {}, performance-oriented {}.",
+        winner(|s| s.security_oriented)?,
+        winner(|s| s.performance_oriented)?
+    );
     println!();
 
     // -------------------------------------------------------- Figure 18
@@ -229,12 +244,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("RSS+RTS".to_string(), CoalescingPolicy::rss_rts(4)?),
     ];
     let sn = ablation_samples_needed_with(&runner, &policies, 1200 * scale, seed)?;
+    let model = SecurityModel::default();
     println!("## Extension — empirical samples-to-recovery (byte-0 channel)\n");
-    println!("| mechanism | M | measured N to recover | corr at budget |");
-    println!("|---|---|---|---|");
+    println!("| mechanism | M | measured N to recover | corr at budget | Eq. 4 at analytic rho |");
+    println!("|---|---|---|---|---|");
     for r in &sn {
+        let rho = match r.mechanism.as_str() {
+            "FSS+RTS" => model.rho(Mechanism::FssRts, r.m),
+            "RSS+RTS" => model.rho(Mechanism::RssRts, r.m),
+            _ => 1.0,
+        };
+        // Eq. 4 tends to 3 samples as rho -> 1.
+        let eq4 = if rho >= 1.0 {
+            3.0
+        } else {
+            samples_needed(rho, 0.99)?
+        };
         println!(
-            "| {} | {} | {} | {:+.3} |",
+            "| {} | {} | {} | {:+.3} | {eq4:.0} |",
             r.mechanism,
             r.m,
             r.samples_to_recover
@@ -243,6 +270,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.corr_at_budget
         );
     }
+    println!();
     let noise_rows = ablation_noise_with(&runner, 300 * scale, &[0.0, 1.0, 2.0, 4.0, 8.0], seed)?;
     println!("## Extension — measurement-noise sensitivity (baseline attack, byte-0 channel)\n");
     println!("| sigma / signal | measured corr | predicted corr | Eq. 4 samples |");
@@ -258,7 +286,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("## Extension — Monte-Carlo rho for standalone RSS (Table II's missing column)\n");
     println!("| M | rho RSS (MC) | rho FSS+RTS (analytic) | rho RSS+RTS (analytic) |");
     println!("|---|---|---|---|");
-    let model = SecurityModel::default();
     for m in [2usize, 4, 8, 16] {
         let rss = rho_monte_carlo(CoalescingPolicy::rss(m)?, 40_000, seed)?;
         println!(
@@ -269,6 +296,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             model.rho(Mechanism::RssRts, m)
         );
     }
+    println!();
 
     let mshr_rows = ablation_mshr_with(&runner, 150 * scale, seed)?;
     println!("## Extension — MSHR interaction (why §VII disables MSHRs)\n");
@@ -290,6 +318,67 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "| {} | {:+.3} | {} | {:.0} | {:.0} |",
             r.config, r.corr_correct, r.rank, r.l1_hits_per_plaintext, r.mean_total_cycles
         );
+    }
+
+    // The scheduler reorders issue, never the loads: a run whose access
+    // counts differ between GTO and LRR is a simulator bug.
+    let scheduler_configs = [
+        ("baseline, 32 lines", CoalescingPolicy::Baseline, 32),
+        ("RSS+RTS(8), 32 lines", CoalescingPolicy::rss_rts(8)?, 32),
+        ("baseline, 1024 lines", CoalescingPolicy::Baseline, 1024),
+    ];
+    let mut scenarios = Vec::new();
+    for &(_, policy, lines) in &scheduler_configs {
+        for scheduler in [SchedulerPolicy::Gto, SchedulerPolicy::Lrr] {
+            scenarios.push(Scenario::new(policy, 5, lines).with_seed(seed).with_gpu(
+                GpuOverrides {
+                    scheduler: Some(scheduler),
+                    ..GpuOverrides::default()
+                },
+            ));
+        }
+    }
+    let runs = runner.run_sweep(&SweepSpec::list(scenarios))?;
+    println!("\n## Extension — warp scheduler (GTO vs LRR, 5 plaintexts each)\n");
+    println!("| configuration | GTO cycles | LRR cycles | mem accesses (both) |");
+    println!("|---|---|---|---|");
+    for (&(label, _, _), pair) in scheduler_configs.iter().zip(runs.chunks_exact(2)) {
+        let (gto, lrr) = (&pair[0], &pair[1]);
+        if gto.total_accesses != lrr.total_accesses {
+            return Err(format!("{label}: access counts depend on the warp scheduler").into());
+        }
+        println!(
+            "| {label} | {:.0} | {:.0} | {:.0} |",
+            gto.mean_total_cycles()?,
+            lrr.mean_total_cycles()?,
+            gto.mean_total_accesses()
+        );
+    }
+
+    let sim = GpuSimulator::new(GpuConfig::paper());
+    let costed = [
+        CoalescingPolicy::fss(8)?,
+        CoalescingPolicy::rss_rts(8)?,
+        CoalescingPolicy::Disabled,
+    ];
+    println!("\n## Extension — RCoal cost on synthetic workloads (30 warps x 32 loads)\n");
+    println!("Execution cycles normalized to baseline coalescing.\n");
+    println!("| pattern | FSS(8) | RSS+RTS(8) | disabled |");
+    println!("|---|---|---|---|");
+    for pattern in [
+        AccessPattern::Streaming,
+        AccessPattern::Broadcast,
+        AccessPattern::Random { range: 4096 },
+        AccessPattern::Strided { stride: 128 },
+    ] {
+        let kernel = SyntheticKernel::new(pattern, 30, 32, 32).with_seed(seed);
+        let cycles = |policy| sim.run(&kernel, policy, 1).map(|s| s.total_cycles as f64);
+        let base = cycles(CoalescingPolicy::Baseline)?;
+        let mut row = format!("| {pattern} |");
+        for &policy in &costed {
+            row += &format!(" {:.3} |", cycles(policy)? / base);
+        }
+        println!("{row}");
     }
 
     // ------------------------------------------------------ Cache report

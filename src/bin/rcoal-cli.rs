@@ -11,7 +11,7 @@
 use rcoal::cli::{parse_policy, parse_threads, write_artifact, ParsedArgs};
 use rcoal::prelude::*;
 use rcoal_experiments::engine::{decode_run, encode_run, SweepRunner};
-use rcoal_experiments::figures::{fig15_16_comparison, fig17_rcoal_score};
+use rcoal_experiments::figures::{fig15_16_comparison_with, fig17_rcoal_score};
 use rcoal_scenario::json::{ObjBuilder, Value};
 use rcoal_scenario::{parse_spec, ChaosPlan, RunCache};
 use std::path::PathBuf;
@@ -805,7 +805,8 @@ fn cmd_score(args: &ParsedArgs) -> Result<(), String> {
         std::env::set_var(rcoal_parallel::THREADS_ENV, t.to_string());
     }
     println!("sweeping 4 mechanisms x M in {{2,4,8,16}} with {samples} plaintexts each ...");
-    let cmp = fig15_16_comparison(samples, seed).map_err(|e| e.to_string())?;
+    let cmp =
+        fig15_16_comparison_with(&SweepRunner::new(), samples, seed).map_err(|e| e.to_string())?;
     let mut scores = fig17_rcoal_score(&cmp).map_err(|e| e.to_string())?;
     scores.sort_by(|a, b| b.security_oriented.total_cmp(&a.security_oriented));
     println!("\nby security-oriented score (a = b = 1):");

@@ -4,7 +4,7 @@
 
 use rcoal::prelude::*;
 use rcoal_attack::{attenuated_correlation, recovery_curve, GaussianNoise};
-use rcoal_experiments::figures::rho_monte_carlo;
+use rcoal_experiments::figures::{ablation_l1_with, ablation_mshr_with, rho_monte_carlo};
 use rcoal_gpu_sim::SchedulerPolicy;
 
 #[test]
@@ -95,6 +95,7 @@ fn scheduler_choice_never_changes_access_counts() {
     for policy in [
         CoalescingPolicy::Baseline,
         CoalescingPolicy::rss_rts(4).expect("valid"),
+        CoalescingPolicy::rss_rts(8).expect("valid"),
     ] {
         let run = |sched: SchedulerPolicy| {
             let gpu = GpuConfig {
@@ -155,7 +156,7 @@ fn mshrs_reopen_the_channel_disabled_coalescing_closed() {
     // The headline of the MSHR ablation: with coalescing disabled, MSHR
     // merging makes the per-load memory traffic equal the number of
     // distinct blocks again, so the attacker's correlation returns.
-    let rows = rcoal_experiments::figures::ablation_mshr(250, 407).expect("simulation");
+    let rows = ablation_mshr_with(&SweepRunner::new(), 250, 407).expect("simulation");
     assert_eq!(rows.len(), 3);
     let disabled = &rows[1];
     let with_mshr = &rows[2];
@@ -178,7 +179,7 @@ fn mshrs_reopen_the_channel_disabled_coalescing_closed() {
 
 #[test]
 fn l1_cache_inverts_rather_than_closes_the_channel() {
-    let rows = rcoal_experiments::figures::ablation_l1(250, 408).expect("simulation");
+    let rows = ablation_l1_with(&SweepRunner::new(), 250, 408).expect("simulation");
     let (no_l1, with_l1) = (&rows[0], &rows[1]);
     assert!(
         no_l1.corr_correct > 0.1,

@@ -13,9 +13,8 @@
 use rcoal_attack::{pearson, Attack};
 use rcoal_core::CoalescingPolicy;
 use rcoal_experiments::figures::{
-    ablation_l1_with, ablation_mshr, ablation_mshr_with, avg_correct_correlation,
-    fig05_last_vs_total, fig06_coalescing_onoff, fig06_coalescing_onoff_with,
-    fig07_fss_performance, Fig5Data, Fig6Data, Fig7Row, MshrRow,
+    ablation_l1_with, ablation_mshr_with, avg_correct_correlation, fig05_last_vs_total_with,
+    fig06_coalescing_onoff_with, fig07_fss_performance_with, Fig5Data, Fig6Data, Fig7Row, MshrRow,
 };
 use rcoal_experiments::{ExperimentConfig, ExperimentError, SweepRunner, TimingSource};
 use rcoal_gpu_sim::GpuConfig;
@@ -145,28 +144,31 @@ fn legacy_ablation_mshr(num_plaintexts: usize, seed: u64) -> Result<Vec<MshrRow>
 #[test]
 fn fig05_matches_legacy_generator() {
     let legacy = legacy_fig05(PLAINTEXTS, SEED).expect("legacy fig05");
-    let new = fig05_last_vs_total(PLAINTEXTS, SEED).expect("sweep fig05");
+    let new = fig05_last_vs_total_with(&SweepRunner::new(), PLAINTEXTS, SEED).expect("sweep fig05");
     assert_eq!(legacy, new);
 }
 
 #[test]
 fn fig06_matches_legacy_generator() {
     let legacy = legacy_fig06(PLAINTEXTS, SEED).expect("legacy fig06");
-    let new = fig06_coalescing_onoff(PLAINTEXTS, SEED).expect("sweep fig06");
+    let new =
+        fig06_coalescing_onoff_with(&SweepRunner::new(), PLAINTEXTS, SEED).expect("sweep fig06");
     assert_eq!(legacy, new);
 }
 
 #[test]
 fn fig07_matches_legacy_generator() {
     let legacy = legacy_fig07(PLAINTEXTS, SEED).expect("legacy fig07");
-    let new = fig07_fss_performance(PLAINTEXTS, SEED).expect("sweep fig07");
+    let new =
+        fig07_fss_performance_with(&SweepRunner::new(), PLAINTEXTS, SEED).expect("sweep fig07");
     assert_eq!(legacy, new);
 }
 
 #[test]
 fn ablation_mshr_matches_legacy_generator() {
     let legacy = legacy_ablation_mshr(PLAINTEXTS, SEED).expect("legacy ablation_mshr");
-    let new = ablation_mshr(PLAINTEXTS, SEED).expect("sweep ablation_mshr");
+    let new =
+        ablation_mshr_with(&SweepRunner::new(), PLAINTEXTS, SEED).expect("sweep ablation_mshr");
     assert_eq!(legacy, new);
 }
 
