@@ -208,8 +208,19 @@ impl Aes128 {
         let mut trace = LookupTrace {
             rounds: Vec::with_capacity(10),
         };
-        let ct = self.encrypt_internal(plaintext, Some(&mut trace));
+        let ct = self.encrypt_block_traced_into(plaintext, &mut trace);
         (ct, trace)
+    }
+
+    /// [`Aes128::encrypt_block_traced`] into an existing trace, whose
+    /// rounds are overwritten (reusing their allocation).
+    pub(crate) fn encrypt_block_traced_into(
+        &self,
+        plaintext: Block,
+        trace: &mut LookupTrace,
+    ) -> Block {
+        trace.rounds.clear();
+        self.encrypt_internal(plaintext, Some(trace))
     }
 
     fn encrypt_internal(&self, plaintext: Block, trace: Option<&mut LookupTrace>) -> Block {

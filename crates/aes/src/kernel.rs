@@ -75,7 +75,7 @@ pub struct AesGpuKernel {
     lines: Vec<Block>,
     ciphertexts: Vec<Block>,
     traces: Vec<LookupTrace>,
-    /// Per-warp instruction traces, generated once at construction;
+    /// Per-warp instruction traces, written once per set of lines;
     /// [`Kernel::trace`] hands out borrows so each of the hundreds of
     /// launches per experiment copies nothing.
     warp_traces: Vec<WarpTrace>,
@@ -102,29 +102,47 @@ impl AesGpuKernel {
         warp_size: usize,
         layout: TableLayout,
     ) -> Self {
-        let aes = Aes128::new(key);
-        let mut ciphertexts = Vec::with_capacity(lines.len());
-        let mut traces = Vec::with_capacity(lines.len());
-        for &line in &lines {
-            let (ct, tr) = aes.encrypt_block_traced(line);
-            ciphertexts.push(ct);
-            traces.push(tr);
-        }
         let mut kernel = AesGpuKernel {
-            aes,
-            lines,
-            ciphertexts,
-            traces,
+            aes: Aes128::new(key),
+            lines: Vec::new(),
+            ciphertexts: Vec::new(),
+            traces: Vec::new(),
             warp_traces: Vec::new(),
             warp_size: warp_size.max(1),
             layout,
             compute_per_lookup: 2,
             round_overhead: 8,
         };
-        kernel.warp_traces = (0..kernel.num_warps())
-            .map(|w| kernel.build_trace(w))
-            .collect();
+        kernel.reload(&lines);
         kernel
+    }
+
+    /// Rebuilds the kernel in place for new plaintext `lines` under the
+    /// same key and layout: re-encrypts with the expanded key schedule
+    /// and rewrites every lookup trace and warp trace over the old ones.
+    /// The result equals a freshly built kernel; with the same line
+    /// count as before, it allocates nothing.
+    pub fn reload(&mut self, lines: &[Block]) {
+        self.lines.clear();
+        self.lines.extend_from_slice(lines);
+        self.ciphertexts.resize(lines.len(), [0; 16]);
+        self.traces.resize_with(lines.len(), || LookupTrace {
+            rounds: Vec::with_capacity(10),
+        });
+        for ((&line, ct), trace) in lines
+            .iter()
+            .zip(&mut self.ciphertexts)
+            .zip(&mut self.traces)
+        {
+            *ct = self.aes.encrypt_block_traced_into(line, trace);
+        }
+        let num_warps = self.num_warps();
+        let mut warp_traces = std::mem::take(&mut self.warp_traces);
+        warp_traces.resize_with(num_warps, WarpTrace::default);
+        for (w, trace) in warp_traces.iter_mut().enumerate() {
+            self.write_trace(w, trace);
+        }
+        self.warp_traces = warp_traces;
     }
 
     /// The expanded key schedule in use.
@@ -166,49 +184,44 @@ impl AesGpuKernel {
         start..(start + self.warp_size).min(self.lines.len())
     }
 
-    fn build_trace(&self, warp_id: usize) -> WarpTrace {
+    /// The one trace writer: warp `warp_id`'s instruction stream, written
+    /// over `trace`.
+    fn write_trace(&self, warp_id: usize, trace: &mut WarpTrace) {
         let lines = self.warp_lines(warp_id);
-        let width = lines.len();
-        let mut trace = WarpTrace::default();
+        let layout = &self.layout;
+        let mut w = trace.rewrite();
 
         // Load the plaintext lines (16 B per thread, consecutive lines —
         // coalesces well, like the real kernel's global reads).
-        let input: Vec<Option<u64>> = lines
-            .clone()
-            .map(|l| Some(self.layout.input_base + l as u64 * 16))
-            .collect();
-        trace.push(TraceInstr::load_tagged(input, 0));
-        trace.push(TraceInstr::compute(self.round_overhead));
+        w.load(0, lines.clone().map(|l| layout.input_base + l as u64 * 16));
+        w.push(TraceInstr::compute(self.round_overhead));
 
         for r in 1..=10u16 {
+            let round = usize::from(r) - 1;
             for j in 0..16usize {
-                let addrs: Vec<Option<u64>> = lines
-                    .clone()
-                    .map(|l| {
-                        let lk = self.traces[l].rounds[usize::from(r) - 1][j];
-                        Some(self.layout.lookup_addr(lk.table, lk.index))
-                    })
-                    .collect();
                 let tag = if r == 10 {
                     LAST_ROUND_TAG_BASE + j as u16
                 } else {
                     r
                 };
-                trace.push(TraceInstr::load_tagged(addrs, tag));
-                trace.push(TraceInstr::compute(self.compute_per_lookup));
+                w.load(
+                    tag,
+                    self.traces[lines.clone()].iter().map(|t| {
+                        let lk = t.rounds[round][j];
+                        layout.lookup_addr(lk.table, lk.index)
+                    }),
+                );
+                w.push(TraceInstr::compute(self.compute_per_lookup));
             }
-            trace.push(TraceInstr::compute(self.round_overhead));
-            trace.push(TraceInstr::RoundMark { round: r });
+            w.push(TraceInstr::compute(self.round_overhead));
+            w.push(TraceInstr::RoundMark { round: r });
         }
 
         // Store the ciphertext lines.
-        let output: Vec<Option<u64>> = lines
-            .clone()
-            .map(|l| Some(self.layout.output_base + l as u64 * 16))
-            .collect();
-        trace.push(TraceInstr::load_tagged(output, OUTPUT_TAG));
-        debug_assert_eq!(width, trace.instrs().len().min(width).min(width).max(width));
-        trace
+        w.load(
+            OUTPUT_TAG,
+            lines.map(|l| layout.output_base + l as u64 * 16),
+        );
     }
 }
 

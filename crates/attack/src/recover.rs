@@ -212,6 +212,11 @@ impl Attack {
         self.policy
     }
 
+    /// Threads per warp the predictions split the lines into.
+    pub(crate) fn warp_size(&self) -> usize {
+        self.warp_size
+    }
+
     /// The configured worker-thread override (the streaming engine
     /// parallelizes per guess).
     pub(crate) fn threads_option(&self) -> Option<usize> {

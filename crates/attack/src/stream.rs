@@ -33,6 +33,7 @@
 use crate::error::AttackError;
 use crate::predict::AccessPredictor;
 use crate::recover::{Attack, AttackSample, ByteRecovery, KeyRecovery};
+use rcoal_core::MAX_LANES;
 use rcoal_parallel::{parallel_map, resolve_threads};
 
 /// Incremental Pearson correlation over a stream of `(x, y)` pairs,
@@ -240,10 +241,18 @@ impl StreamingByteRecovery {
     ///
     /// # Errors
     ///
-    /// [`AttackError::ByteIndex`] for `byte >= attack.key_bytes()`.
+    /// [`AttackError::ByteIndex`] for `byte >= attack.key_bytes()`, and
+    /// [`AttackError::Domain`] for an attack warp wider than
+    /// [`rcoal_core::MAX_LANES`], which no policy can split.
     pub fn new(attack: &Attack, byte: usize) -> Result<Self, AttackError> {
         if byte >= attack.key_bytes() {
             return Err(AttackError::ByteIndex { j: byte });
+        }
+        if attack.warp_size() > MAX_LANES {
+            return Err(AttackError::Domain(format!(
+                "attack warp of {} lanes is wider than the {MAX_LANES}-lane maximum",
+                attack.warp_size()
+            )));
         }
         let lanes = (0..=255u8)
             .map(|m| GuessLane {
@@ -1189,6 +1198,17 @@ mod tests {
             stream_recover_key(&attack, &mut source, &StreamOptions::new(0)).unwrap_err(),
             AttackError::NoSamples
         );
+    }
+
+    #[test]
+    fn warps_wider_than_64_lanes_are_a_domain_error() {
+        // No policy splits such a warp, so every prediction would fall
+        // back to one access per lane.
+        assert!(matches!(
+            StreamingByteRecovery::new(&Attack::baseline(MAX_LANES + 1), 0),
+            Err(AttackError::Domain(_))
+        ));
+        assert!(StreamingByteRecovery::new(&Attack::baseline(MAX_LANES), 0).is_ok());
     }
 
     #[test]

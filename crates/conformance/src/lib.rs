@@ -14,8 +14,11 @@
 //!    principles), checked request-for-request against the cycle-level
 //!    simulator across a seeded corpus of randomized scenarios. The
 //!    attack and audit statistics get the same treatment: the streaming
-//!    Pearson engine against a two-pass sweep ([`streaming`]) and the
-//!    audit's ledger estimators against slice Welch/MI ([`audit_oracle`]).
+//!    Pearson engine against a two-pass sweep ([`streaming`]), the
+//!    audit's ledger estimators against slice Welch/MI ([`audit_oracle`]),
+//!    and the reused kernels and inline subwarp draws of sample
+//!    generation against fresh builds and heap-based draws
+//!    ([`generation`]).
 //! 2. **Golden-master fixtures** ([`golden`]) — content-hashed
 //!    `SimStats` / run-result snapshots for paper-default configurations
 //!    committed as JSON under `tests/goldens/`, with drift reported as a
@@ -41,6 +44,7 @@ use std::fmt;
 pub mod audit_oracle;
 pub mod checker;
 pub mod dram_oracle;
+pub mod generation;
 pub mod golden;
 pub mod lockstep;
 pub mod oracle;
@@ -121,6 +125,7 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, ConformanceError> {
     let sections = vec![
         oracle::unit_section(opts.seed),
         predictor::section(opts.seed),
+        generation::section(opts.seed),
         oracle::sim_section(opts.seed, opts.cases)?,
         dram_oracle::section(opts.seed, (opts.cases / 4).max(16)),
         checker::section(opts.seed, (opts.cases / 10).max(12))?,

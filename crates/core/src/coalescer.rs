@@ -1,4 +1,4 @@
-use crate::{PolicyError, SubwarpAssignment};
+use crate::{PolicyError, SubwarpAssignment, MAX_LANES};
 
 /// One coalesced memory access produced by the coalescing unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,11 +127,25 @@ impl Coalescer {
         assignment: &SubwarpAssignment,
         lane_addrs: &[Option<u64>],
     ) -> CoalesceResult {
-        let mut accesses: Vec<MemAccess> = Vec::new();
-        for (sid, lanes) in assignment.lanes_by_subwarp().into_iter().enumerate() {
+        // Each subwarp's active lanes as a bitmask; walking a mask from
+        // its lowest set bit visits the lanes in lane order.
+        let mut lanes_of = [0u64; MAX_LANES];
+        let mut active = 0;
+        for (lane, sid) in assignment.iter() {
+            if lane_addrs.get(lane).is_some_and(Option::is_some) {
+                lanes_of[usize::from(sid)] |= 1 << lane;
+                active += 1;
+            }
+        }
+        let mut accesses: Vec<MemAccess> = Vec::with_capacity(active);
+        for (sid, &lanes) in lanes_of[..assignment.num_subwarps()].iter().enumerate() {
             let start = accesses.len();
-            for lane in lanes {
-                let Some(addr) = lane_addrs.get(lane).copied().flatten() else {
+            let mut rest = lanes;
+            while rest != 0 {
+                let lane = rest.trailing_zeros() as usize;
+                let bit = 1u64 << lane;
+                rest ^= bit;
+                let Some(addr) = lane_addrs[lane] else {
                     continue;
                 };
                 let block_addr = addr & !(self.block_size - 1);
@@ -139,11 +153,11 @@ impl Coalescer {
                     .iter_mut()
                     .find(|a| a.block_addr == block_addr)
                 {
-                    Some(existing) => existing.lane_mask |= 1 << lane,
+                    Some(existing) => existing.lane_mask |= bit,
                     None => accesses.push(MemAccess {
                         block_addr,
                         sid: sid as u8,
-                        lane_mask: 1 << lane,
+                        lane_mask: bit,
                     }),
                 }
             }
@@ -167,7 +181,7 @@ impl Coalescer {
     }
 }
 
-/// Widest block window (and most subwarps) the bitmask count handles.
+/// Widest block window the bitmask count handles.
 const MASK_BITS: usize = u64::BITS as usize;
 
 /// Counts the distinct `(subwarp, block)` pairs among a warp's active
@@ -180,10 +194,10 @@ const MASK_BITS: usize = u64::BITS as usize;
 /// predictions, and it allocates nothing:
 ///
 /// * one pass over `(lane, sid)` ORs bit `block % 64` into the lane's
-///   subwarp mask while tracking the lowest and highest block. When they
-///   lie within 64 consecutive indices (and there are at most 64
-///   subwarps), distinct blocks have distinct bits and the count is the
-///   sum of the masks' popcounts;
+///   subwarp mask (an assignment has at most [`MAX_LANES`] subwarps)
+///   while tracking the lowest and highest block. When they lie within
+///   64 consecutive indices, distinct blocks have distinct bits and the
+///   count is the sum of the masks' popcounts;
 /// * otherwise a lane counts iff no earlier active lane of its subwarp
 ///   touched the same block.
 ///
@@ -201,36 +215,34 @@ pub fn count_block_accesses(
     block_of: impl Fn(usize) -> Option<u64>,
 ) -> usize {
     let subwarps = assignment.num_subwarps();
-    if subwarps <= MASK_BITS {
-        let (mut lo, mut hi) = (u64::MAX, 0);
-        let mut bit_of = |block: u64| {
-            lo = lo.min(block);
-            hi = hi.max(block);
-            1u64 << (block % MASK_BITS as u64)
-        };
-        let count = if subwarps == 1 {
-            // One subwarp (the baseline) keeps its mask in a register;
-            // OR-ing into `masks[0]` would chain every lane through a
-            // store-to-load round trip.
-            let mask = (0..assignment.warp_size())
-                .filter_map(&block_of)
-                .fold(0, |mask, block| mask | bit_of(block));
-            mask.count_ones() as usize
-        } else {
-            let mut masks = [0u64; MASK_BITS];
-            for (lane, sid) in assignment.iter() {
-                if let Some(block) = block_of(lane) {
-                    masks[usize::from(sid)] |= bit_of(block);
-                }
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    let mut bit_of = |block: u64| {
+        lo = lo.min(block);
+        hi = hi.max(block);
+        1u64 << (block % MASK_BITS as u64)
+    };
+    let count = if subwarps == 1 {
+        // One subwarp (the baseline) keeps its mask in a register;
+        // OR-ing into `masks[0]` would chain every lane through a
+        // store-to-load round trip.
+        let mask = (0..assignment.warp_size())
+            .filter_map(&block_of)
+            .fold(0, |mask, block| mask | bit_of(block));
+        mask.count_ones() as usize
+    } else {
+        let mut masks = [0u64; MAX_LANES];
+        for (lane, sid) in assignment.iter() {
+            if let Some(block) = block_of(lane) {
+                masks[usize::from(sid)] |= bit_of(block);
             }
-            masks[..subwarps]
-                .iter()
-                .map(|m| m.count_ones() as usize)
-                .sum()
-        };
-        if lo > hi || hi - lo < MASK_BITS as u64 {
-            return count;
         }
+        masks[..subwarps]
+            .iter()
+            .map(|m| m.count_ones() as usize)
+            .sum()
+    };
+    if lo > hi || hi - lo < MASK_BITS as u64 {
+        return count;
     }
     (0..assignment.warp_size())
         .filter(|&lane| {
@@ -382,12 +394,32 @@ mod tests {
         assert_eq!(count_block_accesses(&one, |l| [Some(5), Some(69)][l]), 2);
         assert_eq!(count_block_accesses(&one, |l| [Some(69), Some(69)][l]), 1);
         assert_eq!(count_block_accesses(&one, |_| None), 0);
-        // 80 single-lane subwarps over 10 blocks: one access per lane.
-        let split = SubwarpAssignment::fully_split(80).unwrap();
-        assert_eq!(count_block_accesses(&split, |l| Some(l as u64 % 10)), 80);
-        // 80 lanes in 2 subwarps over 10 blocks: 10 accesses each.
-        let halves = SubwarpAssignment::in_order(&[40, 40]).unwrap();
+        // 64 single-lane subwarps over 10 blocks: one access per lane.
+        let split = SubwarpAssignment::fully_split(64).unwrap();
+        assert_eq!(count_block_accesses(&split, |l| Some(l as u64 % 10)), 64);
+        // The same lanes over 100 blocks (past the 64-block window).
+        assert_eq!(count_block_accesses(&split, |l| Some(l as u64 * 100)), 64);
+        // 64 lanes in 2 subwarps over 10 blocks: 10 accesses each.
+        let halves = SubwarpAssignment::in_order(&[32, 32]).unwrap();
         assert_eq!(count_block_accesses(&halves, |l| Some(l as u64 % 10)), 20);
+    }
+
+    #[test]
+    fn assignments_wider_than_64_lanes_are_rejected() {
+        // A 65th lane has no bit in a `u64` lane mask.
+        assert!(matches!(
+            SubwarpAssignment::fully_split(65),
+            Err(PolicyError::OutOfRange { .. })
+        ));
+        assert!(SubwarpAssignment::single(65).is_err());
+        assert!(SubwarpAssignment::in_order(&[32, 33]).is_err());
+        let c = Coalescer::new();
+        let split = SubwarpAssignment::fully_split(64).unwrap();
+        let addrs: Vec<Option<u64>> = (0..64).map(|l| Some(l * 64)).collect();
+        let r = c.coalesce(&split, &addrs);
+        assert_eq!(r.num_accesses(), 64);
+        assert_eq!(r.accesses()[63].lane_mask, 1 << 63);
+        assert_eq!(r.accesses()[63].sid, 63);
     }
 
     #[test]

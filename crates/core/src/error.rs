@@ -1,3 +1,4 @@
+use crate::MAX_LANES;
 use std::error::Error;
 use std::fmt;
 
@@ -14,7 +15,8 @@ pub enum PolicyError {
         /// Warp size it must divide.
         warp_size: usize,
     },
-    /// The number of subwarps must be between 1 and the warp size.
+    /// The number of subwarps must be between 1 and the warp size, and
+    /// the warp at most [`crate::MAX_LANES`] lanes wide.
     OutOfRange {
         /// Requested number of subwarps.
         num_subwarps: usize,
@@ -45,6 +47,13 @@ impl fmt::Display for PolicyError {
             } => write!(
                 f,
                 "number of subwarps {num_subwarps} does not divide warp size {warp_size}"
+            ),
+            PolicyError::OutOfRange {
+                num_subwarps,
+                warp_size,
+            } if *warp_size > MAX_LANES && (1..=*warp_size).contains(num_subwarps) => write!(
+                f,
+                "warp of {warp_size} lanes is wider than the {MAX_LANES}-lane maximum"
             ),
             PolicyError::OutOfRange {
                 num_subwarps,
@@ -105,6 +114,10 @@ mod tests {
             PolicyError::OutOfRange {
                 num_subwarps: 0,
                 warp_size: 32,
+            },
+            PolicyError::OutOfRange {
+                num_subwarps: 1,
+                warp_size: 65,
             },
             PolicyError::InvalidSizes { sizes: vec![0, 4] },
             PolicyError::InvalidBlockSize { block_size: 0 },

@@ -54,7 +54,7 @@ pub use coalescer::{count_block_accesses, CoalesceResult, Coalescer, MemAccess};
 pub use error::{ParsePolicyError, PolicyError};
 pub use policy::{CoalescingPolicy, SizeDistribution, NORMAL_SIGMA_DIVISOR};
 pub use prt::{PendingRequestTable, PrtEntry};
-pub use subwarp::{NumSubwarps, SubwarpAssignment};
+pub use subwarp::{NumSubwarps, SubwarpAssignment, MAX_LANES};
 
 /// Number of threads in a full warp on the simulated architecture (Table I).
 pub const WARP_SIZE: usize = 32;

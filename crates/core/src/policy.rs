@@ -1,4 +1,4 @@
-use crate::{NumSubwarps, ParsePolicyError, PolicyError, SubwarpAssignment};
+use crate::{NumSubwarps, ParsePolicyError, PolicyError, SubwarpAssignment, MAX_LANES};
 
 use rcoal_rng::seq::SliceRandom;
 use rcoal_rng::Rng;
@@ -169,24 +169,34 @@ impl CoalescingPolicy {
         if warp_size == 0 {
             return Err(PolicyError::EmptyWarp);
         }
+        if warp_size > MAX_LANES {
+            // Rejected before any draw: the stack buffers below hold one
+            // slot per lane.
+            return Err(PolicyError::OutOfRange {
+                num_subwarps: self.num_subwarps(warp_size),
+                warp_size,
+            });
+        }
+        let mut buf = [0usize; MAX_LANES];
+        let mut perm = [0usize; MAX_LANES];
         match *self {
             CoalescingPolicy::Baseline => SubwarpAssignment::single(warp_size),
             CoalescingPolicy::Disabled => SubwarpAssignment::fully_split(warp_size),
             CoalescingPolicy::Fss { num_subwarps } => {
-                let sizes = fixed_sizes(warp_size, num_subwarps.get())?;
-                SubwarpAssignment::in_order(&sizes)
+                let sizes = fixed_sizes(warp_size, num_subwarps.get(), &mut buf)?;
+                SubwarpAssignment::in_order(sizes)
             }
             CoalescingPolicy::Rss { num_subwarps, dist } => {
-                let sizes = random_sizes(warp_size, num_subwarps.get(), dist, rng)?;
-                SubwarpAssignment::in_order(&sizes)
+                let sizes = random_sizes(warp_size, num_subwarps.get(), dist, rng, &mut buf)?;
+                SubwarpAssignment::in_order(sizes)
             }
             CoalescingPolicy::FssRts { num_subwarps } => {
-                let sizes = fixed_sizes(warp_size, num_subwarps.get())?;
-                SubwarpAssignment::permuted(&sizes, &random_permutation(warp_size, rng))
+                let sizes = fixed_sizes(warp_size, num_subwarps.get(), &mut buf)?;
+                SubwarpAssignment::permuted(sizes, random_permutation(warp_size, rng, &mut perm))
             }
             CoalescingPolicy::RssRts { num_subwarps, dist } => {
-                let sizes = random_sizes(warp_size, num_subwarps.get(), dist, rng)?;
-                SubwarpAssignment::permuted(&sizes, &random_permutation(warp_size, rng))
+                let sizes = random_sizes(warp_size, num_subwarps.get(), dist, rng, &mut buf)?;
+                SubwarpAssignment::permuted(sizes, random_permutation(warp_size, rng, &mut perm))
             }
         }
     }
@@ -327,7 +337,12 @@ fn parse_subwarp_count(m_str: &str, spec: &str) -> Result<usize, ParsePolicyErro
         .map_err(|_| ParsePolicyError::new(format!("invalid subwarp count {m_str:?} in {spec:?}")))
 }
 
-fn fixed_sizes(warp_size: usize, m: usize) -> Result<Vec<usize>, PolicyError> {
+/// `m` equal sizes for a `warp_size`-lane warp, written to `buf[..m]`.
+fn fixed_sizes(
+    warp_size: usize,
+    m: usize,
+    buf: &mut [usize; MAX_LANES],
+) -> Result<&[usize], PolicyError> {
     if m > warp_size {
         return Err(PolicyError::OutOfRange {
             num_subwarps: m,
@@ -340,69 +355,78 @@ fn fixed_sizes(warp_size: usize, m: usize) -> Result<Vec<usize>, PolicyError> {
             warp_size,
         });
     }
-    Ok(vec![warp_size / m; m])
+    let sizes = &mut buf[..m];
+    sizes.fill(warp_size / m);
+    Ok(sizes)
 }
 
-/// Draws subwarp sizes for RSS.
-pub(crate) fn random_sizes<R: Rng + ?Sized>(
+/// Draws subwarp sizes for RSS into `buf[..m]` (`n <= MAX_LANES`).
+pub(crate) fn random_sizes<'a, R: Rng + ?Sized>(
     warp_size: usize,
     m: usize,
     dist: SizeDistribution,
     rng: &mut R,
-) -> Result<Vec<usize>, PolicyError> {
+    buf: &'a mut [usize; MAX_LANES],
+) -> Result<&'a [usize], PolicyError> {
     if m == 0 || m > warp_size {
         return Err(PolicyError::OutOfRange {
             num_subwarps: m,
             warp_size,
         });
     }
-    Ok(match dist {
-        SizeDistribution::Skewed => skewed_sizes(warp_size, m, rng),
-        SizeDistribution::Normal => normal_sizes(warp_size, m, rng),
-    })
+    let sizes = &mut buf[..m];
+    match dist {
+        SizeDistribution::Skewed => skewed_sizes(warp_size, sizes, rng),
+        SizeDistribution::Normal => normal_sizes(warp_size, sizes, rng),
+    }
+    Ok(sizes)
 }
 
-/// Uniform over compositions of `n` into `m` positive parts, via the
-/// stars-and-bars bijection: choose `m - 1` distinct cut points among the
-/// `n - 1` gaps between the `n` threads.
-fn skewed_sizes<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<usize> {
-    debug_assert!(m >= 1 && m <= n);
+/// Uniform over compositions of `n` into `sizes.len()` positive parts,
+/// via the stars-and-bars bijection: choose `m - 1` distinct cut points
+/// among the `n - 1` gaps between the `n` threads.
+fn skewed_sizes<R: Rng + ?Sized>(n: usize, sizes: &mut [usize], rng: &mut R) {
+    let m = sizes.len();
+    debug_assert!(m >= 1 && m <= n && n <= MAX_LANES);
     if m == 1 {
-        return vec![n];
+        sizes[0] = n;
+        return;
     }
-    let mut gaps: Vec<usize> = (1..n).collect();
+    let mut buf = [0usize; MAX_LANES];
+    let gaps = &mut buf[..n - 1];
+    for (gap, cut) in gaps.iter_mut().zip(1..) {
+        *gap = cut;
+    }
     gaps.shuffle(rng);
-    let mut cuts: Vec<usize> = gaps[..m - 1].to_vec();
+    let cuts = &mut gaps[..m - 1];
     cuts.sort_unstable();
-    let mut sizes = Vec::with_capacity(m);
     let mut prev = 0;
-    for c in cuts {
-        sizes.push(c - prev);
-        prev = c;
+    for (size, &cut) in sizes.iter_mut().zip(cuts.iter()) {
+        *size = cut - prev;
+        prev = cut;
     }
-    sizes.push(n - prev);
-    sizes
+    sizes[m - 1] = n - prev;
 }
 
 /// Sizes drawn iid from a normal centred on the FSS mean, rounded, clamped
 /// to at least 1, then repaired so the total is exactly `n`.
-fn normal_sizes<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<usize> {
-    debug_assert!(m >= 1 && m <= n);
+fn normal_sizes<R: Rng + ?Sized>(n: usize, sizes: &mut [usize], rng: &mut R) {
+    let m = sizes.len();
+    debug_assert!(m >= 1 && m <= n && n <= MAX_LANES);
     if m == 1 {
-        return vec![n];
+        sizes[0] = n;
+        return;
     }
     let mean = n as f64 / m as f64;
     let sigma = (mean / NORMAL_SIGMA_DIVISOR).max(0.25);
-    let mut sizes: Vec<usize> = (0..m)
-        .map(|_| {
-            // Box–Muller from two uniforms keeps the draw on the
-            // workspace's own `rcoal-rng` generator.
-            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-            let u2: f64 = rng.gen_range(0.0f64..1.0);
-            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            ((mean + sigma * z).round() as i64).max(1) as usize
-        })
-        .collect();
+    for size in sizes.iter_mut() {
+        // Box–Muller from two uniforms keeps the draw on the
+        // workspace's own `rcoal-rng` generator.
+        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2: f64 = rng.gen_range(0.0f64..1.0);
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        *size = ((mean + sigma * z).round() as i64).max(1) as usize;
+    }
     // Repair pass: add/remove one thread at a time, never emptying a
     // subwarp, until the sizes sum to the warp size.
     loop {
@@ -414,17 +438,31 @@ fn normal_sizes<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<usize> 
                 sizes[i] += 1;
             }
             std::cmp::Ordering::Greater => {
-                let candidates: Vec<usize> = (0..m).filter(|&i| sizes[i] > 1).collect();
-                let i = candidates[rng.gen_range(0..candidates.len())];
+                let mut candidates = [0usize; MAX_LANES];
+                let mut count = 0;
+                for (i, &size) in sizes.iter().enumerate() {
+                    if size > 1 {
+                        candidates[count] = i;
+                        count += 1;
+                    }
+                }
+                let i = candidates[rng.gen_range(0..count)];
                 sizes[i] -= 1;
             }
         }
     }
-    sizes
 }
 
-fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..n).collect();
+/// A uniformly random permutation of `0..n`, drawn into `buf[..n]`.
+fn random_permutation<'a, R: Rng + ?Sized>(
+    n: usize,
+    rng: &mut R,
+    buf: &'a mut [usize; MAX_LANES],
+) -> &'a [usize] {
+    let perm = &mut buf[..n];
+    for (i, p) in perm.iter_mut().enumerate() {
+        *p = i;
+    }
     perm.shuffle(rng);
     perm
 }
@@ -432,8 +470,8 @@ fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcoal_rng::SeedableRng;
     use rcoal_rng::StdRng;
+    use rcoal_rng::{RngCore, SeedableRng};
     use std::collections::HashMap;
 
     fn rng(seed: u64) -> StdRng {
@@ -503,8 +541,9 @@ mod tests {
         let mut counts: HashMap<Vec<usize>, usize> = HashMap::new();
         let mut r = rng(7);
         for _ in 0..3000 {
-            let sizes = skewed_sizes(4, 2, &mut r);
-            *counts.entry(sizes).or_default() += 1;
+            let mut sizes = [0; 2];
+            skewed_sizes(4, &mut sizes, &mut r);
+            *counts.entry(sizes.to_vec()).or_default() += 1;
         }
         assert_eq!(counts.len(), 3);
         for &c in counts.values() {
@@ -521,7 +560,8 @@ mod tests {
         let spread = |dist: SizeDistribution, r: &mut StdRng| {
             let mut var_sum = 0.0;
             for _ in 0..500 {
-                let sizes = random_sizes(32, 4, dist, r).unwrap();
+                let mut buf = [0; MAX_LANES];
+                let sizes = random_sizes(32, 4, dist, r, &mut buf).unwrap();
                 let mean = 8.0;
                 var_sum += sizes
                     .iter()
@@ -557,6 +597,26 @@ mod tests {
     }
 
     #[test]
+    fn warps_wider_than_64_lanes_are_rejected_before_any_draw() {
+        for policy in [
+            CoalescingPolicy::Baseline,
+            CoalescingPolicy::Disabled,
+            CoalescingPolicy::rss_rts(8).unwrap(),
+        ] {
+            let mut r = rng(4);
+            assert!(matches!(
+                policy.assignment(MAX_LANES + 1, &mut r),
+                Err(PolicyError::OutOfRange { .. })
+            ));
+            assert_eq!(r.next_u64(), rng(4).next_u64(), "{policy}: no draw");
+            assert_eq!(
+                policy.assignment(MAX_LANES, &mut r).unwrap().warp_size(),
+                MAX_LANES
+            );
+        }
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let p = CoalescingPolicy::rss_rts(8).unwrap();
         let a = p.assignment(32, &mut rng(99)).unwrap();
@@ -568,7 +628,8 @@ mod tests {
     fn normal_sizes_respect_invariants() {
         let mut r = rng(5);
         for _ in 0..200 {
-            let sizes = normal_sizes(32, 8, &mut r);
+            let mut sizes = [0; 8];
+            normal_sizes(32, &mut sizes, &mut r);
             assert_eq!(sizes.iter().sum::<usize>(), 32);
             assert!(sizes.iter().all(|&s| s >= 1));
         }

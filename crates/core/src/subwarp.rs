@@ -69,20 +69,42 @@ impl std::fmt::Display for NumSubwarps {
     }
 }
 
+/// Most lanes one [`SubwarpAssignment`] holds.
+///
+/// Lane masks are `u64` ([`crate::MemAccess::lane_mask`]), so a warp
+/// wider than 64 lanes cannot be coalesced correctly; the simulator's
+/// `GpuConfig` caps its warps at the same width. Real warps have 32.
+pub const MAX_LANES: usize = 64;
+
 /// An assignment of every lane of a warp to a subwarp.
 ///
 /// This is the `sid` (subwarp-id) mapping held in the modified coalescing
 /// unit's pending request table (paper §IV-D, Figure 11). Invariants upheld
 /// by construction:
 ///
+/// * the warp has at most [`MAX_LANES`] lanes;
 /// * every lane has a subwarp id `< num_subwarps()`;
 /// * every subwarp owns at least one lane (no subwarp is empty, as required
 ///   by the paper's skewed RSS distribution, §IV-B).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The ids are stored inline, so building, drawing and cloning an
+/// assignment never touches the heap.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct SubwarpAssignment {
-    /// `sid[lane]` is the subwarp id of `lane`.
-    sid: Vec<u8>,
-    num_subwarps: usize,
+    /// `sid[lane]` is the subwarp id of `lane`; slots from `lanes` on
+    /// stay zero so the derived `Eq` and `Hash` see only the warp.
+    sid: [u8; MAX_LANES],
+    lanes: u8,
+    num_subwarps: u8,
+}
+
+impl std::fmt::Debug for SubwarpAssignment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SubwarpAssignment")
+            .field("sid", &self.sids())
+            .field("num_subwarps", &self.num_subwarps)
+            .finish()
+    }
 }
 
 impl SubwarpAssignment {
@@ -95,20 +117,16 @@ impl SubwarpAssignment {
     /// # Errors
     ///
     /// Returns [`PolicyError::InvalidSizes`] if any size is zero or the
-    /// sizes are empty, and [`PolicyError::OutOfRange`] if there are more
-    /// than 256 subwarps (sid is stored in a byte; real warps have ≤ 32
-    /// lanes).
+    /// sizes are empty, and [`PolicyError::OutOfRange`] if they cover
+    /// more than [`MAX_LANES`] lanes.
     pub fn in_order(sizes: &[usize]) -> Result<Self, PolicyError> {
-        Self::validate_sizes(sizes)?;
-        let total: usize = sizes.iter().sum();
-        let mut sid = Vec::with_capacity(total);
+        let mut a = Self::empty(sizes)?;
+        let mut lane = 0;
         for (s, &size) in sizes.iter().enumerate() {
-            sid.extend(std::iter::repeat_n(s as u8, size));
+            a.sid[lane..lane + size].fill(s as u8);
+            lane += size;
         }
-        Ok(SubwarpAssignment {
-            sid,
-            num_subwarps: sizes.len(),
-        })
+        Ok(a)
     }
 
     /// Builds an assignment from per-subwarp sizes and an explicit lane
@@ -118,27 +136,23 @@ impl SubwarpAssignment {
     /// # Errors
     ///
     /// Returns [`PolicyError::InvalidSizes`] if the sizes are invalid or if
-    /// `perm` is not a permutation of `0..sizes.iter().sum()`.
+    /// `perm` is not a permutation of `0..sizes.iter().sum()`, and
+    /// [`PolicyError::OutOfRange`] beyond [`MAX_LANES`] lanes.
     pub fn permuted(sizes: &[usize], perm: &[usize]) -> Result<Self, PolicyError> {
-        Self::validate_sizes(sizes)?;
-        let total: usize = sizes.iter().sum();
-        if perm.len() != total || !is_permutation(perm) {
+        let mut a = Self::empty(sizes)?;
+        if perm.len() != a.warp_size() || !is_permutation(perm) {
             return Err(PolicyError::InvalidSizes {
                 sizes: sizes.to_vec(),
             });
         }
-        let mut sid = vec![0u8; total];
         let mut slot = 0;
         for (s, &size) in sizes.iter().enumerate() {
-            for _ in 0..size {
-                sid[perm[slot]] = s as u8;
-                slot += 1;
+            for &lane in &perm[slot..slot + size] {
+                a.sid[lane] = s as u8;
             }
+            slot += size;
         }
-        Ok(SubwarpAssignment {
-            sid,
-            num_subwarps: sizes.len(),
-        })
+        Ok(a)
     }
 
     /// Places all lanes of a `warp_size`-thread warp in a single subwarp —
@@ -146,7 +160,8 @@ impl SubwarpAssignment {
     ///
     /// # Errors
     ///
-    /// Returns [`PolicyError::EmptyWarp`] if `warp_size` is zero.
+    /// Returns [`PolicyError::EmptyWarp`] if `warp_size` is zero and
+    /// [`PolicyError::OutOfRange`] if it exceeds [`MAX_LANES`].
     pub fn single(warp_size: usize) -> Result<Self, PolicyError> {
         if warp_size == 0 {
             return Err(PolicyError::EmptyWarp);
@@ -159,27 +174,48 @@ impl SubwarpAssignment {
     /// # Errors
     ///
     /// Returns [`PolicyError::EmptyWarp`] if `warp_size` is zero and
-    /// [`PolicyError::OutOfRange`] if `warp_size` exceeds 256.
+    /// [`PolicyError::OutOfRange`] if it exceeds [`MAX_LANES`].
     pub fn fully_split(warp_size: usize) -> Result<Self, PolicyError> {
         if warp_size == 0 {
             return Err(PolicyError::EmptyWarp);
         }
-        Self::in_order(&vec![1; warp_size])
+        if warp_size > MAX_LANES {
+            return Err(PolicyError::OutOfRange {
+                num_subwarps: warp_size,
+                warp_size,
+            });
+        }
+        Self::in_order(&[1; MAX_LANES][..warp_size])
     }
 
-    fn validate_sizes(sizes: &[usize]) -> Result<(), PolicyError> {
+    /// An all-zero assignment shaped by validated `sizes`, for the
+    /// constructors to fill in.
+    fn empty(sizes: &[usize]) -> Result<Self, PolicyError> {
         if sizes.is_empty() || sizes.contains(&0) {
             return Err(PolicyError::InvalidSizes {
                 sizes: sizes.to_vec(),
             });
         }
-        if sizes.len() > 256 {
+        let lanes = sizes
+            .iter()
+            .fold(0usize, |total, &size| total.saturating_add(size));
+        if lanes > MAX_LANES {
             return Err(PolicyError::OutOfRange {
                 num_subwarps: sizes.len(),
-                warp_size: sizes.iter().sum(),
+                warp_size: lanes,
             });
         }
-        Ok(())
+        // Every size is at least one, so `sizes.len() <= lanes <= 64`.
+        Ok(SubwarpAssignment {
+            sid: [0; MAX_LANES],
+            lanes: lanes as u8,
+            num_subwarps: sizes.len() as u8,
+        })
+    }
+
+    /// The subwarp ids of the warp's lanes, in lane order.
+    fn sids(&self) -> &[u8] {
+        &self.sid[..usize::from(self.lanes)]
     }
 
     /// Subwarp id of `lane`.
@@ -188,27 +224,27 @@ impl SubwarpAssignment {
     ///
     /// Panics if `lane >= self.warp_size()`.
     pub fn sid(&self, lane: usize) -> u8 {
-        self.sid[lane]
+        self.sids()[lane]
     }
 
     /// Number of lanes covered by this assignment.
     pub fn warp_size(&self) -> usize {
-        self.sid.len()
+        usize::from(self.lanes)
     }
 
     /// Number of subwarps.
     pub fn num_subwarps(&self) -> usize {
-        self.num_subwarps
+        usize::from(self.num_subwarps)
     }
 
     /// Iterates over `(lane, sid)` pairs in lane order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.sid.iter().copied().enumerate()
+        self.sids().iter().copied().enumerate()
     }
 
     /// Returns the lanes of each subwarp, indexed by sid.
     pub fn lanes_by_subwarp(&self) -> Vec<Vec<usize>> {
-        let mut groups = vec![Vec::new(); self.num_subwarps];
+        let mut groups = vec![Vec::new(); self.num_subwarps()];
         for (lane, s) in self.iter() {
             groups[s as usize].push(lane);
         }
@@ -217,16 +253,18 @@ impl SubwarpAssignment {
 
     /// Returns the size of each subwarp, indexed by sid.
     pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.num_subwarps];
-        for &s in &self.sid {
+        let mut sizes = vec![0usize; self.num_subwarps()];
+        for &s in self.sids() {
             sizes[s as usize] += 1;
         }
         sizes
     }
 }
 
+/// Whether `perm` (at most [`MAX_LANES`] long) holds each of
+/// `0..perm.len()` exactly once.
 fn is_permutation(perm: &[usize]) -> bool {
-    let mut seen = vec![false; perm.len()];
+    let mut seen = [false; MAX_LANES];
     for &p in perm {
         if p >= perm.len() || seen[p] {
             return false;

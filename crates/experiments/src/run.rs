@@ -1,6 +1,6 @@
 use crate::error::ExperimentError;
 use crate::telemetry::{ExperimentTelemetry, TelemetrySpec};
-use crate::workload::{random_plaintexts, DEMO_KEY};
+use crate::workload::{fill_lines, DEMO_KEY};
 use rcoal_aes::{Block, LAST_ROUND_TAG_BASE};
 use rcoal_attack::AttackSample;
 use rcoal_audit::{AuditSpec, LeakageReport};
@@ -8,11 +8,11 @@ use rcoal_core::{Coalescer, CoalescingPolicy};
 use rcoal_gpu_sim::{
     FaultPlan, GpuConfig, GpuSimulator, Kernel, LaunchPolicy, SimTelemetry, TraceInstr,
 };
-use rcoal_parallel::{resolve_threads, try_parallel_map, try_parallel_map_metered};
+use rcoal_parallel::{resolve_threads, try_parallel_map_init};
 use rcoal_rng::SeedableRng;
 use rcoal_rng::StdRng;
 use rcoal_telemetry::MetricsRegistry;
-use rcoal_workload::KernelWorkload;
+use rcoal_workload::{KernelWorkload, WorkloadKernel};
 use std::sync::Arc;
 
 /// Which measurement plays the role of the attacker's timing observation.
@@ -271,26 +271,17 @@ impl ExperimentConfig {
         let workload = rcoal_workload::find(&self.workload).ok_or_else(|| {
             ExperimentError::Config(format!("unknown workload '{}'", self.workload))
         })?;
-        let plaintexts = random_plaintexts(self.num_plaintexts, self.lines, self.seed);
+        let mut plaintexts = Vec::new();
+        fill_lines(
+            &mut StdRng::seed_from_u64(self.seed),
+            self.num_plaintexts,
+            self.lines,
+            &mut plaintexts,
+        );
         let sim = GpuSimulator::new(self.gpu.clone());
         let coalescer = Coalescer::with_block_size(self.gpu.block_size)?;
         let launch = self.launch.unwrap_or(LaunchPolicy::Uniform(self.policy));
-
-        // Launches are independent by construction — plaintext `i` draws
-        // its policy randomness from its own `launch_seed` — so they fan
-        // out across worker threads; results come back in plaintext
-        // order, making the data bit-identical to a sequential run.
-        let threads = resolve_threads(self.threads);
-        let map = |i: usize, lines: &Vec<Block>| {
-            self.run_one_launch(workload, i, lines, &sim, &coalescer, launch)
-        };
-        let launches = if let Some(metrics) = &self.host_metrics {
-            let (result, report) = try_parallel_map_metered(threads, &plaintexts, map);
-            report.record_into(metrics, "launches");
-            result?
-        } else {
-            try_parallel_map(threads, &plaintexts, map)?
-        };
+        let launches = self.run_launches(workload, 0, &plaintexts, &sim, &coalescer, launch)?;
 
         let mut data = ExperimentData {
             policy: self.policy,
@@ -321,7 +312,7 @@ impl ExperimentConfig {
             if let (Some(tel), Some(sink)) = (data.telemetry.as_mut(), launch_data.telemetry) {
                 // Launches arrive in index order, so the merge (and every
                 // serialized form of it) is thread-count independent.
-                tel.push(i, sink);
+                tel.push(i, *sink);
             }
         }
         if let (Some(metrics), Some(tel)) = (&self.host_metrics, &data.telemetry) {
@@ -349,21 +340,54 @@ impl ExperimentConfig {
         Ok((data, report))
     }
 
-    /// One kernel launch (plaintext `i`): encrypts, simulates (or
-    /// functionally counts), and returns everything the experiment
-    /// records about it. Runs on worker threads; must depend only on its
-    /// arguments. Crate-visible so the streaming [`crate::SimulatorSource`]
-    /// generates launches through the exact same path.
-    pub(crate) fn run_one_launch(
+    /// Runs the launches of `plaintexts` (consecutive `lines`-line
+    /// inputs; the first is launch `first`) and returns their data in
+    /// launch order. This is the one launch path of both
+    /// [`ExperimentConfig::run`] and the streaming
+    /// [`crate::SimulatorSource`].
+    ///
+    /// Launches are independent by construction — launch `i` draws its
+    /// policy randomness from its own seed — so they fan out across
+    /// worker threads, and the data is bit-identical to a sequential
+    /// run. Each worker builds one kernel and reloads it per launch.
+    pub(crate) fn run_launches(
         &self,
         workload: &dyn KernelWorkload,
+        first: usize,
+        plaintexts: &[Block],
+        sim: &GpuSimulator,
+        coalescer: &Coalescer,
+        launch: LaunchPolicy,
+    ) -> Result<Vec<LaunchData>, ExperimentError> {
+        let inputs: Vec<&[Block]> = plaintexts.chunks(self.lines).collect();
+        let (result, report) = try_parallel_map_init(
+            resolve_threads(self.threads),
+            &inputs,
+            || workload.build_kernel(&self.key, Vec::new(), self.gpu.warp_size),
+            |kernel, i, lines| {
+                kernel.reload(lines);
+                self.run_one_launch(workload, kernel.as_ref(), first + i, sim, coalescer, launch)
+            },
+        );
+        if let Some(metrics) = &self.host_metrics {
+            report.record_into(metrics, "launches");
+        }
+        result
+    }
+
+    /// One kernel launch (plaintext `i`) of the worker's `kernel`, just
+    /// reloaded with the launch's lines: simulates (or functionally
+    /// counts) and returns everything the experiment records about it.
+    /// Runs on worker threads; must depend only on its arguments.
+    fn run_one_launch(
+        &self,
+        workload: &dyn KernelWorkload,
+        kernel: &dyn WorkloadKernel,
         i: usize,
-        lines: &[Block],
         sim: &GpuSimulator,
         coalescer: &Coalescer,
         launch: LaunchPolicy,
     ) -> Result<LaunchData, ExperimentError> {
-        let kernel = workload.build_kernel(&self.key, lines.to_vec(), self.gpu.warp_size);
         // One kernel launch per plaintext; each launch re-draws the
         // policy randomness from its own seed.
         let launch_seed = self.seed.wrapping_add(1 + i as u64);
@@ -380,11 +404,11 @@ impl ExperimentConfig {
             let stats = if let Some(spec) = &self.telemetry {
                 let mut sink = spec.sink();
                 let stats =
-                    sim.run_instrumented(&kernel, launch, launch_seed, &self.faults, &mut sink)?;
-                out.telemetry = Some(sink);
+                    sim.run_instrumented(kernel, launch, launch_seed, &self.faults, &mut sink)?;
+                out.telemetry = Some(Box::new(sink));
                 stats
             } else {
-                sim.run_launch_faulted(&kernel, launch, launch_seed, &self.faults)?
+                sim.run_launch_faulted(kernel, launch, launch_seed, &self.faults)?
             };
             for (j, slot) in out.by_byte.iter_mut().enumerate() {
                 *slot = stats.accesses_for_tag(LAST_ROUND_TAG_BASE + j as u16);
@@ -398,7 +422,7 @@ impl ExperimentConfig {
             out.last_round_cycles = stats.try_cycles_after_round(workload.timing_boundary_round());
             out.total_cycles = Some(stats.total_cycles);
         } else {
-            let counts = functional_counts(&kernel, launch, launch_seed, coalescer, &self.gpu)?;
+            let counts = functional_counts(kernel, launch, launch_seed, coalescer, &self.gpu)?;
             out.by_byte = counts.by_byte;
             out.total_accesses = counts.total;
             out.total_requests = counts.requests;
@@ -415,7 +439,10 @@ pub(crate) struct LaunchData {
     pub(crate) total_requests: u64,
     pub(crate) last_round_cycles: Option<u64>,
     pub(crate) total_cycles: Option<u64>,
-    pub(crate) telemetry: Option<SimTelemetry>,
+    /// Boxed: a sink is ~2 KiB inline, and a chunk's results are
+    /// collected by value, so an unboxed field would make every launch
+    /// of a telemetry-free stream carry it.
+    pub(crate) telemetry: Option<Box<SimTelemetry>>,
 }
 
 struct FunctionalCounts {
@@ -637,6 +664,7 @@ fn mean_u64(v: &[u64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::random_plaintexts;
     use rcoal_aes::Aes128;
 
     fn quick(policy: CoalescingPolicy, timing: bool) -> ExperimentData {

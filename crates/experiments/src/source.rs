@@ -12,11 +12,11 @@
 
 use crate::error::ExperimentError;
 use crate::run::{ExperimentConfig, TimingSource};
-use crate::workload::random_lines_with;
+use crate::workload::fill_lines;
+use rcoal_aes::Block;
 use rcoal_attack::{AttackError, AttackSample, SampleSource};
 use rcoal_core::Coalescer;
 use rcoal_gpu_sim::{GpuSimulator, LaunchPolicy};
-use rcoal_parallel::{resolve_threads, try_parallel_map};
 use rcoal_rng::{SeedableRng, StdRng};
 use rcoal_workload::KernelWorkload;
 use std::sync::Arc;
@@ -41,6 +41,8 @@ pub struct SimulatorSource {
     launch: LaunchPolicy,
     source: TimingSource,
     rng: StdRng,
+    /// The current chunk's plaintexts, flat; reused across chunks.
+    plaintexts: Vec<Block>,
     produced: usize,
 }
 
@@ -111,6 +113,7 @@ impl SimulatorSource {
             launch,
             source,
             rng,
+            plaintexts: Vec::new(),
             produced: 0,
         })
     }
@@ -134,9 +137,9 @@ impl SimulatorSource {
     /// Generates the next `max` samples of the stream into `out`.
     ///
     /// Launches within the chunk fan out across the configured worker
-    /// threads; each launch draws its policy randomness from its own
-    /// index-derived seed, so the stream is bit-identical at any thread
-    /// count and chunk size.
+    /// threads, each reloading one kernel per launch; each launch draws
+    /// its policy randomness from its own index-derived seed, so the
+    /// stream is bit-identical at any thread count and chunk size.
     ///
     /// # Errors
     ///
@@ -149,19 +152,15 @@ impl SimulatorSource {
         if max == 0 {
             return Ok(0);
         }
-        let plaintexts = random_lines_with(&mut self.rng, max, self.cfg.lines);
-        let offset = self.produced;
-        let threads = resolve_threads(self.cfg.threads);
-        let launches = try_parallel_map(threads, &plaintexts, |i, lines: &Vec<_>| {
-            self.cfg.run_one_launch(
-                self.workload,
-                offset + i,
-                lines,
-                &self.sim,
-                &self.coalescer,
-                self.launch,
-            )
-        })?;
+        fill_lines(&mut self.rng, max, self.cfg.lines, &mut self.plaintexts);
+        let launches = self.cfg.run_launches(
+            self.workload,
+            self.produced,
+            &self.plaintexts,
+            &self.sim,
+            &self.coalescer,
+            self.launch,
+        )?;
         for data in launches {
             let time = match self.source {
                 // `unwrap_or(0)` mirrors the materialized pipeline:

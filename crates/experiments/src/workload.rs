@@ -15,30 +15,31 @@ use rcoal_workload::KernelWorkload;
 /// PRESENT run with the same `(num, lines, seed)` see the same bytes,
 /// and the AES path stays bit-identical to the pre-registry pipeline.
 pub fn random_lines(num_samples: usize, lines: usize, seed: u64) -> Vec<Vec<Block>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    random_lines_with(&mut rng, num_samples, lines)
+    let mut flat = Vec::new();
+    fill_lines(
+        &mut StdRng::seed_from_u64(seed),
+        num_samples,
+        lines,
+        &mut flat,
+    );
+    (0..num_samples)
+        .map(|s| flat[s * lines..(s + 1) * lines].to_vec())
+        .collect()
 }
 
-/// [`random_lines`] continuing an existing generator: draws in the exact
-/// same per-sample, per-line order, so repeated chunked calls against one
-/// carried `rng` reproduce the prefixes of a single monolithic call —
-/// the contract the streaming [`crate::SimulatorSource`] relies on.
-pub(crate) fn random_lines_with(
-    rng: &mut StdRng,
-    num_samples: usize,
-    lines: usize,
-) -> Vec<Vec<Block>> {
-    (0..num_samples)
-        .map(|_| {
-            (0..lines)
-                .map(|_| {
-                    let mut b = [0u8; 16];
-                    rng.fill(&mut b);
-                    b
-                })
-                .collect()
-        })
-        .collect()
+/// Overwrites `buf` with the next `num_samples` inputs of `lines` lines
+/// each from `rng`, sample-major and flat (input `s` is
+/// `buf[s * lines..(s + 1) * lines]`). Every input stream draws in this
+/// one order, so repeated calls against one carried `rng` reproduce the
+/// prefixes of a single [`random_lines`] call — the contract the
+/// streaming [`crate::SimulatorSource`] relies on.
+pub(crate) fn fill_lines(rng: &mut StdRng, num_samples: usize, lines: usize, buf: &mut Vec<Block>) {
+    buf.clear();
+    buf.extend((0..num_samples * lines).map(|_| {
+        let mut b = [0u8; 16];
+        rng.fill(&mut b);
+        b
+    }));
 }
 
 /// AES-era name for [`random_lines`] (the plaintext stream of the

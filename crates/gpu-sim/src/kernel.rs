@@ -72,6 +72,63 @@ impl WarpTrace {
     pub fn push(&mut self, instr: TraceInstr) {
         self.instrs.push(instr);
     }
+
+    /// Rewrites the trace from its first instruction, in place: see
+    /// [`TraceWriter`].
+    pub fn rewrite(&mut self) -> TraceWriter<'_> {
+        TraceWriter {
+            instrs: &mut self.instrs,
+            at: 0,
+        }
+    }
+}
+
+/// Writes a [`WarpTrace`] in program order over its previous contents.
+///
+/// Instruction `k` overwrites the old instruction `k`; a load written
+/// over a load refills its address vector, so rewriting a trace of the
+/// same shape allocates nothing. Writing into an empty trace builds it
+/// from scratch, which lets a kernel use one writer for both. Dropping
+/// the writer cuts off any old instructions past the last one written.
+#[derive(Debug)]
+pub struct TraceWriter<'a> {
+    instrs: &'a mut Vec<TraceInstr>,
+    at: usize,
+}
+
+impl TraceWriter<'_> {
+    /// Writes a tagged load on which every lane is active, lane `l`
+    /// requesting `addrs[l]`.
+    pub fn load(&mut self, tag: u16, addrs: impl Iterator<Item = u64>) {
+        let addrs = addrs.map(Some);
+        match self.instrs.get_mut(self.at) {
+            Some(TraceInstr::Load {
+                addrs: old,
+                tag: old_tag,
+            }) => {
+                old.clear();
+                old.extend(addrs);
+                *old_tag = tag;
+                self.at += 1;
+            }
+            _ => self.push(TraceInstr::load_tagged(addrs.collect(), tag)),
+        }
+    }
+
+    /// Writes any instruction.
+    pub fn push(&mut self, instr: TraceInstr) {
+        match self.instrs.get_mut(self.at) {
+            Some(old) => *old = instr,
+            None => self.instrs.push(instr),
+        }
+        self.at += 1;
+    }
+}
+
+impl Drop for TraceWriter<'_> {
+    fn drop(&mut self) {
+        self.instrs.truncate(self.at);
+    }
 }
 
 impl FromIterator<TraceInstr> for WarpTrace {
@@ -192,6 +249,32 @@ mod tests {
         assert_eq!(k.num_warps(), 2);
         assert_eq!(k.warp_width(0), 1);
         assert_eq!(*k.trace(1), t);
+    }
+
+    #[test]
+    fn rewriting_equals_writing_fresh_and_cuts_the_tail() {
+        fn write(trace: &mut WarpTrace, lanes: u64, loads: u16) {
+            let mut w = trace.rewrite();
+            w.push(TraceInstr::compute(3));
+            for tag in 0..loads {
+                w.load(tag, (0..lanes).map(|l| l * 4 + u64::from(tag)));
+                w.push(TraceInstr::RoundMark { round: tag });
+            }
+        }
+        let fresh = |lanes, loads| {
+            let mut t = WarpTrace::default();
+            write(&mut t, lanes, loads);
+            t
+        };
+        let mut reused = WarpTrace::default();
+        for (lanes, loads) in [(4, 3), (2, 5), (4, 3), (3, 1), (0, 2)] {
+            write(&mut reused, lanes, loads);
+            assert_eq!(reused, fresh(lanes, loads), "{lanes} lanes, {loads} loads");
+        }
+        assert_eq!(
+            fresh(2, 1).instrs()[1],
+            TraceInstr::load_tagged(vec![Some(0), Some(4)], 0)
+        );
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use config::{DramTiming, GpuConfig, SchedulerPolicy};
 pub use dram::MemoryController;
 pub use fault::{FaultPlan, IcntBackpressure, McFault, ReplyJitter};
 pub use icnt::Crossbar;
-pub use kernel::{Kernel, TraceInstr, TraceKernel, WarpTrace};
+pub use kernel::{Kernel, TraceInstr, TraceKernel, TraceWriter, WarpTrace};
 pub use launch::LaunchPolicy;
 pub use sim::{GpuSimulator, SimError};
 pub use stats::SimStats;

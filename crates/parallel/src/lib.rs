@@ -80,7 +80,14 @@ where
     if threads <= 1 || items.len() < 2 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let (indexed, _) = run_workers(threads, items, |i, x| Ok::<R, Never>(f(i, x)), None, false);
+    let (indexed, _) = run_workers(
+        threads,
+        items,
+        || (),
+        |(), i, x| Ok::<R, Never>(f(i, x)),
+        None,
+        false,
+    );
     let mut out = Vec::with_capacity(items.len());
     for (_, r) in indexed {
         match r {
@@ -108,7 +115,14 @@ where
         let out: Vec<R> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
         return (out, PoolReport::sequential(items.len(), start.elapsed()));
     }
-    let (indexed, stats) = run_workers(threads, items, |i, x| Ok::<R, Never>(f(i, x)), None, true);
+    let (indexed, stats) = run_workers(
+        threads,
+        items,
+        || (),
+        |(), i, x| Ok::<R, Never>(f(i, x)),
+        None,
+        true,
+    );
     let mut out = Vec::with_capacity(items.len());
     for (_, r) in indexed {
         match r {
@@ -143,16 +157,7 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let abort = AtomicBool::new(false);
-    let (indexed, _) = run_workers(threads, items, &f, Some(&abort), false);
-    let mut out = Vec::with_capacity(items.len());
-    for (_, r) in indexed {
-        out.push(r?);
-    }
-    Ok(out)
+    try_parallel_map_init(threads, items, || (), |(), i, x| f(i, x)).0
 }
 
 /// [`try_parallel_map`] plus a host-domain [`PoolReport`]. The report is
@@ -168,13 +173,51 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
+    try_parallel_map_init(threads, items, || (), |(), i, x| f(i, x))
+}
+
+/// [`try_parallel_map_metered`] with per-worker state: each worker calls
+/// `init` once, before its first item, then `f(&mut state, i, &items[i])`
+/// for every item it claims. The sequential path is one worker.
+///
+/// State is how a worker reuses buffers across items (a launch worker
+/// keeps one kernel and rewrites it per launch). Which worker runs an
+/// item depends on scheduling, so `f`'s result must depend only on
+/// `(i, &items[i])`, never on what the state held before.
+///
+/// # Errors
+///
+/// As [`try_parallel_map`]: the error of the lowest-indexed failing item.
+pub fn try_parallel_map_init<T, S, R, E, I, F>(
+    threads: usize,
+    items: &[T],
+    init: I,
+    f: F,
+) -> (Result<Vec<R>, E>, PoolReport)
+where
+    T: Sync,
+    R: Send,
+    E: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
+{
     let start = Instant::now();
     if threads <= 1 || items.len() < 2 {
-        let out: Result<Vec<R>, E> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        return (out, PoolReport::sequential(items.len(), start.elapsed()));
+        let mut state = None;
+        let mut out = Vec::with_capacity(items.len());
+        for (i, x) in items.iter().enumerate() {
+            match f(state.get_or_insert_with(&init), i, x) {
+                Ok(v) => out.push(v),
+                Err(e) => return (Err(e), PoolReport::sequential(items.len(), start.elapsed())),
+            }
+        }
+        return (
+            Ok(out),
+            PoolReport::sequential(items.len(), start.elapsed()),
+        );
     }
     let abort = AtomicBool::new(false);
-    let (indexed, stats) = run_workers(threads, items, &f, Some(&abort), true);
+    let (indexed, stats) = run_workers(threads, items, init, f, Some(&abort), true);
     let report = PoolReport::from_workers(stats, items.len(), start.elapsed());
     let mut out = Vec::with_capacity(items.len());
     for (_, r) in indexed {
@@ -299,7 +342,8 @@ impl PoolReport {
 enum Never {}
 
 /// Shared worker loop: claims indices from an atomic counter, applies
-/// `f`, and returns all results sorted by item index. When `abort` is
+/// `f` to the worker's state (built by `init` before its first item),
+/// and returns all results sorted by item index. When `abort` is
 /// provided, an `Err` result raises the flag and stops further claims.
 /// With `metered` set, each worker also reports `(items, busy)` —
 /// unmetered sweeps skip every `Instant::now()` call.
@@ -309,9 +353,10 @@ enum Never {}
 /// and will run to completion — which is what makes "first error by
 /// index" well defined under any interleaving.
 #[allow(clippy::type_complexity)]
-fn run_workers<T, R, E, F>(
+fn run_workers<T, S, R, E, I, F>(
     threads: usize,
     items: &[T],
+    init: I,
     f: F,
     abort: Option<&AtomicBool>,
     metered: bool,
@@ -320,12 +365,13 @@ where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
     let n = items.len();
     let next = AtomicUsize::new(0);
     let workers = threads.min(n);
-    let f = &f;
+    let (init, f) = (&init, &f);
     let next = &next;
     let (mut indexed, stats): (Vec<(usize, Result<R, E>)>, Vec<(u64, Duration)>) =
         thread::scope(|scope| {
@@ -334,6 +380,7 @@ where
                     scope.spawn(move || {
                         let mut local: Vec<(usize, Result<R, E>)> = Vec::new();
                         let mut busy = Duration::ZERO;
+                        let mut state = None;
                         loop {
                             if abort.is_some_and(|a| a.load(Ordering::Relaxed)) {
                                 break;
@@ -343,7 +390,7 @@ where
                                 break;
                             }
                             let t0 = metered.then(Instant::now);
-                            let r = f(i, &items[i]);
+                            let r = f(state.get_or_insert_with(init), i, &items[i]);
                             if let Some(t0) = t0 {
                                 busy += t0.elapsed();
                             }
@@ -455,6 +502,64 @@ mod tests {
         let err = try_parallel_map(8, &items, |i, _| if i == 0 { Err("first") } else { Ok(i) })
             .unwrap_err();
         assert_eq!(err, "first");
+    }
+
+    #[test]
+    fn init_map_builds_state_at_most_once_per_worker() {
+        use std::sync::atomic::AtomicU32;
+        let items: Vec<u64> = (0..200).collect();
+        for threads in [1, 2, 4] {
+            let inits = AtomicU32::new(0);
+            let (out, report) = try_parallel_map_init(
+                threads,
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::new()
+                },
+                |buf: &mut Vec<u64>, i, &x| {
+                    // The buffer is reused scratch: the result must not
+                    // depend on what an earlier item left in it.
+                    buf.clear();
+                    buf.extend(0..=x);
+                    Ok::<u64, String>(buf.iter().sum::<u64>() + i as u64)
+                },
+            );
+            let want: Vec<u64> = items.iter().map(|&x| x * (x + 1) / 2 + x).collect();
+            assert_eq!(out.unwrap(), want, "threads = {threads}");
+            let inits = inits.load(Ordering::Relaxed) as usize;
+            assert!(inits >= 1 && inits <= report.workers, "{inits} inits");
+        }
+        let empty: Vec<u64> = Vec::new();
+        let (out, _) = try_parallel_map_init(
+            1,
+            &empty,
+            || panic!("no item, no init"),
+            |(), _, &x| Ok::<u64, String>(x),
+        );
+        assert!(out.unwrap().is_empty());
+    }
+
+    #[test]
+    fn init_map_returns_the_lowest_indexed_error() {
+        let items: Vec<u32> = (0..64).collect();
+        for threads in [1, 4] {
+            let (out, report) = try_parallel_map_init(
+                threads,
+                &items,
+                || 0u32,
+                |seen, i, &x| {
+                    *seen += 1;
+                    if i >= 13 {
+                        Err(format!("fail at {i}"))
+                    } else {
+                        Ok(x)
+                    }
+                },
+            );
+            assert_eq!(out.unwrap_err(), "fail at 13", "threads = {threads}");
+            assert_eq!(report.items, 64);
+        }
     }
 
     #[test]

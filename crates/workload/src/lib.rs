@@ -97,6 +97,12 @@ pub trait WorkloadKernel: Kernel + Send + Sync {
     /// Attacker-observable 16-byte lines, one per thread; the attack's
     /// oracle consumes byte columns of these.
     fn attack_text(&self) -> &[Block];
+
+    /// Rebuilds the kernel in place for new input `lines` under the same
+    /// key and warp size. The result equals
+    /// [`KernelWorkload::build_kernel`] on `lines`, at any line count;
+    /// a launch worker keeps one kernel and reloads it per launch.
+    fn reload(&mut self, lines: &[Block]);
 }
 
 /// A registered table-based workload: everything the experiment
@@ -161,6 +167,10 @@ pub struct AesWorkload;
 impl WorkloadKernel for AesGpuKernel {
     fn attack_text(&self) -> &[Block] {
         self.ciphertexts()
+    }
+
+    fn reload(&mut self, lines: &[Block]) {
+        AesGpuKernel::reload(self, lines);
     }
 }
 
@@ -242,7 +252,7 @@ impl KernelWorkload for Present80Workload {
         k80.copy_from_slice(&key[..10]);
         let cipher = Present80::new(&k80);
         let f = move |line: &Block| cipher.round_index_bytes(block8(line));
-        Box::new(TableKernel::new(lines, warp_size, 8, &f))
+        Box::new(TableKernel::new(lines, warp_size, 8, f))
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -292,7 +302,7 @@ impl KernelWorkload for Gift64Workload {
     ) -> Box<dyn WorkloadKernel> {
         let cipher = Gift64::new(key);
         let f = move |line: &Block| cipher.round_index_bytes(block8(line));
-        Box::new(TableKernel::new(lines, warp_size, 4, &f))
+        Box::new(TableKernel::new(lines, warp_size, 4, f))
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -339,7 +349,7 @@ impl KernelWorkload for RectangleWorkload {
     ) -> Box<dyn WorkloadKernel> {
         let cipher = Rectangle128::new(key);
         let f = move |line: &Block| cipher.round_index_bytes(block8(line));
-        Box::new(TableKernel::new(lines, warp_size, 2, &f))
+        Box::new(TableKernel::new(lines, warp_size, 2, f))
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -384,9 +394,7 @@ impl KernelWorkload for GatherWorkload {
         lines: Vec<Block>,
         warp_size: usize,
     ) -> Box<dyn WorkloadKernel> {
-        Box::new(TableKernel::new(lines, warp_size, 4, &|line| {
-            gather_round_indices(line)
-        }))
+        Box::new(TableKernel::new(lines, warp_size, 4, gather_round_indices))
     }
 
     fn attacked_subkey(&self, _key: &[u8; 16]) -> [u8; 16] {

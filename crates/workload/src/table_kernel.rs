@@ -33,6 +33,10 @@ const COMPUTE_PER_LOOKUP: u32 = 2;
 /// ALU cycles of key-XOR / bookkeeping per round (same as AES).
 const ROUND_OVERHEAD: u32 = 8;
 
+/// Per-line, per-round table indices of a cipher model (see
+/// [`TableKernel`]).
+type IndexFn = Box<dyn Fn(&Block) -> Vec<[u8; 8]> + Send + Sync>;
+
 /// A [`Kernel`] whose per-warp traces are generated from per-line,
 /// per-round table-index bytes supplied by a cipher model.
 ///
@@ -42,11 +46,22 @@ const ROUND_OVERHEAD: u32 = 8;
 /// `j`). Round 1 carries the per-byte vulnerable tags; rounds `2..`
 /// cycle through the AES kernel's inner-round tags `1..=9` so
 /// selective-policy tag ranges keep their meaning.
-#[derive(Debug, Clone)]
 pub struct TableKernel {
     lines: Vec<Block>,
     warp_size: usize,
+    entry_size: u64,
+    index_fn: IndexFn,
     warp_traces: Vec<WarpTrace>,
+}
+
+impl std::fmt::Debug for TableKernel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TableKernel")
+            .field("lines", &self.lines.len())
+            .field("warp_size", &self.warp_size)
+            .field("entry_size", &self.entry_size)
+            .finish_non_exhaustive()
+    }
 }
 
 impl TableKernel {
@@ -56,21 +71,30 @@ impl TableKernel {
         lines: Vec<Block>,
         warp_size: usize,
         entry_size: u64,
-        index_fn: &dyn Fn(&Block) -> Vec<[u8; 8]>,
+        index_fn: impl Fn(&Block) -> Vec<[u8; 8]> + Send + Sync + 'static,
     ) -> Self {
-        let warp_size = warp_size.max(1);
-        let round_indices: Vec<Vec<[u8; 8]>> = lines.iter().map(index_fn).collect();
-        let num_warps = lines.len().div_ceil(warp_size);
-        let warp_traces = (0..num_warps)
-            .map(|w| {
-                let range = w * warp_size..(w * warp_size + warp_size).min(lines.len());
-                build_trace(range, entry_size, &round_indices)
-            })
-            .collect();
-        TableKernel {
-            lines,
-            warp_size,
-            warp_traces,
+        let mut kernel = TableKernel {
+            lines: Vec::new(),
+            warp_size: warp_size.max(1),
+            entry_size,
+            index_fn: Box::new(index_fn),
+            warp_traces: Vec::new(),
+        };
+        kernel.reload(&lines);
+        kernel
+    }
+
+    /// Rebuilds the kernel in place for new input `lines`, rewriting the
+    /// warp traces over the old ones; the result equals a fresh build.
+    pub fn reload(&mut self, lines: &[Block]) {
+        self.lines.clear();
+        self.lines.extend_from_slice(lines);
+        let round_indices: Vec<Vec<[u8; 8]>> = lines.iter().map(&self.index_fn).collect();
+        let num_warps = self.num_warps();
+        self.warp_traces.resize_with(num_warps, WarpTrace::default);
+        for (w, trace) in self.warp_traces.iter_mut().enumerate() {
+            let range = w * self.warp_size..(w * self.warp_size + self.warp_size).min(lines.len());
+            write_trace(trace, range, self.entry_size, &round_indices);
         }
     }
 
@@ -81,40 +105,27 @@ impl TableKernel {
     }
 }
 
-fn build_trace(
+/// The one trace writer: the warp over `lines`, written over `trace`.
+fn write_trace(
+    trace: &mut WarpTrace,
     lines: std::ops::Range<usize>,
     entry_size: u64,
     round_indices: &[Vec<[u8; 8]>],
-) -> WarpTrace {
+) {
     let rounds = lines
         .clone()
         .next()
         .map(|l| round_indices[l].len())
         .unwrap_or(0);
-    let mut trace = WarpTrace::default();
+    let mut w = trace.rewrite();
 
     // Input load: 16 B per thread, consecutive lines.
-    let input: Vec<Option<u64>> = lines
-        .clone()
-        .map(|l| Some(INPUT_BASE + l as u64 * 16))
-        .collect();
-    trace.push(TraceInstr::load_tagged(input, 0));
-    trace.push(TraceInstr::compute(ROUND_OVERHEAD));
+    w.load(0, lines.clone().map(|l| INPUT_BASE + l as u64 * 16));
+    w.push(TraceInstr::compute(ROUND_OVERHEAD));
 
     let table_stride = 256 * entry_size;
     for r in 1..=rounds {
-        // `j` indexes the inner per-load axis inside the closure over
-        // lines, not `round_indices` itself, so the iterator rewrite
-        // clippy suggests would walk the wrong dimension.
-        #[allow(clippy::needless_range_loop)]
         for j in 0..LOADS_PER_ROUND {
-            let addrs: Vec<Option<u64>> = lines
-                .clone()
-                .map(|l| {
-                    let idx = u64::from(round_indices[l][r - 1][j]);
-                    Some(TABLE_BASE + j as u64 * table_stride + idx * entry_size)
-                })
-                .collect();
             // Round 1 is the vulnerable (whitened) round: per-byte tags,
             // exactly like the AES last round. Inner rounds reuse the
             // AES kernel's 1..=9 tag cycle.
@@ -123,17 +134,21 @@ fn build_trace(
             } else {
                 1 + ((r as u16 - 2) % 9)
             };
-            trace.push(TraceInstr::load_tagged(addrs, tag));
-            trace.push(TraceInstr::compute(COMPUTE_PER_LOOKUP));
+            w.load(
+                tag,
+                round_indices[lines.clone()].iter().map(|indices| {
+                    let idx = u64::from(indices[r - 1][j]);
+                    TABLE_BASE + j as u64 * table_stride + idx * entry_size
+                }),
+            );
+            w.push(TraceInstr::compute(COMPUTE_PER_LOOKUP));
         }
-        trace.push(TraceInstr::compute(ROUND_OVERHEAD));
-        trace.push(TraceInstr::RoundMark { round: r as u16 });
+        w.push(TraceInstr::compute(ROUND_OVERHEAD));
+        w.push(TraceInstr::RoundMark { round: r as u16 });
     }
 
     // Output store.
-    let output: Vec<Option<u64>> = lines.map(|l| Some(OUTPUT_BASE + l as u64 * 16)).collect();
-    trace.push(TraceInstr::load_tagged(output, OUTPUT_TAG));
-    trace
+    w.load(OUTPUT_TAG, lines.map(|l| OUTPUT_BASE + l as u64 * 16));
 }
 
 impl Kernel for TableKernel {
@@ -155,13 +170,17 @@ impl WorkloadKernel for TableKernel {
     fn attack_text(&self) -> &[Block] {
         &self.lines
     }
+
+    fn reload(&mut self, lines: &[Block]) {
+        TableKernel::reload(self, lines);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn identity_indices(rounds: usize) -> impl Fn(&Block) -> Vec<[u8; 8]> {
+    fn identity_indices(rounds: usize) -> impl Fn(&Block) -> Vec<[u8; 8]> + Send + Sync {
         move |line: &Block| {
             let mut block = [0u8; 8];
             block.copy_from_slice(&line[..8]);
@@ -184,7 +203,7 @@ mod tests {
     #[test]
     fn trace_shape_mirrors_aes() {
         let f = identity_indices(31);
-        let k = TableKernel::new(lines(32), 32, 8, &f);
+        let k = TableKernel::new(lines(32), 32, 8, f);
         let t = k.trace(0);
         let loads = t
             .instrs()
@@ -207,7 +226,7 @@ mod tests {
     #[test]
     fn round_one_carries_per_byte_vulnerable_tags() {
         let f = identity_indices(25);
-        let k = TableKernel::new(lines(32), 32, 2, &f);
+        let k = TableKernel::new(lines(32), 32, 2, f);
         let tags: Vec<u16> = k
             .trace(0)
             .instrs()
@@ -224,7 +243,7 @@ mod tests {
     #[test]
     fn inner_round_tags_stay_in_the_aes_cycle() {
         let f = identity_indices(31);
-        let k = TableKernel::new(lines(32), 32, 8, &f);
+        let k = TableKernel::new(lines(32), 32, 8, f);
         for instr in k.trace(0).instrs() {
             if let TraceInstr::Load { tag, .. } = instr {
                 assert!(
@@ -241,7 +260,7 @@ mod tests {
     #[test]
     fn addresses_land_in_per_byte_tables() {
         let f = identity_indices(3);
-        let k = TableKernel::new(lines(32), 32, 8, &f);
+        let k = TableKernel::new(lines(32), 32, 8, f);
         for instr in k.trace(0).instrs() {
             if let TraceInstr::Load { addrs, tag } = instr {
                 if *tag >= LAST_ROUND_TAG_BASE {
@@ -258,7 +277,7 @@ mod tests {
     #[test]
     fn partial_warps_partition_like_aes() {
         let f = identity_indices(2);
-        let k = TableKernel::new(lines(40), 32, 4, &f);
+        let k = TableKernel::new(lines(40), 32, 4, f);
         assert_eq!(k.num_warps(), 2);
         assert_eq!(k.warp_width(0), 32);
         assert_eq!(k.warp_width(1), 8);
@@ -273,7 +292,7 @@ mod tests {
     fn attack_text_is_the_plaintext_lines() {
         let f = identity_indices(2);
         let l = lines(8);
-        let k = TableKernel::new(l.clone(), 32, 4, &f);
+        let k = TableKernel::new(l.clone(), 32, 4, f);
         assert_eq!(k.attack_text(), &l[..]);
         assert_eq!(k.lines(), &l[..]);
     }
