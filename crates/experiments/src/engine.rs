@@ -16,10 +16,12 @@
 //!
 //! For a scenario list, the runner resolves each *distinct* scenario
 //! (by content hash) exactly once — from the cache when possible,
-//! otherwise by one fresh simulation — and assembles results in input
-//! order. Because experiment results are a pure function of the
+//! otherwise by one fresh, supervised simulation — and assembles results
+//! in input order. Because experiment results are a pure function of the
 //! scenario (bit-identical at any thread count), a cache hit is
 //! indistinguishable from a fresh run; the equivalence test pins this.
+//! Every batch runs on [`SweepRunner::run_scenarios_supervised`]; a
+//! failing scenario never discards the rows the others finished.
 //!
 //! ## Caching policy
 //!
@@ -33,7 +35,7 @@ use crate::run::{ExperimentConfig, ExperimentData};
 use crate::telemetry::TelemetrySpec;
 use rcoal_aes::Block;
 use rcoal_core::CoalescingPolicy;
-use rcoal_parallel::{resolve_threads, supervised_map, try_parallel_map, SupervisorPolicy};
+use rcoal_parallel::{resolve_threads, supervised_map, FailureKind, SupervisorPolicy};
 use rcoal_scenario::json::{ObjBuilder, Value};
 use rcoal_scenario::{
     CacheStats, ChaosPlan, RunCache, Scenario, ScenarioError, SweepJournal, SweepSpec,
@@ -49,9 +51,8 @@ use std::sync::Arc;
 /// namespace (and out of [`RunCache::verify`] audits).
 pub const JOURNAL_FILE: &str = "sweep-journal.jsonl";
 
-/// Journal records between fsync checkpoints on the supervised path
-/// (every record is flushed to the OS immediately; the checkpoint is
-/// the power-loss bound).
+/// Journal records between fsync checkpoints (every record is flushed
+/// to the OS immediately; the checkpoint is the power-loss bound).
 const CHECKPOINT_EVERY: u64 = 8;
 
 /// Schema identifier of one serialized run result.
@@ -227,6 +228,9 @@ pub struct RunnerReport {
     pub served: u64,
     /// Fresh simulations performed.
     pub launched: u64,
+    /// Occurrences left without a row because their scenario was
+    /// quarantined.
+    pub unresolved: u64,
     /// Supervised tasks that succeeded only after retrying.
     pub retried: u64,
     /// Supervised tasks that exhausted their retry budget and were
@@ -239,11 +243,11 @@ pub struct RunnerReport {
 }
 
 impl RunnerReport {
-    /// Occurrences answered without a fresh simulation — by the cache,
-    /// by in-batch deduplication, or (on the supervised path) left
-    /// unresolved by quarantine.
+    /// Occurrences answered without a fresh simulation: served from
+    /// the cache or deduplicated against a successful run. Occurrences
+    /// of a quarantined scenario are not hits.
     pub fn hits(&self) -> u64 {
-        self.served - self.launched
+        self.served - self.launched - self.unresolved
     }
 
     /// Hit fraction in `[0, 1]`; `0` when nothing was served.
@@ -256,9 +260,9 @@ impl RunnerReport {
     }
 }
 
-/// A scenario the supervised path gave up on: its task exhausted the
-/// retry budget (panic, error, or deadline overrun on every attempt).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A scenario the runner gave up on: its task exhausted the retry
+/// budget (panic, error, or deadline overrun on every attempt).
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedScenario {
     /// First index of this scenario in the input list.
     pub index: usize,
@@ -268,16 +272,18 @@ pub struct QuarantinedScenario {
     pub attempts: u32,
     /// Human-readable failure description (last attempt's).
     pub reason: String,
+    /// The last attempt's typed failure.
+    pub failure: FailureKind<ExperimentError>,
 }
 
-/// What a supervised sweep produced: one row per input scenario
-/// (`None` where the scenario was quarantined), the quarantine details,
-/// and the runner's cumulative report.
+/// What a sweep produced: one row per input scenario (`None` where the
+/// scenario was quarantined), the quarantine details, and the runner's
+/// cumulative report.
 ///
 /// A partially-failed sweep is a *result*, not an error — callers
-/// decide whether `quarantined` is fatal. This is the difference from
-/// [`SweepRunner::run_scenarios`], which fails the whole batch on the
-/// first broken scenario.
+/// decide whether `quarantined` is fatal. [`SweepRunner::run_scenarios`]
+/// decides that it is: it returns the first quarantined scenario's
+/// error, after the other rows have been cached.
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// Results in input order; `None` marks a quarantined scenario.
@@ -321,7 +327,6 @@ pub struct SweepRunner {
     cache: RunCache<ExperimentData>,
     caching: bool,
     threads: Option<usize>,
-    supervision: SupervisorPolicy,
     chaos: ChaosPlan,
     journal: Option<SweepJournal>,
     /// Hashes the journal proved complete before this process started.
@@ -329,6 +334,7 @@ pub struct SweepRunner {
     metrics: Option<MetricsRegistry>,
     served: AtomicU64,
     launched: AtomicU64,
+    unresolved: AtomicU64,
     retried: AtomicU64,
     quarantined: AtomicU64,
     journal_served: AtomicU64,
@@ -350,13 +356,13 @@ impl SweepRunner {
             cache: RunCache::in_memory(),
             caching: true,
             threads: None,
-            supervision: SupervisorPolicy::default(),
             chaos: ChaosPlan::inert(),
             journal: None,
             replayed: HashSet::new(),
             metrics: None,
             served: AtomicU64::new(0),
             launched: AtomicU64::new(0),
+            unresolved: AtomicU64::new(0),
             retried: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             journal_served: AtomicU64::new(0),
@@ -413,17 +419,9 @@ impl SweepRunner {
         self
     }
 
-    /// Sets the supervision policy (retry budget, backoff, deadline)
-    /// used by [`SweepRunner::run_scenarios_supervised`].
-    #[must_use]
-    pub fn with_supervision(mut self, policy: SupervisorPolicy) -> Self {
-        self.supervision = policy;
-        self
-    }
-
     /// Arms seeded fault injection: worker panics and the abort switch
-    /// fire in the supervised execution path, write-path faults in the
-    /// cache. Test-only by intent; the default plan is inert.
+    /// fire in the sweep workers, write-path faults in the cache.
+    /// Test-only by intent; the default plan is inert.
     #[must_use]
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = plan;
@@ -450,6 +448,7 @@ impl SweepRunner {
         RunnerReport {
             served: self.served.load(Ordering::Relaxed),
             launched: self.launched.load(Ordering::Relaxed),
+            unresolved: self.unresolved.load(Ordering::Relaxed),
             retried: self.retried.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             journal_replayed: self.journal_served.load(Ordering::Relaxed),
@@ -553,97 +552,56 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Runs a scenario list: each distinct scenario resolves exactly
-    /// once (cache first, then one fresh simulation), and the result
-    /// vector lines up index-for-index with the input — duplicates
-    /// share one run.
+    /// Runs a scenario list and fails on the first broken scenario: an
+    /// adapter over [`SweepRunner::run_scenarios_supervised`] whose
+    /// result vector lines up index-for-index with the input —
+    /// duplicates share one run.
     ///
-    /// Distinct missing scenarios fan out across worker threads; each
-    /// one then simulates its own launches sequentially (`threads = 1`)
-    /// so the machine is not oversubscribed. A batch with a single
-    /// missing scenario instead parallelizes *inside* that experiment.
-    /// Either way the results are bit-identical — the workspace's
-    /// determinism contract.
+    /// A failing scenario does not discard the others: every row that
+    /// finished is already cached (and journaled under
+    /// [`SweepRunner::with_store`]) before the error returns.
     ///
     /// # Errors
     ///
-    /// Propagates the lowest-index failure, matching
-    /// `rcoal_parallel::try_parallel_map`.
+    /// The lowest-index quarantined scenario's own error. A scenario
+    /// that panicked on every attempt re-raises its panic instead.
     pub fn run_scenarios(
         &self,
         scenarios: &[Scenario],
     ) -> Result<Vec<ExperimentData>, ExperimentError> {
-        let mut resolved: HashMap<u64, ExperimentData> = HashMap::new();
-        let mut missing: Vec<&Scenario> = Vec::new();
-        let mut missing_keys: HashSet<u64> = HashSet::new();
-        for scenario in scenarios {
-            let key = scenario.content_hash();
-            if resolved.contains_key(&key) || missing_keys.contains(&key) {
-                continue;
-            }
-            if self.caching {
-                if let Some(data) = self.cache.get(scenario) {
-                    resolved.insert(key, data);
-                    continue;
-                }
-            }
-            missing.push(scenario);
-            missing_keys.insert(key);
+        let outcome = self.run_scenarios_supervised(scenarios);
+        if let Some(q) = outcome.quarantined.into_iter().next() {
+            return Err(match q.failure {
+                FailureKind::Errored(e) => e,
+                FailureKind::Panicked(msg) => std::panic::resume_unwind(Box::new(msg)),
+                FailureKind::TimedOut(_) => ExperimentError::MissingData(q.reason),
+            });
         }
-
-        let inner_threads = if missing.len() > 1 { Some(1) } else { None };
-        let fresh = try_parallel_map(
-            resolve_threads(self.threads),
-            &missing,
-            |_i, scenario| -> Result<ExperimentData, ExperimentError> {
-                let mut cfg = scenario_config(scenario);
-                cfg.threads = inner_threads.or(self.threads);
-                cfg.run()
-            },
-        )?;
-        for (scenario, data) in missing.iter().zip(fresh) {
-            if self.caching {
-                self.cache.insert(scenario, data.clone());
-            }
-            resolved.insert(scenario.content_hash(), data);
-        }
-        self.launched
-            .fetch_add(missing.len() as u64, Ordering::Relaxed);
-        self.served
-            .fetch_add(scenarios.len() as u64, Ordering::Relaxed);
-
-        let mut remaining = occurrence_counts(scenarios);
-        scenarios
-            .iter()
-            .map(|s| {
-                take_or_clone(&mut resolved, &mut remaining, s.content_hash())
-                    .ok_or_else(|| ExperimentError::MissingData("unresolved scenario".into()))
+        outcome
+            .rows
+            .into_iter()
+            .map(|row| {
+                row.ok_or_else(|| ExperimentError::MissingData("unresolved scenario".into()))
             })
             .collect()
     }
 
-    /// Expands `spec` and runs the expansion through the supervised,
-    /// crash-safe path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates expansion errors only; execution failures land in the
-    /// outcome's quarantine list.
-    pub fn run_sweep_supervised(&self, spec: &SweepSpec) -> Result<SweepOutcome, ExperimentError> {
-        let scenarios = spec.expand()?;
-        Ok(self.run_scenarios_supervised(&scenarios))
-    }
-
     /// Runs a scenario list under worker supervision, with per-run
-    /// persistence and journaling.
+    /// persistence and journaling — the one way a sweep executes.
     ///
-    /// This is the crash-safe sibling of [`SweepRunner::run_scenarios`],
-    /// differing in three ways:
+    /// Each distinct scenario (by content hash) resolves exactly once:
+    /// from the cache first, otherwise by one fresh simulation. Distinct
+    /// missing scenarios fan out across worker threads; each one then
+    /// simulates its own launches sequentially (`threads = 1`) so the
+    /// machine is not oversubscribed. A batch with a single missing
+    /// scenario instead parallelizes *inside* that experiment. Either
+    /// way the rows are bit-identical — the workspace's determinism
+    /// contract.
     ///
     /// * **Isolation** — a panicking, failing, or overrunning task is
-    ///   retried per the [`SupervisorPolicy`] and, if it keeps failing,
-    ///   *quarantined*: its row comes back `None` and the sweep keeps
-    ///   going. Nothing short of expansion errors fails the batch.
+    ///   retried per [`SupervisorPolicy::default`] and, if it keeps
+    ///   failing, *quarantined*: its row comes back `None` and the sweep
+    ///   keeps going.
     /// * **Per-completion persistence** — each fresh result is written
     ///   to the cache and journaled *as it completes*, inside the
     ///   worker, not at batch end. A process killed mid-sweep has
@@ -654,9 +612,8 @@ impl SweepRunner {
     ///   power loss loses at most one checkpoint window of bookkeeping
     ///   (never results: the cache entries themselves are fsync'd).
     ///
-    /// The strict path's determinism contract still holds: rows are
-    /// bit-identical at any thread count, because supervision only
-    /// decides *whether* a result exists, never *which* result wins.
+    /// Supervision only decides *whether* a result exists, never
+    /// *which* result wins.
     pub fn run_scenarios_supervised(&self, scenarios: &[Scenario]) -> SweepOutcome {
         let mut resolved: HashMap<u64, ExperimentData> = HashMap::new();
         let mut missing: Vec<&Scenario> = Vec::new();
@@ -684,7 +641,7 @@ impl SweepRunner {
         let inner_threads = if missing.len() > 1 { Some(1) } else { None };
         let (results, pool_report) = supervised_map(
             resolve_threads(self.threads),
-            &self.supervision,
+            &SupervisorPolicy::default(),
             &missing,
             |_i, scenario| -> Result<ExperimentData, ExperimentError> {
                 let op = self.chaos_ops.fetch_add(1, Ordering::Relaxed);
@@ -734,6 +691,7 @@ impl SweepRunner {
                     hash: key,
                     attempts: failure.attempts,
                     reason: failure.to_string(),
+                    failure: failure.kind,
                 }),
             }
         }
@@ -752,10 +710,13 @@ impl SweepRunner {
         }
 
         let mut remaining = occurrence_counts(scenarios);
-        let rows = scenarios
+        let rows: Vec<Option<ExperimentData>> = scenarios
             .iter()
             .map(|s| take_or_clone(&mut resolved, &mut remaining, s.content_hash()))
             .collect();
+        let unresolved = rows.iter().filter(|row| row.is_none()).count();
+        self.unresolved
+            .fetch_add(unresolved as u64, Ordering::Relaxed);
         SweepOutcome {
             rows,
             quarantined,
@@ -1049,6 +1010,11 @@ mod tests {
         assert_eq!((q.index, q.hash), (1, broken().content_hash()));
         assert!(q.attempts >= 1);
         assert_eq!(outcome.report.quarantined, 1);
+        assert_eq!(
+            outcome.report.hits(),
+            1,
+            "only the deduplicated good occurrence is a hit"
+        );
         // The runner stays usable: the good scenario now serves from
         // cache and a fresh batch succeeds outright.
         let again = runner.run_scenarios_supervised(std::slice::from_ref(&good));
@@ -1140,13 +1106,31 @@ mod tests {
         // FSS over a warp the subwarp count does not divide fails in
         // the simulator; the runner must surface it, not cache it.
         let runner = SweepRunner::new();
-        let bad = Scenario::new(CoalescingPolicy::fss(32).unwrap(), 1, 32)
-            .with_gpu(GpuOverrides {
-                warp_size: Some(8),
-                ..GpuOverrides::default()
-            })
-            .functional_only();
-        assert!(runner.run_one(&bad).is_err());
+        assert!(matches!(
+            runner.run_one(&broken()),
+            Err(ExperimentError::Policy(_))
+        ));
         assert_eq!(runner.report().launched, 0, "failed runs are not counted");
+    }
+
+    #[test]
+    fn failing_batch_keeps_the_rows_it_finished() {
+        let dir =
+            std::env::temp_dir().join(format!("rcoal-engine-partial-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner = SweepRunner::with_disk_cache(&dir).unwrap();
+        let batch = vec![
+            tiny(CoalescingPolicy::Baseline, 1).functional_only(),
+            broken(),
+            tiny(CoalescingPolicy::Disabled, 1).functional_only(),
+        ];
+        assert!(matches!(
+            runner.run_scenarios(&batch),
+            Err(ExperimentError::Policy(_))
+        ));
+        let audit = runner.verify_store().unwrap();
+        assert!(audit.is_clean(), "{audit:?}");
+        assert_eq!(audit.entries, 2, "both good rows were stored");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

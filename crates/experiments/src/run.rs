@@ -3,7 +3,6 @@ use crate::telemetry::{ExperimentTelemetry, TelemetrySpec};
 use crate::workload::{fill_lines, DEMO_KEY};
 use rcoal_aes::{Block, LAST_ROUND_TAG_BASE};
 use rcoal_attack::AttackSample;
-use rcoal_audit::{AuditSpec, LeakageReport};
 use rcoal_core::{Coalescer, CoalescingPolicy};
 use rcoal_gpu_sim::{
     FaultPlan, GpuConfig, GpuSimulator, Kernel, LaunchPolicy, SimTelemetry, TraceInstr,
@@ -82,12 +81,6 @@ pub struct ExperimentConfig {
     /// `sim.*` profile. Host metrics are wall-clock and therefore **not**
     /// deterministic — they never feed back into results.
     pub host_metrics: Option<MetricsRegistry>,
-    /// When set, [`ExperimentConfig::run_audited`] follows the run with
-    /// a leakage audit over the produced data (see
-    /// [`crate::audit_data`]). A cycle-domain audit channel requires
-    /// `timing`; the audit itself is deterministic and never alters the
-    /// experiment data.
-    pub audit: Option<AuditSpec>,
 }
 
 impl ExperimentConfig {
@@ -108,7 +101,6 @@ impl ExperimentConfig {
             threads: None,
             telemetry: None,
             host_metrics: None,
-            audit: None,
         }
     }
 
@@ -196,13 +188,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Schedules a leakage audit to run after the experiment (see
-    /// [`ExperimentConfig::audit`] and [`ExperimentConfig::run_audited`]).
-    pub fn with_audit(mut self, spec: AuditSpec) -> Self {
-        self.audit = Some(spec);
-        self
-    }
-
     /// Validates the configuration without running anything.
     ///
     /// # Errors
@@ -235,18 +220,6 @@ impl ExperimentConfig {
                  drop functional_only() or the telemetry spec"
                     .into(),
             ));
-        }
-        if let Some(audit) = &self.audit {
-            audit
-                .validate()
-                .map_err(|msg| ExperimentError::Config(format!("audit: {msg}")))?;
-            if audit.channel.needs_cycles() && !self.timing {
-                return Err(ExperimentError::Config(format!(
-                    "audit channel '{}' needs cycle timing; drop functional_only() \
-                     or audit an access-count channel",
-                    audit.channel
-                )));
-            }
         }
         self.gpu
             .validate()
@@ -322,22 +295,6 @@ impl ExperimentConfig {
             span.finish();
         }
         Ok(data)
-    }
-
-    /// Runs the experiment and, when [`ExperimentConfig::audit`] is
-    /// set, follows it with a leakage audit over the produced data.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ExperimentConfig::run`] can return, plus the audit
-    /// failures of [`crate::audit_data`].
-    pub fn run_audited(&self) -> Result<(ExperimentData, Option<LeakageReport>), ExperimentError> {
-        let data = self.run()?;
-        let report = match &self.audit {
-            None => None,
-            Some(spec) => Some(crate::audit::audit_data(&data, self.gpu.warp_size, spec)?),
-        };
-        Ok((data, report))
     }
 
     /// Runs the launches of `plaintexts` (consecutive `lines`-line

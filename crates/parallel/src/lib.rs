@@ -15,9 +15,9 @@
 //! mutable state; under that convention the output is bit-identical at
 //! `threads = 1` and `threads = N`.
 //!
-//! `threads <= 1` takes a true sequential path on the calling thread —
-//! no worker is spawned, and fallible maps short-circuit exactly like a
-//! plain `for` loop.
+//! Every map runs on one worker loop. `threads <= 1` runs its single
+//! worker on the calling thread — no thread is spawned, and fallible
+//! maps short-circuit exactly like a plain `for` loop.
 //!
 //! ```
 //! use rcoal_parallel::{parallel_map, resolve_threads};
@@ -70,70 +70,27 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
 /// identical for every thread count.
 ///
 /// With `threads <= 1` (or fewer than two items) no thread is spawned
-/// and the map runs sequentially on the calling thread.
+/// and the map runs on the calling thread.
 pub fn parallel_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
     let (indexed, _) = run_workers(
         threads,
         items,
         || (),
         |(), i, x| Ok::<R, Never>(f(i, x)),
         None,
-        false,
     );
-    let mut out = Vec::with_capacity(items.len());
-    for (_, r) in indexed {
-        match r {
-            Ok(v) => out.push(v),
+    indexed
+        .into_iter()
+        .map(|(_, r)| match r {
+            Ok(v) => v,
             Err(never) => match never {},
-        }
-    }
-    out
-}
-
-/// [`parallel_map`] plus a host-domain [`PoolReport`] describing how the
-/// work spread over the pool.
-///
-/// The mapped output is still deterministic; the report is **not** (it
-/// reflects this run's scheduling) and must never feed back into
-/// results — record it into a metrics registry and nothing else.
-pub fn parallel_map_metered<T, R, F>(threads: usize, items: &[T], f: F) -> (Vec<R>, PoolReport)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let start = Instant::now();
-    if threads <= 1 || items.len() < 2 {
-        let out: Vec<R> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-        return (out, PoolReport::sequential(items.len(), start.elapsed()));
-    }
-    let (indexed, stats) = run_workers(
-        threads,
-        items,
-        || (),
-        |(), i, x| Ok::<R, Never>(f(i, x)),
-        None,
-        true,
-    );
-    let mut out = Vec::with_capacity(items.len());
-    for (_, r) in indexed {
-        match r {
-            Ok(v) => out.push(v),
-            Err(never) => match never {},
-        }
-    }
-    (
-        out,
-        PoolReport::from_workers(stats, items.len(), start.elapsed()),
-    )
+        })
+        .collect()
 }
 
 /// Fallible [`parallel_map`]: maps `f` over `items` and collects
@@ -160,25 +117,11 @@ where
     try_parallel_map_init(threads, items, || (), |(), i, x| f(i, x)).0
 }
 
-/// [`try_parallel_map`] plus a host-domain [`PoolReport`]. The report is
-/// returned even when the map fails (covering the items that did run).
-pub fn try_parallel_map_metered<T, R, E, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> (Result<Vec<R>, E>, PoolReport)
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    try_parallel_map_init(threads, items, || (), |(), i, x| f(i, x))
-}
-
-/// [`try_parallel_map_metered`] with per-worker state: each worker calls
-/// `init` once, before its first item, then `f(&mut state, i, &items[i])`
-/// for every item it claims. The sequential path is one worker.
+/// [`try_parallel_map`] with per-worker state and a host-domain
+/// [`PoolReport`]: each worker calls `init` once, before its first
+/// item, then `f(&mut state, i, &items[i])` for every item it claims.
+/// The report is returned even when the map fails (covering the items
+/// that did run).
 ///
 /// State is how a worker reuses buffers across items (a launch worker
 /// keeps one kernel and rewrites it per launch). Which worker runs an
@@ -201,32 +144,10 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
-    let start = Instant::now();
-    if threads <= 1 || items.len() < 2 {
-        let mut state = None;
-        let mut out = Vec::with_capacity(items.len());
-        for (i, x) in items.iter().enumerate() {
-            match f(state.get_or_insert_with(&init), i, x) {
-                Ok(v) => out.push(v),
-                Err(e) => return (Err(e), PoolReport::sequential(items.len(), start.elapsed())),
-            }
-        }
-        return (
-            Ok(out),
-            PoolReport::sequential(items.len(), start.elapsed()),
-        );
-    }
     let abort = AtomicBool::new(false);
-    let (indexed, stats) = run_workers(threads, items, init, f, Some(&abort), true);
-    let report = PoolReport::from_workers(stats, items.len(), start.elapsed());
-    let mut out = Vec::with_capacity(items.len());
-    for (_, r) in indexed {
-        match r {
-            Ok(v) => out.push(v),
-            Err(e) => return (Err(e), report),
-        }
-    }
-    (Ok(out), report)
+    let (indexed, report) = run_workers(threads, items, init, f, Some(&abort));
+    let result = indexed.into_iter().map(|(_, r)| r).collect();
+    (result, report)
 }
 
 /// Host-domain utilization report of one parallel sweep.
@@ -237,7 +158,8 @@ where
 /// runs or let them influence computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolReport {
-    /// Workers that actually ran (1 for the sequential path).
+    /// Workers that actually ran (1 when the map ran on the calling
+    /// thread).
     pub workers: usize,
     /// Items mapped.
     pub items: usize,
@@ -254,28 +176,6 @@ pub struct PoolReport {
 }
 
 impl PoolReport {
-    pub(crate) fn sequential(items: usize, wall: Duration) -> Self {
-        PoolReport {
-            workers: 1,
-            items,
-            per_worker_items: vec![items as u64],
-            per_worker_busy: vec![wall],
-            wall,
-            outcomes: OutcomeCounts::all_ok(items),
-        }
-    }
-
-    pub(crate) fn from_workers(stats: Vec<(u64, Duration)>, items: usize, wall: Duration) -> Self {
-        PoolReport {
-            workers: stats.len(),
-            items,
-            per_worker_items: stats.iter().map(|&(n, _)| n).collect(),
-            per_worker_busy: stats.into_iter().map(|(_, d)| d).collect(),
-            wall,
-            outcomes: OutcomeCounts::all_ok(items),
-        }
-    }
-
     /// Fraction of the pool's total capacity (`workers × wall`) spent
     /// inside the mapped closure — 1.0 is a perfectly packed pool.
     pub fn utilization(&self) -> f64 {
@@ -341,12 +241,16 @@ impl PoolReport {
 /// for the unstable `!`).
 enum Never {}
 
-/// Shared worker loop: claims indices from an atomic counter, applies
-/// `f` to the worker's state (built by `init` before its first item),
-/// and returns all results sorted by item index. When `abort` is
-/// provided, an `Err` result raises the flag and stops further claims.
-/// With `metered` set, each worker also reports `(items, busy)` —
-/// unmetered sweeps skip every `Instant::now()` call.
+/// The one worker loop behind every map: claims indices from an atomic
+/// counter, applies `f` to the worker's state (built by `init` before
+/// its first item), times each item, and returns all results sorted by
+/// item index with the pool's [`PoolReport`]. When `abort` is provided,
+/// an `Err` result raises the flag and stops further claims.
+///
+/// With `threads.min(items.len()) <= 1` the single worker runs on the
+/// calling thread: nothing is spawned and a panic propagates directly.
+/// Otherwise workers run on scoped threads and a worker's panic is
+/// re-raised on the caller once the scope joins.
 ///
 /// The atomic counter hands indices out in increasing order, so by the
 /// time index `k` fails, every index below `k` has already been claimed
@@ -359,8 +263,7 @@ fn run_workers<T, S, R, E, I, F>(
     init: I,
     f: F,
     abort: Option<&AtomicBool>,
-    metered: bool,
-) -> (Vec<(usize, Result<R, E>)>, Vec<(u64, Duration)>)
+) -> (Vec<(usize, Result<R, E>)>, PoolReport)
 where
     T: Sync,
     R: Send,
@@ -368,60 +271,66 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
+    let start = Instant::now();
     let n = items.len();
     let next = AtomicUsize::new(0);
-    let workers = threads.min(n);
-    let (init, f) = (&init, &f);
-    let next = &next;
-    let (mut indexed, stats): (Vec<(usize, Result<R, E>)>, Vec<(u64, Duration)>) =
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, Result<R, E>)> = Vec::new();
-                        let mut busy = Duration::ZERO;
-                        let mut state = None;
-                        loop {
-                            if abort.is_some_and(|a| a.load(Ordering::Relaxed)) {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t0 = metered.then(Instant::now);
-                            let r = f(state.get_or_insert_with(init), i, &items[i]);
-                            if let Some(t0) = t0 {
-                                busy += t0.elapsed();
-                            }
-                            if r.is_err() {
-                                if let Some(a) = abort {
-                                    a.store(true, Ordering::Relaxed);
-                                }
-                            }
-                            local.push((i, r));
-                        }
-                        (local, busy)
-                    })
-                })
-                .collect();
-            let mut indexed = Vec::with_capacity(n);
-            let mut stats = Vec::with_capacity(workers);
-            for h in handles {
-                match h.join() {
-                    Ok((local, busy)) => {
-                        stats.push((local.len() as u64, busy));
-                        indexed.extend(local);
-                    }
-                    // A panicking closure propagates to the caller, as it
-                    // would in the sequential loop.
-                    Err(payload) => std::panic::resume_unwind(payload),
+    let worker = || {
+        let mut local: Vec<(usize, Result<R, E>)> = Vec::new();
+        let mut busy = Duration::ZERO;
+        let mut state = None;
+        loop {
+            if abort.is_some_and(|a| a.load(Ordering::Relaxed)) {
+                break;
+            }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let t0 = Instant::now();
+            let r = f(state.get_or_insert_with(&init), i, &items[i]);
+            busy += t0.elapsed();
+            if r.is_err() {
+                if let Some(a) = abort {
+                    a.store(true, Ordering::Relaxed);
                 }
             }
-            (indexed, stats)
-        });
+            local.push((i, r));
+        }
+        (local, busy)
+    };
+    let workers = threads.min(n);
+    let per_worker: Vec<(Vec<(usize, Result<R, E>)>, Duration)> = if workers <= 1 {
+        vec![worker()]
+    } else {
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
+        })
+    };
+    let mut indexed = Vec::with_capacity(n);
+    let mut per_worker_items = Vec::with_capacity(per_worker.len());
+    let mut per_worker_busy = Vec::with_capacity(per_worker.len());
+    for (local, busy) in per_worker {
+        per_worker_items.push(local.len() as u64);
+        per_worker_busy.push(busy);
+        indexed.extend(local);
+    }
     indexed.sort_unstable_by_key(|&(i, _)| i);
-    (indexed, stats)
+    let report = PoolReport {
+        workers: per_worker_items.len(),
+        items: n,
+        per_worker_items,
+        per_worker_busy,
+        wall: start.elapsed(),
+        outcomes: OutcomeCounts::all_ok(n),
+    };
+    (indexed, report)
 }
 
 #[cfg(test)]
@@ -573,7 +482,13 @@ mod tests {
     fn metered_map_matches_unmetered_output() {
         let items: Vec<u64> = (0..123).collect();
         let plain = parallel_map(4, &items, |i, &x| x * 7 + i as u64);
-        let (metered, report) = parallel_map_metered(4, &items, |i, &x| x * 7 + i as u64);
+        let (metered, report) = try_parallel_map_init(
+            4,
+            &items,
+            || (),
+            |(), i, &x| Ok::<u64, String>(x * 7 + i as u64),
+        );
+        let metered = metered.unwrap();
         assert_eq!(metered, plain, "metering must not change results");
         assert_eq!(report.items, 123);
         assert!(report.workers >= 1 && report.workers <= 4);
@@ -588,8 +503,13 @@ mod tests {
 
     #[test]
     fn metered_sequential_path_reports_one_worker() {
-        let (out, report) = parallel_map_metered(1, &[1u32, 2, 3], |_, &x| x * 2);
-        assert_eq!(out, vec![2, 4, 6]);
+        let (out, report) = try_parallel_map_init(
+            1,
+            &[1u32, 2, 3],
+            || (),
+            |(), _, &x| Ok::<u32, String>(x * 2),
+        );
+        assert_eq!(out.unwrap(), vec![2, 4, 6]);
         assert_eq!(report.workers, 1);
         assert_eq!(report.per_worker_items, vec![3]);
         assert!(report.utilization() <= 1.0);
@@ -598,8 +518,12 @@ mod tests {
     #[test]
     fn try_metered_reports_even_on_failure() {
         let items: Vec<u32> = (0..64).collect();
-        let (out, report) =
-            try_parallel_map_metered(4, &items, |i, &x| if i == 20 { Err("boom") } else { Ok(x) });
+        let (out, report) = try_parallel_map_init(
+            4,
+            &items,
+            || (),
+            |(), i, &x| if i == 20 { Err("boom") } else { Ok(x) },
+        );
         assert_eq!(out.unwrap_err(), "boom");
         assert!(report.items == 64 && report.workers >= 1);
     }

@@ -7,7 +7,8 @@
 //! be papered over — but the wrong one for long campaign sweeps, where
 //! one poisoned scenario must not discard hours of completed work.
 //! [`supervised_map`] inverts the contract: **every item always gets a
-//! terminal outcome**, and the pool itself never fails.
+//! terminal outcome**, and the pool itself never fails. It runs on the
+//! same worker loop as the plain maps; only the task body differs.
 //!
 //! * A panicking task is caught with [`std::panic::catch_unwind`] and
 //!   quarantined with its payload; the worker moves on.
@@ -28,19 +29,19 @@
 //! a host-transient one (e.g. an injected fault schedule keyed off the
 //! attempt count in chaos tests) can recover.
 
-use crate::PoolReport;
+use crate::{run_workers, PoolReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// How a supervised pool treats misbehaving tasks.
 ///
-/// The default policy isolates panics and grants two retries with a
-/// 10 ms exponential backoff, and sets **no deadline** — deadlines
-/// compare wall-clock time and are therefore host-domain; enable one
-/// only where a discarded-late-result is acceptable (campaign sweeps,
-/// chaos tests), never where results must be machine-independent.
+/// Task panics are always caught and quarantined. The default policy
+/// grants two retries with a 10 ms exponential backoff, and sets **no
+/// deadline** — deadlines compare wall-clock time and are therefore
+/// host-domain; enable one only where a discarded-late-result is
+/// acceptable (campaign sweeps, chaos tests), never where results must
+/// be machine-independent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorPolicy {
     /// Extra attempts granted to a failing task (0 = fail fast).
@@ -50,9 +51,6 @@ pub struct SupervisorPolicy {
     pub backoff: Duration,
     /// Per-attempt wall-clock budget; `None` disables the watchdog.
     pub deadline: Option<Duration>,
-    /// Whether task panics are caught and quarantined (`true`) or
-    /// propagated like the unsupervised maps (`false`).
-    pub catch_panics: bool,
 }
 
 impl Default for SupervisorPolicy {
@@ -61,7 +59,6 @@ impl Default for SupervisorPolicy {
             max_retries: 2,
             backoff: Duration::from_millis(10),
             deadline: None,
-            catch_panics: true,
         }
     }
 }
@@ -88,14 +85,6 @@ impl SupervisorPolicy {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Lets task panics unwind through the pool (the unsupervised
-    /// behaviour), keeping retries and deadlines active.
-    #[must_use]
-    pub fn without_panic_isolation(mut self) -> Self {
-        self.catch_panics = false;
         self
     }
 
@@ -196,14 +185,6 @@ impl OutcomeCounts {
     pub fn failed(&self) -> u64 {
         self.quarantined + self.timed_out
     }
-
-    fn absorb(&mut self, other: OutcomeCounts) {
-        self.ok += other.ok;
-        self.retried += other.retried;
-        self.quarantined += other.quarantined;
-        self.timed_out += other.timed_out;
-        self.retries += other.retries;
-    }
 }
 
 /// Maps `f` over `items` under supervision: results come back in item
@@ -226,76 +207,48 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let start = Instant::now();
-    if threads <= 1 || items.len() < 2 {
-        let mut outcomes = OutcomeCounts::default();
-        let out: Vec<Result<R, TaskFailure<E>>> = items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| run_task(policy, i, x, &f, &mut outcomes))
-            .collect();
-        let mut report = PoolReport::sequential(items.len(), start.elapsed());
-        report.outcomes = outcomes;
-        return (out, report);
-    }
-
-    let n = items.len();
-    let next = AtomicUsize::new(0);
-    let workers = threads.min(n);
-    let f = &f;
-    let next = &next;
-    let (mut indexed, stats, outcomes) = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, Result<R, TaskFailure<E>>)> = Vec::new();
-                    let mut busy = Duration::ZERO;
-                    let mut outcomes = OutcomeCounts::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        let r = run_task(policy, i, &items[i], f, &mut outcomes);
-                        busy += t0.elapsed();
-                        local.push((i, r));
-                    }
-                    (local, busy, outcomes)
-                })
-            })
-            .collect();
-        let mut indexed = Vec::with_capacity(n);
-        let mut stats = Vec::with_capacity(workers);
-        let mut outcomes = OutcomeCounts::default();
-        for h in handles {
-            match h.join() {
-                Ok((local, busy, worker_outcomes)) => {
-                    stats.push((local.len() as u64, busy));
-                    outcomes.absorb(worker_outcomes);
-                    indexed.extend(local);
+    let (indexed, mut report) = run_workers(
+        threads,
+        items,
+        || (),
+        |(), i, x| run_task(policy, i, x, &f),
+        None,
+    );
+    let mut outcomes = OutcomeCounts::default();
+    let results = indexed
+        .into_iter()
+        .map(|(_, r)| match r {
+            Ok((value, attempts)) => {
+                if attempts > 1 {
+                    outcomes.retried += 1;
+                } else {
+                    outcomes.ok += 1;
                 }
-                // Unreachable when catch_panics is on; with isolation
-                // explicitly disabled, propagate like the plain maps.
-                Err(payload) => std::panic::resume_unwind(payload),
+                outcomes.retries += u64::from(attempts - 1);
+                Ok(value)
             }
-        }
-        (indexed, stats, outcomes)
-    });
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    let mut report = PoolReport::from_workers(stats, n, start.elapsed());
+            Err(failure) => {
+                match failure.kind {
+                    FailureKind::TimedOut(_) => outcomes.timed_out += 1,
+                    _ => outcomes.quarantined += 1,
+                }
+                outcomes.retries += u64::from(failure.attempts - 1);
+                Err(failure)
+            }
+        })
+        .collect();
     report.outcomes = outcomes;
-    (indexed.into_iter().map(|(_, r)| r).collect(), report)
+    (results, report)
 }
 
-/// One task under supervision: the attempt/retry/deadline loop.
+/// One task under supervision: the attempt/retry/deadline loop. A
+/// success carries the attempts it took.
 fn run_task<T, R, E, F>(
     policy: &SupervisorPolicy,
     index: usize,
     item: &T,
     f: &F,
-    outcomes: &mut OutcomeCounts,
-) -> Result<R, TaskFailure<E>>
+) -> Result<(R, u32), TaskFailure<E>>
 where
     F: Fn(usize, &T) -> Result<R, E>,
 {
@@ -304,42 +257,26 @@ where
     loop {
         attempts += 1;
         let t0 = Instant::now();
-        let attempt: Result<Result<R, E>, String> = if policy.catch_panics {
-            catch_unwind(AssertUnwindSafe(|| f(index, item))).map_err(|p| panic_message(&*p))
-        } else {
-            Ok(f(index, item))
-        };
+        let attempt = catch_unwind(AssertUnwindSafe(|| f(index, item)));
         let elapsed = t0.elapsed();
         let overran = policy.deadline.is_some_and(|d| elapsed > d);
         let failure: FailureKind<E> = match attempt {
-            Ok(Ok(value)) if !overran => {
-                if attempts > 1 {
-                    outcomes.retried += 1;
-                } else {
-                    outcomes.ok += 1;
-                }
-                return Ok(value);
-            }
+            Ok(Ok(value)) if !overran => return Ok((value, attempts)),
             // A late success is a watchdog violation: the result is
             // discarded so wall-clock speed can never select results.
             Ok(Ok(_)) => FailureKind::TimedOut(elapsed),
             Ok(Err(_)) if overran => FailureKind::TimedOut(elapsed),
             Ok(Err(e)) => FailureKind::Errored(e),
             Err(_) if overran => FailureKind::TimedOut(elapsed),
-            Err(msg) => FailureKind::Panicked(msg),
+            Err(payload) => FailureKind::Panicked(panic_message(&*payload)),
         };
         if attempts >= max_attempts {
-            match failure {
-                FailureKind::TimedOut(_) => outcomes.timed_out += 1,
-                _ => outcomes.quarantined += 1,
-            }
             return Err(TaskFailure {
                 index,
                 attempts,
                 kind: failure,
             });
         }
-        outcomes.retries += 1;
         let backoff = policy.backoff_for(attempts);
         if backoff > Duration::ZERO {
             thread::sleep(backoff);

@@ -8,7 +8,7 @@
 //! PR 1 injected faults into the *simulated* GPU; this demo injects
 //! them into the *host* that runs it: worker panics, failed disk
 //! writes, and payload corruption, all from one seeded [`ChaosPlan`].
-//! The supervised sweep path retries panicking workers, quarantines
+//! The sweep runner retries panicking workers, quarantines
 //! the incurable, counts every lost disk write, and journals each
 //! completed run as it finishes — so a killed process resumes where it
 //! crashed, serving finished work bit-identically from the store.

@@ -14,14 +14,11 @@ fn audited(
     policy: CoalescingPolicy,
     n: usize,
 ) -> Result<(ExperimentData, LeakageReport), ExperimentError> {
-    let (data, report) = ExperimentConfig::new(policy, n, 32)
+    let cfg = ExperimentConfig::new(policy, n, 32)
         .with_seed(23)
-        .with_telemetry(TelemetrySpec::profile_only())
-        .with_audit(AuditSpec::new())
-        .run_audited()?;
-    let report = report.ok_or_else(|| {
-        ExperimentError::Config("audit spec was set, report must exist".to_string())
-    })?;
+        .with_telemetry(TelemetrySpec::profile_only());
+    let data = cfg.run()?;
+    let report = audit_data(&data, cfg.gpu.warp_size, &AuditSpec::new())?;
     Ok((data, report))
 }
 

@@ -57,21 +57,22 @@ USAGE:
   rcoal-cli score [--samples N] [--seed S] [--threads T]
       Sweep all mechanisms and print RCoal_Score rankings (Figure 17).
 
-  rcoal-cli sweep --spec FILE --out DIR [--threads T] [--cache false] [--resume true]
+  rcoal-cli sweep --spec FILE --out DIR [--threads T] [--cache false]
                   [--chaos-seed S] [--chaos-panic-period N] [--chaos-abort-after N]
       Expand a declarative rcoal-sweep/v1 (or single rcoal-scenario/v1)
       JSON spec, run every scenario through the content-addressed run
       cache (persisted under DIR/cache), write each run result to
       DIR/results/<hash>.json, and emit DIR/index.json tying scenarios
-      to results. Re-running the same spec serves everything from cache.
-      With --resume true the sweep runs on the crash-safe supervised
-      path: every completed run is persisted and journaled as it
-      finishes, a killed sweep resumes from DIR/cache without redoing
-      completed work, and failing scenarios are quarantined (reported,
-      row skipped) instead of failing the sweep. The --chaos-* flags
-      arm seeded fault injection (worker panics / process abort after N
-      journal records) for crash testing; they imply the supervised
-      path.
+      to results. Every completed run is persisted and journaled as it
+      finishes, so re-running the same spec serves everything from
+      cache and a killed sweep resumes without redoing completed work.
+      A scenario that still fails after two retries is quarantined:
+      reported on stderr and in index.json, its row skipped, while the
+      other scenarios run to completion and are saved; the sweep then
+      exits 1. --cache false simulates everything afresh and keeps no
+      store. The --chaos-* flags arm seeded fault injection (worker
+      panics / process abort after N journal records) for crash
+      testing; they need the cache.
 
   rcoal-cli audit --policy <POLICY> [--workload W] [--samples N] [--lines L] [--seed S] [--byte J]
                   [--channel CH] [--threads T] [--cache DIR] [--out FILE]
@@ -116,6 +117,9 @@ USAGE:
       --update-goldens true (or RCOAL_UPDATE_GOLDENS=1) drifted
       fixtures are rewritten instead of failing.
 
+OPTIONS: every command rejects an option it does not read, naming it
+        (attack --max-samples streams, so it rejects --samples).
+
 POLICY: baseline | disabled | fss:M | rss:M | fss-rts:M | rss-rts:M
         (M = number of subwarps, a divisor of 32 for fss variants)
 
@@ -155,8 +159,8 @@ fn main() -> ExitCode {
 fn run() -> Result<(), String> {
     let args = ParsedArgs::parse(std::env::args().skip(1))?;
     match args.positional.first().map(String::as_str) {
-        Some("table2") => cmd_table2(),
-        Some("workloads") => cmd_workloads(),
+        Some("table2") => cmd_table2(&args),
+        Some("workloads") => cmd_workloads(&args),
         Some("simulate") => cmd_simulate(&args),
         Some("attack") => cmd_attack(&args),
         Some("audit") => cmd_audit(&args),
@@ -173,7 +177,8 @@ fn run() -> Result<(), String> {
     }
 }
 
-fn cmd_table2() -> Result<(), String> {
+fn cmd_table2(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unread()?;
     println!("Table II (N = 32 threads, R = 16 memory blocks)");
     println!(
         "{:>3} | {:>7} {:>8} {:>8} | {:>6} {:>10} {:>10}",
@@ -203,7 +208,8 @@ fn workload_from(args: &ParsedArgs) -> Result<&'static dyn KernelWorkload, Strin
     })
 }
 
-fn cmd_workloads() -> Result<(), String> {
+fn cmd_workloads(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unread()?;
     println!("registered workloads (N = 32 threads per warp):");
     for workload in rcoal::workload::registry() {
         let g = workload.geometry();
@@ -331,6 +337,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), String> {
     let selective: bool = args.get_or("selective", false)?;
     let threads = parse_threads(args)?;
     let telemetry = TelemetryArgs::parse(args)?;
+    args.reject_unread()?;
 
     let mut cfg = if selective {
         ExperimentConfig::selective(policy, plaintexts, lines)
@@ -417,6 +424,7 @@ fn cmd_attack(args: &ParsedArgs) -> Result<(), String> {
     let byte_spec = args.get("byte").unwrap_or("all").to_string();
     let threads = parse_threads(args)?;
     let telemetry = TelemetryArgs::parse(args)?;
+    args.reject_unread()?;
     let key_bytes = workload.oracle().key_bytes().min(16);
 
     println!("victim policy : {policy}");
@@ -535,6 +543,7 @@ fn cmd_attack_stream(args: &ParsedArgs) -> Result<(), String> {
     let byte_spec = args.get("byte").unwrap_or("all").to_string();
     let threads = parse_threads(args)?;
     let telemetry = TelemetryArgs::parse(args)?;
+    args.reject_unread()?;
     let key_bytes = workload.oracle().key_bytes().min(16);
     if telemetry.trace_out.is_some() {
         return Err(
@@ -662,6 +671,8 @@ fn cmd_audit(args: &ParsedArgs) -> Result<(), String> {
         .get("gate")
         .map(str::parse::<Expectation>)
         .transpose()?;
+    let cache_dir = args.get("cache");
+    let out_path = args.get("out");
 
     let mut spec = AuditSpec::new().with_byte(byte).with_channel(channel);
     if let Some(t) = args.get("t-threshold") {
@@ -677,6 +688,7 @@ fn cmd_audit(args: &ParsedArgs) -> Result<(), String> {
                 .map_err(|_| format!("--mi-floor must be a number, got {floor:?}"))?,
         );
     }
+    args.reject_unread()?;
 
     let mut scenario = Scenario::new(policy, samples, lines)
         .with_workload(workload.name())
@@ -688,7 +700,7 @@ fn cmd_audit(args: &ParsedArgs) -> Result<(), String> {
         scenario = scenario.functional_only();
     }
 
-    let mut runner = match args.get("cache") {
+    let mut runner = match cache_dir {
         Some(dir) => SweepRunner::with_disk_cache(dir).map_err(|e| e.to_string())?,
         None => SweepRunner::new(),
     };
@@ -775,7 +787,7 @@ fn cmd_audit(args: &ParsedArgs) -> Result<(), String> {
         if report.leaky { "LEAKY" } else { "not leaky" }
     );
 
-    if let Some(path) = args.get("out") {
+    if let Some(path) = out_path {
         write_artifact(path, &(report.to_json() + "\n"))?;
         println!("report           : wrote {path}");
     }
@@ -798,7 +810,9 @@ fn cmd_audit(args: &ParsedArgs) -> Result<(), String> {
 fn cmd_score(args: &ParsedArgs) -> Result<(), String> {
     let samples: usize = args.get_or("samples", 100)?;
     let seed: u64 = args.get_or("seed", 7)?;
-    if let Some(t) = parse_threads(args)? {
+    let threads = parse_threads(args)?;
+    args.reject_unread()?;
+    if let Some(t) = threads {
         // The figure generators size their worker pools from the
         // environment; exporting here lets --threads govern the whole
         // sweep without threading a parameter through every generator.
@@ -837,6 +851,7 @@ fn cmd_conformance(args: &ParsedArgs) -> Result<(), String> {
     if args.get_or("update-goldens", false)? {
         opts.update_goldens = true;
     }
+    args.reject_unread()?;
     println!(
         "conformance suite: {} simulator scenario(s), seed {:#x}, goldens at {}{}",
         opts.cases,
@@ -866,6 +881,7 @@ fn load_spec(path: &str) -> Result<Vec<rcoal_scenario::Scenario>, String> {
 }
 
 fn cmd_scenario(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unread()?;
     let action = args
         .positional
         .get(1)
@@ -919,29 +935,27 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), String> {
     let out = PathBuf::from(args.get("out").ok_or("sweep needs --out DIR")?);
     let caching: bool = args.get_or("cache", true)?;
     let threads = parse_threads(args)?;
-    let resume: bool = args.get_or("resume", false)?;
     let chaos_seed: u64 = args.get_or("chaos-seed", 0)?;
     let panic_period = opt_u64(args, "chaos-panic-period")?;
     let abort_after = opt_u64(args, "chaos-abort-after")?;
-    let supervised = resume || panic_period.is_some() || abort_after.is_some();
-    if supervised && !caching {
-        return Err("--resume / --chaos-* need the cache (drop --cache false)".into());
+    args.reject_unread()?;
+    let chaos = panic_period.is_some() || abort_after.is_some();
+    if chaos && !caching {
+        return Err("--chaos-* need the cache (drop --cache false)".into());
     }
 
     let scenarios = load_spec(spec_path)?;
     println!("expanded {} scenario(s) from {spec_path}", scenarios.len());
 
-    let mut runner = if supervised {
+    let mut runner = if caching {
         SweepRunner::with_store(out.join("cache")).map_err(|e| e.to_string())?
-    } else if caching {
-        SweepRunner::with_disk_cache(out.join("cache")).map_err(|e| e.to_string())?
     } else {
         SweepRunner::uncached()
     };
     if let Some(t) = threads {
         runner = runner.with_threads(t);
     }
-    if panic_period.is_some() || abort_after.is_some() {
+    if chaos {
         let mut plan = ChaosPlan::seeded(chaos_seed);
         if let Some(p) = panic_period {
             plan = plan.with_panics(p);
@@ -952,23 +966,14 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), String> {
         runner = runner.with_chaos(plan);
     }
 
-    // The supervised path quarantines broken scenarios (row = None);
-    // the strict path fails the whole sweep on the first one.
-    let (rows, quarantined) = if supervised {
-        let outcome = runner.run_scenarios_supervised(&scenarios);
-        (outcome.rows, outcome.quarantined)
-    } else {
-        let results = runner
-            .run_scenarios(&scenarios)
-            .map_err(|e| e.to_string())?;
-        (results.into_iter().map(Some).collect(), Vec::new())
-    };
+    // A broken scenario is quarantined (row = None); the rest complete.
+    let outcome = runner.run_scenarios_supervised(&scenarios);
 
     let results_dir = out.join("results");
     std::fs::create_dir_all(&results_dir)
         .map_err(|e| format!("cannot create {}: {e}", results_dir.display()))?;
     let mut entries = Vec::with_capacity(scenarios.len());
-    for (s, row) in scenarios.iter().zip(&rows) {
+    for (s, row) in scenarios.iter().zip(&outcome.rows) {
         let hash = s.hash_hex();
         let mut entry = ObjBuilder::new()
             .field("hash", Value::str(&hash))
@@ -1021,15 +1026,16 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), String> {
         100.0 * report.hit_rate(),
         stats.disk_hits
     );
-    if supervised {
+    if caching {
         println!(
             "journal          : {} run(s) replayed from a previous sweep, {} retried",
             report.journal_replayed, report.retried
         );
     }
+    let quarantined = &outcome.quarantined;
     if !quarantined.is_empty() {
         eprintln!("warning: {} scenario(s) quarantined:", quarantined.len());
-        for q in &quarantined {
+        for q in quarantined {
             eprintln!(
                 "  {:016x} after {} attempt(s): {}",
                 q.hash, q.attempts, q.reason
@@ -1037,10 +1043,16 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), String> {
         }
     }
     println!("index written    : {}", index_path.display());
+    if !outcome.is_complete() {
+        // The finished rows are saved; the exit code still reports the
+        // failure to scripts and CI.
+        std::process::exit(1);
+    }
     Ok(())
 }
 
 fn cmd_cache(args: &ParsedArgs) -> Result<(), String> {
+    args.reject_unread()?;
     let action = args
         .positional
         .get(1)

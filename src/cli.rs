@@ -3,6 +3,8 @@
 //! tested.
 
 use rcoal_core::CoalescingPolicy;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 
 /// Parses a policy spec by delegating to `CoalescingPolicy`'s `FromStr`
 /// (which owns the grammar shared by the CLI and scenario files):
@@ -63,6 +65,8 @@ pub struct ParsedArgs {
     pub positional: Vec<String>,
     /// `--key value` options in order of appearance.
     pub options: Vec<(String, String)>,
+    /// Option names looked up so far, for [`ParsedArgs::reject_unread`].
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl ParsedArgs {
@@ -87,8 +91,9 @@ impl ParsedArgs {
         Ok(out)
     }
 
-    /// Last value given for `key`, if any.
+    /// Last value given for `key`, if any. Marks `key` as read.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.options
             .iter()
             .rev()
@@ -107,6 +112,22 @@ impl ParsedArgs {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("option --{key} has invalid value {v:?}")),
+        }
+    }
+
+    /// Rejects the first option that no lookup has read. A command
+    /// calls this once it has read every option it takes, before doing
+    /// any work, so a misspelled or inapplicable option fails loudly
+    /// instead of being ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unread option.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        match self.options.iter().find(|(k, _)| !read.contains(k)) {
+            Some((k, _)) => Err(format!("unknown option --{k}")),
+            None => Ok(()),
         }
     }
 }
@@ -200,6 +221,25 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let err = write_artifact("/nonexistent-dir/x/y.json", "x").unwrap_err();
         assert!(err.contains("/nonexistent-dir/x/y.json"), "{err}");
+    }
+
+    #[test]
+    fn unread_options_are_rejected_by_name() {
+        let args = ParsedArgs::parse(
+            ["attack", "--samples", "40", "--max-sampels", "100"].map(String::from),
+        )
+        .unwrap();
+        assert_eq!(args.get_or("samples", 400usize), Ok(40));
+        assert_eq!(args.get("max-samples"), None);
+        let err = args.reject_unread().unwrap_err();
+        assert!(
+            err.contains("--max-sampels"),
+            "error names the option: {err}"
+        );
+        assert_eq!(args.get("max-sampels"), Some("100"));
+        assert_eq!(args.reject_unread(), Ok(()), "every option now read");
+        let bare = ParsedArgs::parse(["table2".to_string()]).unwrap();
+        assert_eq!(bare.reject_unread(), Ok(()));
     }
 
     #[test]

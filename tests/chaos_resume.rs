@@ -3,10 +3,10 @@
 //! Drives the real binary as a subprocess: an uninterrupted reference
 //! sweep establishes the expected result bytes; a chaos sweep is then
 //! aborted mid-flight (`--chaos-abort-after`, a `std::process::abort`
-//! with no unwinding) and resumed with `--resume true`. The resumed
-//! sweep must serve every journaled run without re-simulating it and
-//! produce result files byte-identical to the reference — the
-//! acceptance criterion for the crash-safe store.
+//! with no unwinding) and resumed. The resumed sweep must serve every
+//! journaled run without re-simulating it and produce result files
+//! byte-identical to the reference — the acceptance criterion for the
+//! crash-safe store.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -125,8 +125,6 @@ fn killed_sweep_resumes_bit_identically() {
         chaos_dir.to_str().unwrap(),
         "--threads",
         "1",
-        "--resume",
-        "true",
     ]));
     let stdout = String::from_utf8_lossy(&resumed.stdout);
     assert!(
@@ -159,8 +157,6 @@ fn killed_sweep_resumes_bit_identically() {
         &spec,
         "--out",
         chaos_dir.to_str().unwrap(),
-        "--resume",
-        "true",
     ]));
     let stdout = String::from_utf8_lossy(&replay.stdout);
     assert!(
