@@ -6,9 +6,15 @@
 //! `tRCD`, `tRRD`, `tCL`, `tCCD`, burst serialization) applied as an
 //! explicit max over command frontiers. It shares no code or data
 //! structures with `rcoal_gpu_sim::MemoryController` (which keeps a
-//! `VecDeque` queue and a completion heap) — agreement on both the
-//! completion schedule and the row-hit ledger therefore cross-checks the
-//! timing model itself, not its plumbing.
+//! request queue and a completion queue sorted by `(finish, id)`) —
+//! agreement on both the completion schedule and the row-hit ledger
+//! therefore cross-checks the timing model itself, not its plumbing.
+//!
+//! The schedule is compared in the order the controller drains it, not
+//! sorted: the simulator draws reply jitter and fills its reply-release
+//! queue in that order, so a controller that finished the right
+//! requests at the right cycles but drained same-cycle completions out
+//! of `(finish, id)` order would still change every faulted run.
 
 use crate::report::SectionReport;
 use rcoal_gpu_sim::{AddressMapper, GpuConfig, MemoryController, PhysLoc};
@@ -145,8 +151,10 @@ pub fn reference_dram_service(cfg: &GpuConfig, reqs: &[(u64, PhysLoc, u64)]) -> 
 }
 
 /// Drives a real [`MemoryController`] over `reqs` via the conformance
-/// hooks and diffs it against [`reference_dram_service`]. Returns
-/// human-readable mismatches (empty = exact agreement).
+/// hooks, advancing it every memory cycle, and diffs the sequence it
+/// drains — unsorted — against [`reference_dram_service`]'s
+/// `(finish, id)` order. Returns human-readable mismatches (empty =
+/// exact agreement).
 pub fn check_dram_case(cfg: &GpuConfig, reqs: &[(u64, PhysLoc, u64)]) -> Vec<String> {
     let mut failures = Vec::new();
     let expected = reference_dram_service(cfg, reqs);
@@ -172,8 +180,6 @@ pub fn check_dram_case(cfg: &GpuConfig, reqs: &[(u64, PhysLoc, u64)]) -> Vec<Str
             return failures;
         }
     }
-    got.sort_unstable_by_key(|&(id, done)| (done, id));
-
     if got != expected.completions {
         let diverge = got
             .iter()
@@ -181,7 +187,7 @@ pub fn check_dram_case(cfg: &GpuConfig, reqs: &[(u64, PhysLoc, u64)]) -> Vec<Str
             .position(|(a, b)| a != b)
             .unwrap_or(got.len().min(expected.completions.len()));
         failures.push(format!(
-            "completion schedule diverges at position {diverge}: sim {:?} vs oracle {:?}",
+            "drained completions diverge at position {diverge}: sim {:?} vs oracle {:?}",
             got.get(diverge),
             expected.completions.get(diverge)
         ));
@@ -291,6 +297,55 @@ pub fn section(seed: u64, n: usize) -> SectionReport {
             section.failures.push(format!("case {case} (k={k}): {f}"));
         }
     }
+
+    // Zero-gap timing (tCCD = burst = 0): finish times then only
+    // non-decrease in issue order, so a request issued later can finish
+    // on the same cycle as, and ahead of, an earlier one with a larger
+    // id. The drained order must still be `(finish, id)`.
+    let mut cfg = GpuConfig::paper();
+    cfg.dram_timing.t_ccd = 0;
+    cfg.burst_cycles = 0;
+    // Anchor: cold misses 0 and 1 leave the bus busy until cycle 30. At
+    // cycle 13 the younger id 3 is a ready row hit while id 2 waits for
+    // its bank, so id 3 issues first; both then queue behind the bus and
+    // finish at 30 with id 1, which must drain as ids 1, 2, 3.
+    section.cases += 1;
+    let at = |id, bank, row, arrival| {
+        let loc = PhysLoc {
+            mc: 0,
+            bank,
+            bank_group: bank % cfg.bank_groups_per_mc,
+            row,
+            col: 0,
+        };
+        (id, loc, arrival)
+    };
+    let stream = [
+        at(0, 0, 1, 0),
+        at(1, 1, 2, 0),
+        at(2, 1, 2, 13),
+        at(3, 0, 1, 13),
+    ];
+    let anchored = reference_dram_service(&cfg, &stream);
+    if anchored.completions != [(0, 24), (1, 30), (2, 30), (3, 30)] {
+        section.failures.push(format!(
+            "oracle violates the zero-gap anchor schedule: {:?}",
+            anchored.completions
+        ));
+    }
+    for f in check_dram_case(&cfg, &stream) {
+        section.failures.push(format!("zero-gap anchor: {f}"));
+    }
+    for case in 0..(n / 4).max(4) {
+        section.cases += 1;
+        let k = rng.gen_range(1usize..40);
+        let stream = arb_stream(&mut rng, &cfg, k);
+        for f in check_dram_case(&cfg, &stream) {
+            section
+                .failures
+                .push(format!("zero-gap case {case} (k={k}): {f}"));
+        }
+    }
     section
 }
 
@@ -352,7 +407,7 @@ mod tests {
     #[test]
     fn section_passes() {
         let s = section(1, 16);
-        assert_eq!(s.cases, 17);
+        assert_eq!(s.cases, 1 + 16 + 1 + 4);
         assert!(s.passed(), "{:?}", s.failures);
     }
 }

@@ -13,7 +13,7 @@ use crate::ConformanceError;
 use rcoal_aes::AesGpuKernel;
 use rcoal_core::CoalescingPolicy;
 use rcoal_experiments::{run_to_value, ExperimentConfig, DEMO_KEY};
-use rcoal_gpu_sim::{GpuConfig, GpuSimulator, SimStats};
+use rcoal_gpu_sim::{FaultPlan, GpuConfig, GpuSimulator, ReplyJitter, SimStats};
 use rcoal_scenario::fnv1a_64;
 use rcoal_scenario::json::{ObjBuilder, Value};
 use rcoal_theory::table2;
@@ -180,6 +180,11 @@ pub fn check_value(
 }
 
 fn stats_to_value(stats: &SimStats) -> Value {
+    stats_fields(stats).build()
+}
+
+/// The fault-free `SimStats` fields of a fixture, open for extension.
+fn stats_fields(stats: &SimStats) -> ObjBuilder {
     ObjBuilder::new()
         .field("total_cycles", Value::u64(stats.total_cycles))
         .field("total_accesses", Value::u64(stats.total_accesses))
@@ -219,7 +224,6 @@ fn stats_to_value(stats: &SimStats) -> Value {
                     .collect(),
             ),
         )
-        .build()
 }
 
 /// The golden policy set: the paper's headline configurations.
@@ -282,6 +286,39 @@ pub fn builtin_goldens() -> Result<Vec<(String, Value)>, ConformanceError> {
         per_policy = per_policy.field(name, stats_to_value(&stats));
     }
     goldens.push(("sim_stats_paper_aes".to_string(), per_policy.build()));
+
+    // 2b. The same launch under a seeded fault plan: reply jitter on
+    // every controller, drops with retransmits on controller 0. Jitter
+    // makes the reply-release order differ from the DRAM completion
+    // order, and retransmits re-enter a controller queue mid-run, so
+    // this fixture pins paths a fault-free launch never takes. The plan
+    // has no backpressure, so the event-driven loop runs it.
+    let plan = FaultPlan::seeded(7)
+        .with_jitter(ReplyJitter::Uniform { min: 0, max: 40 })
+        .with_mc_drop(0, 0.05, 8);
+    let mut per_policy = ObjBuilder::new();
+    for (name, policy) in [
+        ("baseline", CoalescingPolicy::Baseline),
+        (
+            "rss_rts_m8",
+            CoalescingPolicy::rss_rts(8)
+                .map_err(|e| ConformanceError::new(format!("golden policy: {e}")))?,
+        ),
+    ] {
+        let kernel = AesGpuKernel::new(&DEMO_KEY, lines.clone(), GpuConfig::paper().warp_size);
+        let stats = sim
+            .run_faulted(&kernel, policy, GOLDEN_SEED, &plan)
+            .map_err(|e| ConformanceError::new(format!("golden faulted sim {name}: {e}")))?;
+        let fields = stats_fields(&stats)
+            .field("dropped_replies", Value::u64(stats.dropped_replies))
+            .field("fault_retries", Value::u64(stats.fault_retries))
+            .field("replies_lost", Value::u64(stats.replies_lost));
+        per_policy = per_policy.field(name, fields.build());
+    }
+    goldens.push((
+        "sim_stats_paper_aes_faulted".to_string(),
+        per_policy.build(),
+    ));
 
     // 3. Cycle-level SimStats for every non-AES registry workload under
     // the subwarp defenses (AES is already pinned by golden 2). One
@@ -435,9 +472,9 @@ mod tests {
     fn builtin_goldens_are_deterministic() {
         let a = builtin_goldens().unwrap();
         let b = builtin_goldens().unwrap();
-        // table2 + AES sim stats + one fixture per non-AES workload +
-        // experiment runs.
-        assert_eq!(a.len(), 3 + rcoal_workload::registry().len() - 1);
+        // table2 + AES sim stats (fault-free and faulted) + one fixture
+        // per non-AES workload + experiment runs.
+        assert_eq!(a.len(), 4 + rcoal_workload::registry().len() - 1);
         for ((na, va), (nb, vb)) in a.iter().zip(&b) {
             assert_eq!(na, nb);
             assert_eq!(va.to_json(), vb.to_json(), "golden {na} not deterministic");

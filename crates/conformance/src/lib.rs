@@ -12,7 +12,9 @@
 //!    coalescer (subwarp partition → unique-block count) and of DRAM
 //!    service timing (FR-FCFS row-hit/miss accounting from first
 //!    principles), checked request-for-request against the cycle-level
-//!    simulator across a seeded corpus of randomized scenarios. The
+//!    simulator across a seeded corpus of randomized scenarios; the
+//!    FIFO crossbar is diffed delivery for delivery against the
+//!    heap-based one it replaced ([`icnt_oracle`]). The
 //!    attack and audit statistics get the same treatment: the streaming
 //!    Pearson engine against a two-pass sweep ([`streaming`]), the
 //!    audit's ledger estimators against slice Welch/MI ([`audit_oracle`]),
@@ -46,6 +48,7 @@ pub mod checker;
 pub mod dram_oracle;
 pub mod generation;
 pub mod golden;
+pub mod icnt_oracle;
 pub mod lockstep;
 pub mod oracle;
 pub mod predictor;
@@ -128,6 +131,7 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, ConformanceError> {
         generation::section(opts.seed),
         oracle::sim_section(opts.seed, opts.cases)?,
         dram_oracle::section(opts.seed, (opts.cases / 4).max(16)),
+        icnt_oracle::section(opts.seed, (opts.cases / 2).max(24)),
         checker::section(opts.seed, (opts.cases / 10).max(12))?,
         strategies::scenario_section(opts.seed, 64),
         lockstep::section(opts.seed, (opts.cases / 4).max(24)),

@@ -777,14 +777,29 @@ fn parse_opt_u64_arr(v: &Value, key: &str) -> Result<Option<Vec<u64>>, ScenarioE
     }
 }
 
+/// Lower-case hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends the lower-case hex form of `bytes` to `out`. A run row
+/// carries its ciphertexts as hex (32 KiB of them at 512 plaintexts), so
+/// the digits come from a table rather than one `format!` per byte.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+    }
+}
+
 fn hex_bytes(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    let mut out = String::with_capacity(bytes.len() * 2);
+    push_hex(&mut out, bytes);
+    out
 }
 
 fn hex_blocks(blocks: &[Block]) -> String {
     let mut out = String::with_capacity(blocks.len() * 32);
     for block in blocks {
-        out.push_str(&hex_bytes(block));
+        push_hex(&mut out, block);
     }
     out
 }
@@ -830,6 +845,15 @@ mod tests {
     fn tiny(policy: CoalescingPolicy, n: usize) -> Scenario {
         // A real timing scenario kept cheap: 4 plaintexts of one warp.
         Scenario::new(policy, n, 32).with_seed(0xbead)
+    }
+
+    #[test]
+    fn hex_digits_match_format_and_round_trip() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let hex = hex_bytes(&bytes);
+        let formatted: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, formatted);
+        assert_eq!(unhex(&hex).unwrap(), bytes);
     }
 
     #[test]

@@ -60,10 +60,9 @@ pub struct GpuConfig {
     /// Warp schedulers per SM; bounds instructions issued per SM per cycle
     /// (2, i.e. SIMT width 32 arranged 16 × 2).
     pub warp_schedulers: usize,
-    /// Core clock in MHz (1400).
+    /// Core clock in MHz (1400). The crossbars run on it too: Table I
+    /// clocks the interconnect at the same 1400 MHz.
     pub core_clock_mhz: u32,
-    /// Interconnect clock in MHz (1400).
-    pub icnt_clock_mhz: u32,
     /// Memory clock in MHz (924).
     pub mem_clock_mhz: u32,
     /// Number of GDDR5 memory controllers / partitions (6).
@@ -125,7 +124,6 @@ impl Default for GpuConfig {
             warp_size: 32,
             warp_schedulers: 2,
             core_clock_mhz: 1400,
-            icnt_clock_mhz: 1400,
             mem_clock_mhz: 924,
             num_mem_controllers: 6,
             banks_per_mc: 16,
@@ -168,11 +166,6 @@ impl GpuConfig {
         }
     }
 
-    /// Ratio of memory clock to core clock, used to schedule DRAM ticks.
-    pub fn mem_ratio(&self) -> f64 {
-        f64::from(self.mem_clock_mhz) / f64::from(self.core_clock_mhz)
-    }
-
     /// Converts a duration in memory cycles into core cycles (rounded up).
     pub fn mem_to_core_cycles(&self, mem_cycles: u64) -> u64 {
         let scaled =
@@ -211,8 +204,11 @@ impl GpuConfig {
         if self.block_size > self.interleave_bytes {
             return Err("block_size must not exceed interleave_bytes".into());
         }
-        if self.core_clock_mhz == 0 || self.mem_clock_mhz == 0 || self.icnt_clock_mhz == 0 {
+        if self.core_clock_mhz == 0 || self.mem_clock_mhz == 0 {
             return Err("clock frequencies must be positive".into());
+        }
+        if self.icnt_injection_rate == 0 || self.icnt_ejection_rate == 0 {
+            return Err("interconnect injection and ejection rates must be positive".into());
         }
         Ok(())
     }
@@ -270,6 +266,14 @@ mod tests {
                 warp_size: 0,
                 ..GpuConfig::default()
             },
+            GpuConfig {
+                icnt_injection_rate: 0,
+                ..GpuConfig::default()
+            },
+            GpuConfig {
+                icnt_ejection_rate: 0,
+                ..GpuConfig::default()
+            },
         ];
         for c in bad {
             assert!(c.validate().is_err(), "{c:?}");
@@ -295,7 +299,6 @@ mod tests {
     #[test]
     fn clock_conversion() {
         let c = GpuConfig::default();
-        assert!((c.mem_ratio() - 0.66).abs() < 0.01);
         // 924 mem cycles take 1400 core cycles.
         assert_eq!(c.mem_to_core_cycles(924), 1400);
         assert_eq!(c.mem_to_core_cycles(0), 0);

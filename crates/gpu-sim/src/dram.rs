@@ -1,6 +1,4 @@
 use crate::{DramTiming, GpuConfig, PhysLoc};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 /// A memory request at a controller, in memory-clock time.
@@ -43,8 +41,8 @@ pub struct MemoryController {
     bus_free_at: u64,
     /// Controller-wide last ACTIVATE (for tRRD), `None` until the first.
     last_activate: Option<u64>,
-    /// Completions not yet drained, ordered by finish time.
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Completions not yet drained as `(finish mem-cycle, id)`, sorted.
+    completions: VecDeque<(u64, u64)>,
     /// Row-buffer hit/access counters for locality statistics.
     row_hits: u64,
     accesses: u64,
@@ -60,7 +58,7 @@ impl MemoryController {
             banks: vec![BankState::default(); config.banks_per_mc],
             bus_free_at: 0,
             last_activate: None,
-            completions: BinaryHeap::new(),
+            completions: VecDeque::new(),
             row_hits: 0,
             accesses: 0,
         }
@@ -136,7 +134,7 @@ impl MemoryController {
     /// subsequent tick keeps issuing — hence the clamp to `now`); a
     /// completion drains at its finish cycle. Every tick strictly
     /// before the reported cycle is a no-op: `issue` returns without
-    /// touching bank state and the completion heap stays unpopped.
+    /// touching bank state and the completion queue stays undrained.
     /// Callers enqueue in non-decreasing arrival order (the simulator's
     /// delivery and retransmit stamps are monotone) and FR-FCFS removal
     /// from the middle preserves that order, so the front of the queue
@@ -157,7 +155,7 @@ impl MemoryController {
             debug_assert!(self.queue.iter().all(|r| r.arrival >= front.arrival));
             next = next.min(front.arrival);
         }
-        if let Some(&Reverse((done, _))) = self.completions.peek() {
+        if let Some(&(done, _)) = self.completions.front() {
             next = next.min(done);
         }
         (next != u64::MAX).then_some(next)
@@ -168,11 +166,11 @@ impl MemoryController {
     /// `(request id, finish mem-cycle)` pairs.
     pub(crate) fn tick(&mut self, now: u64, completed: &mut Vec<(u64, u64)>) {
         self.issue(now);
-        while let Some(&Reverse((done, id))) = self.completions.peek() {
+        while let Some(&(done, id)) = self.completions.front() {
             if done > now {
                 break;
             }
-            self.completions.pop();
+            self.completions.pop_front();
             completed.push((id, done));
         }
     }
@@ -236,7 +234,18 @@ impl MemoryController {
         }
         bank.ready_at = read_cmd + u64::from(t.t_ccd);
         self.accesses += 1;
-        self.completions.push(Reverse((done, req.id)));
+        // Each burst starts at least max(tCCD, burst) after the previous
+        // one, so whenever that gap is >= 1 (every shipped timing) finish
+        // times strictly increase in issue order and this insert is a
+        // push_back. The scan from the back keeps `(done, id)` order for
+        // any other timing.
+        let entry = (done, req.id);
+        let at = self
+            .completions
+            .iter()
+            .rposition(|&c| c < entry)
+            .map_or(0, |i| i + 1);
+        self.completions.insert(at, entry);
     }
 }
 

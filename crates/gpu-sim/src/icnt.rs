@@ -1,11 +1,19 @@
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A packet traversing the crossbar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Packet {
     dst: usize,
     id: u64,
+}
+
+/// A packet in the pipeline, stamped with the cycle it reaches its
+/// destination port and its injection sequence number.
+#[derive(Debug, Clone, Copy)]
+struct Flit {
+    arrive: u64,
+    seq: u64,
+    packet: Packet,
 }
 
 /// One direction of the on-chip crossbar interconnect (Table I: one
@@ -24,12 +32,22 @@ struct Packet {
 /// current one. Buffered packets therefore never pin the clock: the
 /// earliest a queued packet can matter is its head-of-line arrival,
 /// `now + 1 + latency`.
+///
+/// Packets in flight need no priority queue. Injection runs in cycle
+/// order and the latency is fixed, so every new packet lands at the
+/// back of `in_flight` already sorted by `(arrive, seq)`. Packets a busy
+/// port defers go to a second FIFO, `retry`, which is sorted the same
+/// way; the ejection stage merges the two heads, which is exactly the
+/// order a min-heap over both would pop.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     latency: u32,
     injection_rate: usize,
     ejection_rate: usize,
     src_queues: Vec<VecDeque<Packet>>,
+    /// Bit `s % 64` of word `s / 64` is set while source queue `s`
+    /// holds packets, so the injection stage visits only those queues.
+    src_mask: Vec<u64>,
     /// Packets buffered across all source queues (kept so the injection
     /// catch-up can skip drained spans and `next_event` is O(1)).
     queued: usize,
@@ -37,35 +55,39 @@ pub struct Crossbar {
     pending_count: usize,
     /// The next cycle whose injection stage has not run yet.
     next_tick: u64,
-    /// Packets in flight: (arrival cycle, sequence, packet), drained in
-    /// arrival order per destination port.
-    in_flight: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
+    /// Injected packets in injection order, hence sorted by
+    /// `(arrive, seq)`.
+    in_flight: VecDeque<Flit>,
+    /// Packets deferred by port contention, re-stamped `arrive + 1`, in
+    /// deferral order (also sorted by `(arrive, seq)`).
+    retry: VecDeque<Flit>,
     seq: u64,
     /// Per-tick scratch: packets delivered per destination port this
     /// cycle. Kept on the struct so ticking allocates nothing.
     port_count: Vec<(usize, usize)>,
-    /// Per-tick scratch: packets deferred by port contention.
-    deferred: Vec<Reverse<(u64, u64, usize, u64)>>,
     /// Running count of deferrals — each is one cycle a packet lost to
     /// ejection-port contention (the interconnect-serialization signal).
     deferred_total: u64,
 }
 
 impl Crossbar {
-    /// Creates a crossbar with `num_src` source ports.
+    /// Creates a crossbar with `num_src` source ports. Rates below 1
+    /// are raised to 1 (`GpuConfig::validate` rejects them before a
+    /// simulator builds one).
     pub fn new(num_src: usize, latency: u32, injection_rate: usize, ejection_rate: usize) -> Self {
         Crossbar {
             latency,
             injection_rate: injection_rate.max(1),
             ejection_rate: ejection_rate.max(1),
             src_queues: vec![VecDeque::new(); num_src],
+            src_mask: vec![0; num_src.div_ceil(64)],
             queued: 0,
             pending_count: 0,
             next_tick: 0,
-            in_flight: BinaryHeap::new(),
+            in_flight: VecDeque::new(),
+            retry: VecDeque::new(),
             seq: 0,
             port_count: Vec::new(),
-            deferred: Vec::new(),
             deferred_total: 0,
         }
     }
@@ -77,6 +99,7 @@ impl Crossbar {
     /// Panics if `src` is not a valid source port.
     pub fn inject(&mut self, src: usize, dst: usize, id: u64) {
         self.src_queues[src].push_back(Packet { dst, id });
+        self.src_mask[src / 64] |= 1 << (src % 64);
         self.queued += 1;
         self.pending_count += 1;
     }
@@ -93,22 +116,33 @@ impl Crossbar {
     }
 
     /// The injection stage of cycle `now`: each source port moves up to
-    /// `injection_rate` packets into the pipeline.
+    /// `injection_rate` packets into the pipeline. Non-empty queues are
+    /// visited in ascending port order, so sequence numbers are those
+    /// of a walk over every port.
     fn inject_stage(&mut self, now: u64) {
         if self.queued == 0 {
             return;
         }
-        for q in &mut self.src_queues {
-            for _ in 0..self.injection_rate {
-                let Some(p) = q.pop_front() else { break };
-                self.queued -= 1;
-                self.in_flight.push(Reverse((
-                    now + u64::from(self.latency),
-                    self.seq,
-                    p.dst,
-                    p.id,
-                )));
-                self.seq += 1;
+        let arrive = now + u64::from(self.latency);
+        for word in 0..self.src_mask.len() {
+            let mut bits = self.src_mask[word];
+            while bits != 0 {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let q = &mut self.src_queues[word * 64 + bit];
+                for _ in 0..self.injection_rate {
+                    let Some(packet) = q.pop_front() else { break };
+                    self.queued -= 1;
+                    self.in_flight.push_back(Flit {
+                        arrive,
+                        seq: self.seq,
+                        packet,
+                    });
+                    self.seq += 1;
+                }
+                if q.is_empty() {
+                    self.src_mask[word] &= !(1 << bit);
+                }
             }
         }
     }
@@ -145,13 +179,15 @@ impl Crossbar {
         self.next_tick = now + 1;
         // Ejection stage: each destination port drains up to
         // `ejection_rate` arrived packets; the rest wait at the port.
+        // A packet deferred at an earlier tick `t` was stamped at most
+        // `t + 1 <= now` (ticks come at strictly increasing cycles), so
+        // every retry entry is due now. Packets deferred during this
+        // tick queue behind them and wait for the next one.
+        debug_assert!(self.retry.back().is_none_or(|f| f.arrive <= now));
+        let mut retries = self.retry.len();
         self.port_count.clear();
-        self.deferred.clear();
-        while let Some(&Reverse((arrive, seq, dst, id))) = self.in_flight.peek() {
-            if arrive > now {
-                break;
-            }
-            self.in_flight.pop();
+        while let Some(flit) = self.pop_due(now, &mut retries) {
+            let dst = flit.packet.dst;
             let count = match self.port_count.iter_mut().find(|(p, _)| *p == dst) {
                 Some((_, c)) => {
                     *c += 1;
@@ -163,15 +199,37 @@ impl Crossbar {
                 }
             };
             if count <= self.ejection_rate {
-                delivered.push((dst, id));
+                delivered.push((dst, flit.packet.id));
                 self.pending_count -= 1;
             } else {
                 // Port contention: retry next cycle.
                 self.deferred_total += 1;
-                self.deferred.push(Reverse((arrive + 1, seq, dst, id)));
+                self.retry.push_back(Flit {
+                    arrive: flit.arrive + 1,
+                    ..flit
+                });
             }
         }
-        self.in_flight.extend(self.deferred.drain(..));
+    }
+
+    /// Pops the next packet the ejection stage serves at `now`: the
+    /// earlier by `(arrive, seq)` of the in-flight head, if it has
+    /// arrived, and the retry head, if it is one of the `retries`
+    /// entries deferred before this tick.
+    fn pop_due(&mut self, now: u64, retries: &mut usize) -> Option<Flit> {
+        let fresh = self.in_flight.front().filter(|f| f.arrive <= now);
+        let retry = self.retry.front().filter(|_| *retries > 0);
+        match (fresh, retry) {
+            (Some(f), Some(r)) if (f.arrive, f.seq) < (r.arrive, r.seq) => {
+                self.in_flight.pop_front()
+            }
+            (Some(_), None) => self.in_flight.pop_front(),
+            (_, Some(_)) => {
+                *retries -= 1;
+                self.retry.pop_front()
+            }
+            (None, None) => None,
+        }
     }
 
     /// Replays the injection stages of all skipped cycles before `now`
@@ -198,15 +256,18 @@ impl Crossbar {
     /// deliver or defer a packet, or `None` if it is empty.
     ///
     /// In-flight packets matter at their arrival cycles (deferred
-    /// packets re-enter with `arrive = now + 1`, covered by the same
+    /// packets re-enter with `arrive + 1 <= now + 1`, covered by the same
     /// bound). A buffered packet cannot reach a port before it is
     /// injected — at the earliest next cycle — and has traversed the
     /// pipeline; injection itself needs no visit, because
     /// [`Crossbar::tick_into`] replays missed injection cycles exactly.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let mut next = u64::MAX;
-        if let Some(&Reverse((arrive, _, _, _))) = self.in_flight.peek() {
-            next = arrive.max(now + 1);
+        for head in [self.in_flight.front(), self.retry.front()]
+            .into_iter()
+            .flatten()
+        {
+            next = next.min(head.arrive.max(now + 1));
         }
         if self.queued > 0 {
             next = next.min(now + 1 + u64::from(self.latency));
@@ -214,8 +275,8 @@ impl Crossbar {
         (next != u64::MAX).then_some(next)
     }
 
-    /// Allocating wrapper around [`Crossbar::tick_into`], kept for
-    /// tests and one-off callers.
+    /// Allocating wrapper around [`Crossbar::tick_into`] for tests.
+    #[cfg(test)]
     pub fn tick(&mut self, now: u64) -> Vec<(usize, u64)> {
         let mut delivered = Vec::new();
         self.tick_into(now, &mut delivered);

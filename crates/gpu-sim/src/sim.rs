@@ -134,13 +134,14 @@ struct Machine<'k> {
     /// per-cycle quiescence test O(1).
     in_system: usize,
     /// Memoized [`MemoryController::next_event_raw`] per controller
-    /// (`u64::MAX` = idle). Entries marked in `mc_dirty` are stale and
-    /// recomputed by [`Machine::refresh_mc_cache`]; everything that can
-    /// change a controller's schedule (ticking it, enqueueing a request
-    /// or retransmit) sets its dirty bit. Turns the twice-per-cycle
-    /// "earliest controller event" scans into flat array reads.
+    /// (`u64::MAX` = idle). Everything that can change a controller's
+    /// schedule (ticking it, enqueueing a request or retransmit) calls
+    /// [`Machine::note_mc`] for that controller alone, so the entries
+    /// are always current.
     mc_cache: Vec<u64>,
-    mc_dirty: Vec<bool>,
+    /// Minimum of `mc_cache`; `None` after a write until
+    /// [`Machine::mc_next`] recomputes it.
+    mc_min: Option<u64>,
     mapper: AddressMapper,
     coalescer: Coalescer,
     fault: FaultState,
@@ -264,7 +265,7 @@ impl Machine<'_> {
                 loc,
                 arrival: mem_now,
             });
-            self.mc_dirty[mc] = true;
+            self.note_mc(mc);
             if tel.is_enabled() {
                 tel.profile.mcs[mc]
                     .queue_depth
@@ -273,15 +274,19 @@ impl Machine<'_> {
         }
     }
 
-    /// Recomputes the memoized next-event cache for every controller
-    /// whose schedule may have changed since the last refresh.
-    fn refresh_mc_cache(&mut self) {
-        for (i, dirty) in self.mc_dirty.iter_mut().enumerate() {
-            if *dirty {
-                *dirty = false;
-                self.mc_cache[i] = self.mcs[i].next_event_raw().unwrap_or(u64::MAX);
-            }
-        }
+    /// Re-reads controller `mc`'s next event after a tick or enqueue
+    /// touched it.
+    fn note_mc(&mut self, mc: usize) {
+        self.mc_cache[mc] = self.mcs[mc].next_event_raw().unwrap_or(u64::MAX);
+        self.mc_min = None;
+    }
+
+    /// The earliest raw next event over all controllers (`u64::MAX` when
+    /// every controller is idle).
+    fn mc_next(&mut self) -> u64 {
+        *self
+            .mc_min
+            .get_or_insert_with(|| self.mc_cache.iter().copied().min().unwrap_or(u64::MAX))
     }
 
     /// Advances the memory clock to keep pace with core cycle `now`,
@@ -299,11 +304,7 @@ impl Machine<'_> {
         let target_mem = (now + 1) * u64::from(cfg.mem_clock_mhz) / u64::from(cfg.core_clock_mhz);
         while *mem_ticks < target_mem {
             if fast_forward {
-                self.refresh_mc_cache();
-                let mut active = u64::MAX;
-                for &c in &self.mc_cache {
-                    active = active.min(c);
-                }
+                let active = self.mc_next();
                 if active > *mem_ticks {
                     // No controller can act before `active` (clamped to
                     // the window): cross the idle span in one step.
@@ -320,7 +321,7 @@ impl Machine<'_> {
                 }
                 dram_done.clear();
                 self.mcs[mc_idx].tick(*mem_ticks, dram_done);
-                self.mc_dirty[mc_idx] = true;
+                self.note_mc(mc_idx);
                 for &(id, done_mem) in dram_done.iter() {
                     let done_core = cfg.mem_to_core_cycles(done_mem).max(now + 1)
                         + self.fault.reply_delay(mc_idx);
@@ -362,7 +363,7 @@ impl Machine<'_> {
                         loc: self.req_meta[id as usize].loc,
                         arrival: mem_ticks,
                     });
-                    self.mc_dirty[mc] = true;
+                    self.note_mc(mc);
                 }
                 ReplyFate::Lost => {
                     self.in_system -= 1;
@@ -800,7 +801,7 @@ impl GpuSimulator {
             pending_replies: BinaryHeap::new(),
             in_system: 0,
             mc_cache: vec![u64::MAX; cfg.num_mem_controllers],
-            mc_dirty: vec![false; cfg.num_mem_controllers],
+            mc_min: Some(u64::MAX),
             mapper,
             coalescer,
             fault: plan.state(),
@@ -1192,11 +1193,7 @@ impl GpuSimulator {
             if let Some(&Reverse((t, _, _))) = m.pending_replies.peek() {
                 next = next.min(t.max(now + 1));
             }
-            m.refresh_mc_cache();
-            let mut min_mt = u64::MAX;
-            for &c in &m.mc_cache {
-                min_mt = min_mt.min(c);
-            }
+            let min_mt = m.mc_next();
             if min_mt != u64::MAX {
                 // The cache stores raw (unclamped) ticks; the reference
                 // bound is `next_event(mem_ticks)`, whose clamp
