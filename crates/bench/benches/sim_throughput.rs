@@ -15,13 +15,16 @@
 //!   compute gap in one step while the reference walks it cycle by
 //!   cycle.
 //!
-//! Results (simulated-cycles/sec, kernels/sec, speedup per leg) are
-//! recorded to `BENCH_sim.json` at the repository root so the speedup
-//! is a tracked artifact.
+//! Each pass over a leg's launches is timed on its own, and a leg
+//! reports the median of [`PASSES`] passes with their min and max: one
+//! pass slowed by host load moves the spread, not the recorded figure.
+//! Results (median simulated-cycles/sec, kernels/sec, speedup per leg)
+//! are recorded to `BENCH_sim.json` at the repository root so the
+//! speedup is a tracked artifact.
 //!
 //! With `RCOAL_MIN_CYCLES_PER_SEC` set (the CI throughput smoke), the
-//! bench fails if the event core's simulated-cycles/sec on the AES leg
-//! drops below that floor.
+//! bench fails if the event core's median simulated-cycles/sec on the
+//! AES leg drops below that floor.
 
 use rcoal_aes::AesGpuKernel;
 use rcoal_bench::BENCH_SEED;
@@ -38,8 +41,9 @@ use std::time::Instant;
 const PLAINTEXTS: usize = 8;
 /// Lines per plaintext — one full warp, the paper's attack workload.
 const LINES: usize = 32;
-/// Timed repetitions (after one warmup rep).
-const REPS: usize = 3;
+/// Timed passes per leg (after one warmup pass); odd, so the median is
+/// one measured pass.
+const PASSES: usize = 7;
 /// Idle-heavy leg: core cycles of ALU work between successive loads.
 /// Long enough that the reference's O(cycles) walk dominates its cost
 /// while the event core's O(events) cost stays flat.
@@ -49,55 +53,94 @@ const IDLE_LOADS: usize = 12;
 
 struct Leg {
     stats: Vec<SimStats>,
-    simulated_cycles: u64,
-    kernels: usize,
-    seconds: f64,
+    /// Simulated cycles in one pass.
+    pass_cycles: u64,
+    /// Kernel launches in one pass.
+    pass_kernels: usize,
+    /// Wall-clock seconds of each timed pass, ascending.
+    seconds: Vec<f64>,
 }
 
-/// Runs every (kernel, policy) pair `REPS` times through one core and
-/// returns the last rep's stats plus aggregate throughput numbers.
+impl Leg {
+    fn median(&self) -> f64 {
+        self.seconds[self.seconds.len() / 2]
+    }
+
+    fn cycles_per_sec(&self) -> f64 {
+        self.pass_cycles as f64 / self.median()
+    }
+
+    fn kernels_per_sec(&self) -> f64 {
+        self.pass_kernels as f64 / self.median()
+    }
+
+    /// This leg's `BENCH_sim.json` fields, each prefixed with `name`.
+    fn json_fields(&self, name: &str) -> String {
+        let (min, max) = (self.seconds[0], self.seconds[self.seconds.len() - 1]);
+        format!(
+            "  \"{name}_seconds_median\": {:.6},\n  \"{name}_seconds_min\": {min:.6},\n  \"{name}_seconds_max\": {max:.6},\n  \"{name}_cycles_per_sec\": {:.1},\n  \"{name}_kernels_per_sec\": {:.3},\n",
+            self.median(),
+            self.cycles_per_sec(),
+            self.kernels_per_sec()
+        )
+    }
+}
+
+/// Runs every (kernel, policy) pair once untimed, then `PASSES` timed
+/// passes through one core, and returns the warmup's stats plus the
+/// per-pass timings.
 fn run_leg<K: Kernel>(
     sim: &GpuSimulator,
     kernels: &[K],
     policies: &[CoalescingPolicy],
     reference: bool,
 ) -> Result<Leg, String> {
-    let run_one = |kernel: &K, policy: CoalescingPolicy, seed: u64| {
-        let launch = LaunchPolicy::Uniform(policy);
-        let mut tel = SimTelemetry::off();
-        if reference {
-            sim.run_instrumented_reference(kernel, launch, seed, &FaultPlan::none(), &mut tel)
-        } else {
-            sim.run_instrumented(kernel, launch, seed, &FaultPlan::none(), &mut tel)
-        }
-    };
-    // Warmup rep (untimed), also collects the stats used for the
-    // bit-identity check — every rep of a (kernel, policy, seed) triple
-    // produces the same result, so which rep is recorded is arbitrary.
-    let mut stats = Vec::new();
-    for (i, kernel) in kernels.iter().enumerate() {
-        for (p, &policy) in policies.iter().enumerate() {
-            let seed = BENCH_SEED.wrapping_add((i * policies.len() + p) as u64);
-            stats.push(run_one(kernel, policy, seed).map_err(|e| e.to_string())?);
-        }
-    }
-    let simulated_cycles: u64 = stats.iter().map(|s| s.total_cycles * REPS as u64).sum();
-    let start = Instant::now();
-    for _ in 0..REPS {
+    let faults = FaultPlan::none();
+    let pass = || -> Result<Vec<SimStats>, String> {
+        let mut stats = Vec::with_capacity(kernels.len() * policies.len());
         for (i, kernel) in kernels.iter().enumerate() {
             for (p, &policy) in policies.iter().enumerate() {
                 let seed = BENCH_SEED.wrapping_add((i * policies.len() + p) as u64);
-                run_one(kernel, policy, seed).map_err(|e| e.to_string())?;
+                let launch = LaunchPolicy::Uniform(policy);
+                let mut tel = SimTelemetry::off();
+                let run = if reference {
+                    sim.run_instrumented_reference(kernel, launch, seed, &faults, &mut tel)
+                } else {
+                    sim.run_instrumented(kernel, launch, seed, &faults, &mut tel)
+                };
+                stats.push(run.map_err(|e| e.to_string())?);
             }
         }
+        Ok(stats)
+    };
+    // Warmup pass (untimed), also collects the stats used for the
+    // bit-identity check — every pass of a (kernel, policy, seed) triple
+    // produces the same result, so which pass is recorded is arbitrary.
+    let stats = pass()?;
+    let pass_cycles: u64 = stats.iter().map(|s| s.total_cycles).sum();
+    let mut seconds = Vec::with_capacity(PASSES);
+    for _ in 0..PASSES {
+        let start = Instant::now();
+        pass()?;
+        seconds.push(start.elapsed().as_secs_f64());
     }
-    let seconds = start.elapsed().as_secs_f64();
+    seconds.sort_by(f64::total_cmp);
     Ok(Leg {
         stats,
-        simulated_cycles,
-        kernels: kernels.len() * policies.len() * REPS,
+        pass_cycles,
+        pass_kernels: kernels.len() * policies.len(),
         seconds,
     })
+}
+
+fn print_leg(label: &str, core: &str, leg: &Leg) {
+    let (min, max) = (leg.seconds[0], leg.seconds[leg.seconds.len() - 1]);
+    println!(
+        "  {label} {core} : {:.4} s/pass [{min:.4}-{max:.4}]  ({:.3e} simulated cycles/sec, {:.1} kernels/sec)",
+        leg.median(),
+        leg.cycles_per_sec(),
+        leg.kernels_per_sec()
+    );
 }
 
 /// Times one workload through both cores, checks bit-identity, and
@@ -109,26 +152,16 @@ fn both_cores<K: Kernel>(
     label: &str,
 ) -> Result<(Leg, Leg, f64), String> {
     let event = run_leg(sim, kernels, policies, false)?;
-    let event_cps = event.simulated_cycles as f64 / event.seconds;
-    let event_kps = event.kernels as f64 / event.seconds;
-    println!(
-        "  {label} event core : {:.3} s  ({:.3e} simulated cycles/sec, {:.1} kernels/sec)",
-        event.seconds, event_cps, event_kps
-    );
+    print_leg(label, "event core", &event);
     let reference = run_leg(sim, kernels, policies, true)?;
-    let ref_cps = reference.simulated_cycles as f64 / reference.seconds;
-    let ref_kps = reference.kernels as f64 / reference.seconds;
-    println!(
-        "  {label} reference  : {:.3} s  ({:.3e} simulated cycles/sec, {:.1} kernels/sec)",
-        reference.seconds, ref_cps, ref_kps
-    );
+    print_leg(label, "reference ", &reference);
     if event.stats != reference.stats {
         return Err(format!(
             "{label}: SimStats differ between the event core and the reference loop"
         ));
     }
-    let speedup = reference.seconds / event.seconds;
-    println!("  {label} speedup    : {speedup:.1}x (stats bit-identical)");
+    let speedup = reference.median() / event.median();
+    println!("  {label} speedup    : {speedup:.1}x of medians (stats bit-identical)");
     Ok((event, reference, speedup))
 }
 
@@ -185,15 +218,11 @@ fn run() -> Result<(), String> {
         })
         .collect();
     println!(
-        "sim_throughput: paper-config AES, {PLAINTEXTS} plaintexts x {} policies x {REPS} reps, \
-         event core vs cycle-accurate reference",
+        "sim_throughput: paper-config AES, {PLAINTEXTS} plaintexts x {} policies per pass, \
+         median of {PASSES} passes, event core vs cycle-accurate reference",
         policies.len()
     );
     let (event, reference, speedup) = both_cores(&sim, &kernels, &policies, "aes ")?;
-    let event_cps = event.simulated_cycles as f64 / event.seconds;
-    let event_kps = event.kernels as f64 / event.seconds;
-    let ref_cps = reference.simulated_cycles as f64 / reference.seconds;
-    let ref_kps = reference.kernels as f64 / reference.seconds;
 
     println!(
         "sim_throughput: idle-heavy trace, {} kernels x {} warps, {IDLE_LOADS} loads with \
@@ -207,25 +236,25 @@ fn run() -> Result<(), String> {
         let floor: f64 = floor
             .parse()
             .map_err(|e| format!("RCOAL_MIN_CYCLES_PER_SEC: {e}"))?;
+        let event_cps = event.cycles_per_sec();
         if event_cps < floor {
             return Err(format!(
-                "event core at {event_cps:.3e} simulated cycles/sec, below the floor {floor:.3e}"
+                "event core at {event_cps:.3e} simulated cycles/sec (median), below the floor \
+                 {floor:.3e}"
             ));
         }
         println!("  floor      : {floor:.3e} cycles/sec ok");
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"rcoal-bench/v1\",\n  \"bench\": \"sim_throughput\",\n  \"workload\": \"paper-config AES, {PLAINTEXTS} plaintexts x {} policies x {REPS} reps, single thread\",\n  \"event_seconds\": {:.6},\n  \"event_cycles_per_sec\": {event_cps:.1},\n  \"event_kernels_per_sec\": {event_kps:.3},\n  \"reference_seconds\": {:.6},\n  \"reference_cycles_per_sec\": {ref_cps:.1},\n  \"reference_kernels_per_sec\": {ref_kps:.3},\n  \"simulated_cycles\": {},\n  \"speedup\": {speedup:.4},\n  \"idle_workload\": \"idle-heavy trace, 2 kernels x {} warps, {IDLE_LOADS} loads with {IDLE_BURST}-cycle compute bursts\",\n  \"idle_event_seconds\": {:.6},\n  \"idle_event_cycles_per_sec\": {:.1},\n  \"idle_reference_seconds\": {:.6},\n  \"idle_reference_cycles_per_sec\": {:.1},\n  \"idle_speedup\": {idle_speedup:.4},\n  \"stats_identical\": true\n}}\n",
+        "{{\n  \"schema\": \"rcoal-bench/v1\",\n  \"bench\": \"sim_throughput\",\n  \"passes\": {PASSES},\n  \"workload\": \"paper-config AES, {PLAINTEXTS} plaintexts x {} policies per pass, single thread\",\n  \"simulated_cycles\": {},\n{}{}  \"speedup\": {speedup:.4},\n  \"idle_workload\": \"idle-heavy trace, 2 kernels x {} warps, {IDLE_LOADS} loads with {IDLE_BURST}-cycle compute bursts\",\n{}{}  \"idle_speedup\": {idle_speedup:.4},\n  \"stats_identical\": true\n}}\n",
         policies.len(),
-        event.seconds,
-        reference.seconds,
-        event.simulated_cycles,
+        event.pass_cycles,
+        event.json_fields("event"),
+        reference.json_fields("reference"),
         gpu.num_sms,
-        idle_event.seconds,
-        idle_event.simulated_cycles as f64 / idle_event.seconds,
-        idle_ref.seconds,
-        idle_ref.simulated_cycles as f64 / idle_ref.seconds,
+        idle_event.json_fields("idle_event"),
+        idle_ref.json_fields("idle_reference"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
     std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;

@@ -2,9 +2,8 @@
 //!
 //! Each bench target under `benches/` measures one property of the
 //! implementation (simulator throughput, streaming-attack memory,
-//! parallel scaling, sweep-cache, telemetry and audit overhead) and
-//! rewrites its committed `BENCH_*.json` record. The
-//! paper's tables and figures are printed by
+//! telemetry overhead) and rewrites its committed `BENCH_*.json`
+//! record. The paper's tables and figures are printed by
 //! `examples/reproduce_all.rs`, not by benches.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

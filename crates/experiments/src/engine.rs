@@ -37,23 +37,12 @@ use rcoal_aes::Block;
 use rcoal_core::CoalescingPolicy;
 use rcoal_parallel::{resolve_threads, supervised_map, FailureKind, SupervisorPolicy};
 use rcoal_scenario::json::{ObjBuilder, Value};
-use rcoal_scenario::{
-    CacheStats, ChaosPlan, RunCache, Scenario, ScenarioError, SweepJournal, SweepSpec,
-};
+use rcoal_scenario::{CacheStats, ChaosPlan, RunCache, Scenario, ScenarioError, SweepSpec};
 use rcoal_telemetry::MetricsRegistry;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// File name of the sweep journal inside a runner's store directory.
-/// The `.jsonl` extension keeps it out of the cache's `*.json` entry
-/// namespace (and out of [`RunCache::verify`] audits).
-pub const JOURNAL_FILE: &str = "sweep-journal.jsonl";
-
-/// Journal records between fsync checkpoints (every record is flushed
-/// to the OS immediately; the checkpoint is the power-loss bound).
-const CHECKPOINT_EVERY: u64 = 8;
 
 /// Schema identifier of one serialized run result.
 pub const RUN_SCHEMA: &str = "rcoal-run/v1";
@@ -236,10 +225,6 @@ pub struct RunnerReport {
     /// Supervised tasks that exhausted their retry budget and were
     /// quarantined (their rows are `None` in the [`SweepOutcome`]).
     pub quarantined: u64,
-    /// Distinct scenarios served from the store that a previous
-    /// process's journal had recorded as completed — the work a resume
-    /// did *not* redo.
-    pub journal_replayed: u64,
 }
 
 impl RunnerReport {
@@ -328,19 +313,17 @@ pub struct SweepRunner {
     caching: bool,
     threads: Option<usize>,
     chaos: ChaosPlan,
-    journal: Option<SweepJournal>,
-    /// Hashes the journal proved complete before this process started.
-    replayed: HashSet<u64>,
     metrics: Option<MetricsRegistry>,
     served: AtomicU64,
     launched: AtomicU64,
     unresolved: AtomicU64,
     retried: AtomicU64,
     quarantined: AtomicU64,
-    journal_served: AtomicU64,
     /// Monotonic op counter for chaos panic injection: retries draw
     /// fresh ops, so an injected panic is transient, not permanent.
     chaos_ops: AtomicU64,
+    /// Runs completed and stored, counted for the chaos abort switch.
+    completions: AtomicU64,
 }
 
 impl Default for SweepRunner {
@@ -357,21 +340,20 @@ impl SweepRunner {
             caching: true,
             threads: None,
             chaos: ChaosPlan::inert(),
-            journal: None,
-            replayed: HashSet::new(),
             metrics: None,
             served: AtomicU64::new(0),
             launched: AtomicU64::new(0),
             unresolved: AtomicU64::new(0),
             retried: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
-            journal_served: AtomicU64::new(0),
             chaos_ops: AtomicU64::new(0),
+            completions: AtomicU64::new(0),
         }
     }
 
     /// A runner that never caches — every occurrence simulates afresh
-    /// (the pre-engine behaviour; kept for benchmarking the cache).
+    /// (`rcoal-cli sweep --cache false`, and the fresh-run reference
+    /// the cache-equivalence tests compare cached rows against).
     pub fn uncached() -> Self {
         let mut runner = Self::new();
         runner.caching = false;
@@ -380,6 +362,11 @@ impl SweepRunner {
 
     /// A runner whose cache persists under `dir` across processes.
     ///
+    /// The store is the sweep's crash record: every run is fsync'd into
+    /// it as it completes, so a sweep killed mid-flight and re-run on
+    /// the same `dir` serves the finished runs back bit-identically and
+    /// re-simulates only the remainder.
+    ///
     /// # Errors
     ///
     /// Returns [`ExperimentError::Scenario`] if the directory cannot be
@@ -387,28 +374,6 @@ impl SweepRunner {
     pub fn with_disk_cache(dir: impl AsRef<Path>) -> Result<Self, ExperimentError> {
         let mut runner = Self::new();
         runner.cache = RunCache::with_disk(dir.as_ref(), encode_run, decode_run)?;
-        Ok(runner)
-    }
-
-    /// A runner with the full crash-safe store under `dir`: the disk
-    /// cache plus an append-only sweep journal ([`JOURNAL_FILE`]).
-    ///
-    /// Opening the store replays the journal of any previous process —
-    /// a sweep killed mid-flight picks up where it crashed, serving the
-    /// journaled runs from the cache bit-identically and re-simulating
-    /// only the remainder. [`RunnerReport::journal_replayed`] counts
-    /// the runs a resume did not redo.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Scenario`] if the directory or
-    /// journal cannot be created/recovered.
-    pub fn with_store(dir: impl AsRef<Path>) -> Result<Self, ExperimentError> {
-        let dir = dir.as_ref();
-        let mut runner = Self::with_disk_cache(dir)?;
-        let journal = SweepJournal::open(dir.join(JOURNAL_FILE))?;
-        runner.replayed = journal.replay().completed_set();
-        runner.journal = Some(journal);
         Ok(runner)
     }
 
@@ -451,7 +416,6 @@ impl SweepRunner {
             unresolved: self.unresolved.load(Ordering::Relaxed),
             retried: self.retried.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
-            journal_replayed: self.journal_served.load(Ordering::Relaxed),
         }
     }
 
@@ -558,8 +522,7 @@ impl SweepRunner {
     /// duplicates share one run.
     ///
     /// A failing scenario does not discard the others: every row that
-    /// finished is already cached (and journaled under
-    /// [`SweepRunner::with_store`]) before the error returns.
+    /// finished is already cached before the error returns.
     ///
     /// # Errors
     ///
@@ -587,7 +550,7 @@ impl SweepRunner {
     }
 
     /// Runs a scenario list under worker supervision, with per-run
-    /// persistence and journaling — the one way a sweep executes.
+    /// persistence — the one way a sweep executes.
     ///
     /// Each distinct scenario (by content hash) resolves exactly once:
     /// from the cache first, otherwise by one fresh simulation. Distinct
@@ -603,14 +566,11 @@ impl SweepRunner {
     ///   failing, *quarantined*: its row comes back `None` and the sweep
     ///   keeps going.
     /// * **Per-completion persistence** — each fresh result is written
-    ///   to the cache and journaled *as it completes*, inside the
-    ///   worker, not at batch end. A process killed mid-sweep has
-    ///   durably recorded every finished run; re-running under
-    ///   [`SweepRunner::with_store`] serves them back bit-identically.
-    /// * **Checkpointing** — every journal append is flushed, and every
-    ///   [`CHECKPOINT_EVERY`]-th is fsync'd (plus a final sync), so even
-    ///   power loss loses at most one checkpoint window of bookkeeping
-    ///   (never results: the cache entries themselves are fsync'd).
+    ///   to the cache *as it completes*, inside the worker, not at batch
+    ///   end, and a disk entry is fsync'd before the worker moves on. A
+    ///   process killed mid-sweep has durably stored every finished run;
+    ///   re-running on the same [`SweepRunner::with_disk_cache`] store
+    ///   serves them back bit-identically.
     ///
     /// Supervision only decides *whether* a result exists, never
     /// *which* result wins.
@@ -627,9 +587,6 @@ impl SweepRunner {
             }
             if self.caching {
                 if let Some(data) = self.cache.get(scenario) {
-                    if self.replayed.contains(&key) {
-                        self.journal_served.fetch_add(1, Ordering::Relaxed);
-                    }
                     resolved.insert(key, data);
                     continue;
                 }
@@ -656,21 +613,12 @@ impl SweepRunner {
                 if self.caching {
                     self.cache.insert(scenario, data.clone());
                 }
-                if let Some(journal) = &self.journal {
-                    // Journal loss is recoverable (the store stays
-                    // authoritative; a lost line costs one re-run), so
-                    // an append error must not fail the task.
-                    if journal.record_completed(scenario.content_hash()).is_ok() {
-                        let appended = journal.appended();
-                        if appended.is_multiple_of(CHECKPOINT_EVERY) {
-                            let _ = journal.sync();
-                        }
-                        if self.chaos.abort_after.is_some_and(|n| appended >= n) {
-                            // The honest crash: no unwinding, no
-                            // destructors, nothing saved by a landing
-                            // pad. What the store has is what survives.
-                            std::process::abort();
-                        }
+                if let Some(n) = self.chaos.abort_after {
+                    if self.completions.fetch_add(1, Ordering::Relaxed) + 1 >= n {
+                        // The honest crash: no unwinding, no
+                        // destructors, nothing saved by a landing
+                        // pad. What the store has is what survives.
+                        std::process::abort();
                     }
                 }
                 Ok(data)
@@ -694,9 +642,6 @@ impl SweepRunner {
                     failure: failure.kind,
                 }),
             }
-        }
-        if let Some(journal) = &self.journal {
-            let _ = journal.sync();
         }
         self.launched.fetch_add(fresh, Ordering::Relaxed);
         self.served
@@ -969,24 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_cache_round_trips_across_runners() {
-        let dir =
-            std::env::temp_dir().join(format!("rcoal-engine-disk-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = tiny(CoalescingPolicy::rss(4).unwrap(), 2);
-        let first = {
-            let runner = SweepRunner::with_disk_cache(&dir).unwrap();
-            runner.run_one(&s).unwrap()
-        };
-        let runner = SweepRunner::with_disk_cache(&dir).unwrap();
-        let second = runner.run_one(&s).unwrap();
-        assert_eq!(first, second, "disk hit is bit-identical");
-        assert_eq!(runner.report().launched, 0);
-        assert_eq!(runner.cache_stats().disk_hits, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn run_sweep_expands_and_executes_in_order() {
         let runner = SweepRunner::new();
         let sweep = SweepSpec::grid(tiny(CoalescingPolicy::Baseline, 2).functional_only())
@@ -1063,31 +990,30 @@ mod tests {
     }
 
     #[test]
-    fn store_resume_serves_journaled_runs_bit_identically() {
+    fn store_resume_serves_stored_runs_bit_identically() {
         let dir =
             std::env::temp_dir().join(format!("rcoal-engine-store-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scenarios = vec![
-            tiny(CoalescingPolicy::Baseline, 1).functional_only(),
+            tiny(CoalescingPolicy::rss(4).unwrap(), 2),
             tiny(CoalescingPolicy::Disabled, 1).functional_only(),
         ];
         let first = {
-            let runner = SweepRunner::with_store(&dir).unwrap();
+            let runner = SweepRunner::with_disk_cache(&dir).unwrap();
             let outcome = runner.run_scenarios_supervised(&scenarios);
             assert!(outcome.is_complete());
             assert_eq!(outcome.report.launched, 2);
-            assert_eq!(outcome.report.journal_replayed, 0);
+            assert_eq!(outcome.report.hits(), 0);
             outcome.rows
         };
-        assert!(dir.join(super::JOURNAL_FILE).exists());
         // A second process (fresh runner, same store) re-simulates
-        // nothing: the journal proves completion, the cache serves the
-        // exact bytes.
-        let runner = SweepRunner::with_store(&dir).unwrap();
+        // nothing: the store serves the exact bytes.
+        let runner = SweepRunner::with_disk_cache(&dir).unwrap();
         let outcome = runner.run_scenarios_supervised(&scenarios);
         assert!(outcome.is_complete());
         assert_eq!(outcome.report.launched, 0, "nothing re-simulated");
-        assert_eq!(outcome.report.journal_replayed, 2);
+        assert_eq!(outcome.report.hits(), 2);
+        assert_eq!(runner.cache_stats().disk_hits, 2, "served from disk");
         assert_eq!(outcome.rows, first, "resume is bit-identical");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -42,7 +42,7 @@ mod workload;
 pub use audit::audit_data;
 pub use engine::{
     decode_run, encode_run, run_to_value, scenario_config, QuarantinedScenario, RunnerReport,
-    SweepOutcome, SweepRunner, JOURNAL_FILE, RUN_SCHEMA,
+    SweepOutcome, SweepRunner, RUN_SCHEMA,
 };
 pub use error::ExperimentError;
 pub use run::{ExperimentConfig, ExperimentData, TimingSource};

@@ -40,9 +40,10 @@ pub struct ChaosPlan {
     /// Torn-write period: only a prefix of the entry reaches disk,
     /// simulating a crash or reordering between write and rename.
     pub torn_write_period: Option<u64>,
-    /// Process abort after this many journal records — the
-    /// kill-and-resume switch (`std::process::abort`, no unwinding, no
-    /// destructors: the honest crash).
+    /// Process abort after this many runs have completed and been
+    /// inserted into the store — the kill-and-resume switch
+    /// (`std::process::abort`, no unwinding, no destructors: the honest
+    /// crash).
     pub abort_after: Option<u64>,
 }
 
@@ -97,7 +98,8 @@ impl ChaosPlan {
         self
     }
 
-    /// Arms the process-abort switch after `n` journal records.
+    /// Arms the process-abort switch after the `n`-th run completes
+    /// and is stored.
     #[must_use]
     pub fn with_abort_after(mut self, n: u64) -> Self {
         self.abort_after = Some(n);

@@ -36,7 +36,6 @@ pub mod json;
 
 mod cache;
 mod chaos;
-mod journal;
 mod scenario;
 mod sweep;
 
@@ -44,7 +43,6 @@ pub use cache::{
     decode_entry, encode_entry, CacheStats, DecodeFn, EncodeFn, RunCache, StoreAudit, ENTRY_SCHEMA,
 };
 pub use chaos::ChaosPlan;
-pub use journal::{JournalReplay, SweepJournal, JOURNAL_SCHEMA};
 pub use scenario::{
     fault_plan_from_value, fault_plan_to_value, fnv1a_64, GpuOverrides, Scenario, ScenarioError,
     TelemetryOverrides, DEFAULT_SEED, SCENARIO_SCHEMA,

@@ -1,8 +1,9 @@
-//! Host-level chaos suite for the run store and sweep journal.
+//! Host-level chaos suite for the run store, the sweep's one crash
+//! record.
 //!
 //! Every test follows the same contract the sweep runner relies on:
 //! under any injected fault — failed writes, corrupted payloads, torn
-//! writes, crash-truncated journals — the store either *recovers* (the
+//! writes, temp files left by a crash — the store either *recovers* (the
 //! value still serves, from memory or a clean re-read) or *quarantines*
 //! (the bad entry moves aside and the lookup misses cleanly), and
 //! completed work recorded before a crash is never lost or silently
@@ -11,7 +12,7 @@
 
 use rcoal_core::CoalescingPolicy;
 use rcoal_scenario::{
-    encode_entry, ChaosPlan, DecodeFn, EncodeFn, RunCache, Scenario, ScenarioError, SweepJournal,
+    encode_entry, ChaosPlan, DecodeFn, EncodeFn, RunCache, Scenario, ScenarioError,
 };
 use std::path::PathBuf;
 
@@ -153,68 +154,52 @@ fn repair_is_surgical() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A simulated kill-and-resume sweep over the scenario-layer primitives
-/// alone: process 1 completes part of the work (journaling as it goes)
-/// and "crashes" mid-journal-write; process 2 replays the journal,
-/// serves the completed work from the store bit-identically, and only
-/// redoes the remainder.
+/// A simulated kill-and-resume sweep over the store alone: process 1
+/// stores part of the work and dies between writing and renaming the
+/// next entry; process 2 serves the stored work bit-identically, redoes
+/// only the remainder, and leaves a store that audits clean.
 #[test]
 fn killed_sweep_resumes_without_losing_completed_work() {
     let dir = temp_dir("resume");
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal_path = dir.join("journal.jsonl");
     let (encode, decode) = codec();
     const TOTAL: u64 = 10;
     const CRASH_AT: u64 = 6;
 
-    // Process 1: complete CRASH_AT scenarios, then die mid-append.
+    // Process 1: store CRASH_AT scenarios, then die mid-write.
     {
         let cache = RunCache::with_disk(&dir, encode, decode).unwrap();
-        let journal = SweepJournal::open(&journal_path).unwrap();
         for i in 0..CRASH_AT {
             cache.insert(&scenario(i), i * 11);
-            journal
-                .record_completed(scenario(i).content_hash())
-                .unwrap();
         }
-        journal.sync().unwrap();
     }
-    // The crash tears the in-flight record for scenario CRASH_AT (the
-    // cache entry for it never completed either — write-then-rename
-    // means no torn *.json appears, so we only tear the journal).
-    let mut text = std::fs::read_to_string(&journal_path).unwrap();
-    text.push_str("{\"schema\":\"rcoal-journal/v1\",\"event\":\"comple");
-    std::fs::write(&journal_path, &text).unwrap();
+    // The crash tears the in-flight write for scenario CRASH_AT: half
+    // an envelope under its temp name, never renamed into place.
+    let torn = encode_entry(scenario(CRASH_AT).content_hash(), "66");
+    let tmp = dir.join(format!("{}.12345.6.tmp", scenario(CRASH_AT).hash_hex()));
+    std::fs::write(tmp, &torn[..torn.len() / 2]).unwrap();
 
     // Process 2: resume.
     let cache = RunCache::with_disk(&dir, encode, decode).unwrap();
-    let journal = SweepJournal::open(&journal_path).unwrap();
-    let replay = journal.replay().clone();
-    assert!(replay.torn_tail, "the crash left a torn record");
-    assert_eq!(replay.completed.len() as u64, CRASH_AT);
-    let done = replay.completed_set();
     let mut served = 0u64;
     let mut redone = 0u64;
     for i in 0..TOTAL {
         let s = scenario(i);
-        if done.contains(&s.content_hash()) {
-            // Journaled work must be servable — and bit-identical.
-            assert_eq!(cache.get(&s), Some(i * 11), "journaled run lost");
-            served += 1;
-        } else {
-            cache.insert(&s, i * 11);
-            journal.record_completed(s.content_hash()).unwrap();
-            redone += 1;
+        match cache.get(&s) {
+            Some(v) => {
+                assert_eq!(v, i * 11, "stored run served bit-identically");
+                served += 1;
+            }
+            None => {
+                cache.insert(&s, i * 11);
+                redone += 1;
+            }
         }
     }
-    journal.sync().unwrap();
     assert_eq!((served, redone), (CRASH_AT, TOTAL - CRASH_AT));
-    drop(journal);
-
-    // Process 3 sees one clean, complete journal.
-    let third = SweepJournal::open(&journal_path).unwrap();
-    assert_eq!(third.replay().completed.len() as u64, TOTAL);
-    assert!(!third.replay().torn_tail);
+    assert_eq!(cache.stats().quarantined, 0, "nothing torn was visible");
+    let audit = cache.verify().unwrap();
+    assert!(audit.is_clean(), "{audit:?}");
+    assert_eq!(audit.entries, TOTAL);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -255,7 +240,9 @@ fn concurrent_chaos_writes_keep_consistent_accounting() {
 }
 
 /// A mid-write crash between tmp-write and rename leaves a stale `.tmp`
-/// file; it must shadow nothing and audits must ignore it.
+/// file, and stores written by older builds still hold a
+/// `sweep-journal.jsonl`; neither may shadow anything, and audits must
+/// ignore both.
 #[test]
 fn leftover_tmp_files_are_harmless() {
     let dir = temp_dir("tmpfile");
@@ -269,11 +256,20 @@ fn leftover_tmp_files_are_harmless() {
         encode_entry(scenario(1).content_hash(), "999"),
     )
     .unwrap();
+    std::fs::write(
+        dir.join("sweep-journal.jsonl"),
+        format!(
+            "{{\"schema\":\"rcoal-journal/v1\",\"event\":\"completed\",\"hash\":\"{}\"}}\n",
+            scenario(1).hash_hex()
+        ),
+    )
+    .unwrap();
     let reader = RunCache::with_disk(&dir, encode, decode).unwrap();
     assert_eq!(reader.get(&s), Some(5));
     assert_eq!(reader.get(&scenario(1)), None, "tmp files are invisible");
     let audit = reader.verify().unwrap();
     assert_eq!(audit.entries, 1, "audits skip non-entry files");
+    assert_eq!(reader.stats().quarantined, 0);
     assert!(audit.is_clean());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -198,6 +198,28 @@ impl Hist64 {
         self.max = self.max.max(other.max);
     }
 
+    /// Rebuilds a histogram from the raw parts of an
+    /// [`AtomicHist`](crate::AtomicHist) snapshot (same bucket layout).
+    pub(crate) fn from_parts(
+        buckets: &[u64],
+        count: u64,
+        sum: u64,
+        min: Option<u64>,
+        max: Option<u64>,
+    ) -> Self {
+        let mut hist = Hist64 {
+            count,
+            sum,
+            min: min.unwrap_or(u64::MAX),
+            max: max.unwrap_or(0),
+            ..Hist64::default()
+        };
+        for (b, &n) in hist.buckets.iter_mut().zip(buckets) {
+            *b = n;
+        }
+        hist
+    }
+
     /// Serializes to a stable JSON object: count, sum, min/max/mean and
     /// the non-empty buckets as `{"lo": .., "hi": .., "n": ..}` entries
     /// in ascending bucket order.

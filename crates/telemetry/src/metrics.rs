@@ -122,35 +122,10 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
-    /// Stable JSON form, listing only non-empty buckets.
+    /// Stable JSON form, listing only non-empty buckets: exactly
+    /// [`Hist64::to_json`] of the same observations.
     pub fn to_json(&self) -> String {
-        let mut buckets = String::new();
-        let mut first = true;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                buckets.push(',');
-            }
-            first = false;
-            let (lo, hi) = Hist64::bucket_bounds(i);
-            buckets.push_str(&format!("{{\"lo\":{lo},\"hi\":{hi},\"n\":{n}}}"));
-        }
-        let mean = if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        };
-        format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\"buckets\":[{}]}}",
-            self.count,
-            self.sum,
-            self.min.unwrap_or(0),
-            self.max.unwrap_or(0),
-            mean,
-            buckets
-        )
+        Hist64::from_parts(&self.buckets, self.count, self.sum, self.min, self.max).to_json()
     }
 }
 
@@ -341,6 +316,18 @@ mod tests {
         assert_eq!(s.max, Some(u64::MAX));
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[64], 1);
+    }
+
+    #[test]
+    fn snapshot_json_matches_a_plain_histogram_of_the_same_observations() {
+        let atomic = AtomicHist::default();
+        let mut plain = Hist64::new();
+        assert_eq!(atomic.snapshot().to_json(), plain.to_json(), "empty");
+        for v in [0u64, 1, 3, 3, 100, 4096, 70_000, u64::MAX / 4] {
+            atomic.record(v);
+            plain.record(v);
+        }
+        assert_eq!(atomic.snapshot().to_json(), plain.to_json());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Crash-safe sweeps under host-level chaos: supervised workers,
-//! journaled persistence, and kill-and-resume.
+//! per-run persistence, and kill-and-resume.
 //!
 //! ```text
 //! cargo run --release --example chaos_sweep
@@ -9,7 +9,7 @@
 //! them into the *host* that runs it: worker panics, failed disk
 //! writes, and payload corruption, all from one seeded [`ChaosPlan`].
 //! The sweep runner retries panicking workers, quarantines
-//! the incurable, counts every lost disk write, and journals each
+//! the incurable, counts every lost disk write, and stores each
 //! completed run as it finishes — so a killed process resumes where it
 //! crashed, serving finished work bit-identically from the store.
 
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ops, so retries usually land) and the store counts every loss.
     println!("phase 1: sweep under chaos (panic period 3, io-failure period 4)");
     let chaos = ChaosPlan::seeded(0xbad).with_panics(3).with_io_failures(4);
-    let runner = SweepRunner::with_store(&store)?.with_chaos(chaos);
+    let runner = SweepRunner::with_disk_cache(&store)?.with_chaos(chaos);
     // The injected panics are the point of the demo; keep their
     // default-hook spew out of the output (the supervisor still sees
     // and reports every one).
@@ -70,25 +70,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     drop(runner);
 
-    // Phase 2: the "next process" — same store, no chaos. The journal
-    // replays what phase 1 completed; only lost or quarantined work
-    // re-simulates, and every replayed row is bit-identical.
-    println!("\nphase 2: resume from the journal, chaos disarmed");
-    let runner = SweepRunner::with_store(&store)?;
+    // Phase 2: the "next process" — same store, no chaos. The store
+    // serves what phase 1 completed; only lost or quarantined work
+    // re-simulates, and every served row is bit-identical.
+    println!("\nphase 2: resume from the store, chaos disarmed");
+    let runner = SweepRunner::with_disk_cache(&store)?;
     let resumed = runner.run_scenarios_supervised(&scenarios);
     assert!(resumed.is_complete(), "clean host, complete sweep");
     println!(
-        "  {} runs served: {} replayed from the journal, {} re-simulated",
+        "  {} runs served: {} from the store, {} re-simulated",
         resumed.rows.len(),
-        resumed.report.journal_replayed,
+        runner.cache_stats().disk_hits,
         resumed.report.launched,
     );
     for (row, prev) in resumed.rows.iter().zip(&outcome.rows) {
         if let (Some(now), Some(before)) = (row.as_ref(), prev.as_ref()) {
-            assert_eq!(now, before, "replayed results are bit-identical");
+            assert_eq!(now, before, "stored results are bit-identical");
         }
     }
-    println!("  replayed rows verified bit-identical to phase 1");
+    println!("  stored rows verified bit-identical to phase 1");
 
     // Phase 3: audit the store like CI does (`rcoal-cli cache verify`).
     let audit = runner.verify_store()?;

@@ -63,7 +63,7 @@ USAGE:
       JSON spec, run every scenario through the content-addressed run
       cache (persisted under DIR/cache), write each run result to
       DIR/results/<hash>.json, and emit DIR/index.json tying scenarios
-      to results. Every completed run is persisted and journaled as it
+      to results. Every completed run is fsync'd into the store as it
       finishes, so re-running the same spec serves everything from
       cache and a killed sweep resumes without redoing completed work.
       A scenario that still fails after two retries is quarantined:
@@ -71,7 +71,7 @@ USAGE:
       other scenarios run to completion and are saved; the sweep then
       exits 1. --cache false simulates everything afresh and keeps no
       store. The --chaos-* flags arm seeded fault injection (worker
-      panics / process abort after N journal records) for crash
+      panics / process abort once N runs are stored) for crash
       testing; they need the cache.
 
   rcoal-cli audit --policy <POLICY> [--workload W] [--samples N] [--lines L] [--seed S] [--byte J]
@@ -948,7 +948,7 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), String> {
     println!("expanded {} scenario(s) from {spec_path}", scenarios.len());
 
     let mut runner = if caching {
-        SweepRunner::with_store(out.join("cache")).map_err(|e| e.to_string())?
+        SweepRunner::with_disk_cache(out.join("cache")).map_err(|e| e.to_string())?
     } else {
         SweepRunner::uncached()
     };
@@ -1026,12 +1026,7 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), String> {
         100.0 * report.hit_rate(),
         stats.disk_hits
     );
-    if caching {
-        println!(
-            "journal          : {} run(s) replayed from a previous sweep, {} retried",
-            report.journal_replayed, report.retried
-        );
-    }
+    println!("retried          : {}", report.retried);
     let quarantined = &outcome.quarantined;
     if !quarantined.is_empty() {
         eprintln!("warning: {} scenario(s) quarantined:", quarantined.len());

@@ -4,7 +4,7 @@
 //! sweep establishes the expected result bytes; a chaos sweep is then
 //! aborted mid-flight (`--chaos-abort-after`, a `std::process::abort`
 //! with no unwinding) and resumed. The resumed sweep must serve every
-//! journaled run without re-simulating it and produce result files
+//! stored run without re-simulating it and produce result files
 //! byte-identical to the reference — the acceptance criterion for the
 //! crash-safe store.
 
@@ -74,7 +74,7 @@ fn killed_sweep_resumes_bit_identically() {
     let reference = result_files(&reference_dir);
     assert_eq!(reference.len(), 3, "smoke spec expands to 3 scenarios");
 
-    // Interrupted: abort the process after one journaled completion.
+    // Interrupted: abort the process after one stored completion.
     let killed = cli()
         .args([
             "sweep",
@@ -94,11 +94,7 @@ fn killed_sweep_resumes_bit_identically() {
         "the chaos abort must kill the process"
     );
     let store = chaos_dir.join("cache");
-    assert!(
-        store.join("sweep-journal.jsonl").exists(),
-        "the journal survives the abort"
-    );
-    let journaled = std::fs::read_dir(&store)
+    let stored = std::fs::read_dir(&store)
         .unwrap()
         .filter(|e| {
             e.as_ref()
@@ -109,7 +105,7 @@ fn killed_sweep_resumes_bit_identically() {
         })
         .count();
     assert!(
-        journaled >= 1,
+        stored >= 1,
         "at least the aborting run's entry was persisted"
     );
 
@@ -128,12 +124,12 @@ fn killed_sweep_resumes_bit_identically() {
     ]));
     let stdout = String::from_utf8_lossy(&resumed.stdout);
     assert!(
-        stdout.contains("1 run(s) replayed from a previous sweep"),
-        "the resume must serve the journaled run without redoing it:\n{stdout}"
+        stdout.contains("1 from cache"),
+        "the resume must serve the stored run without redoing it:\n{stdout}"
     );
     assert!(
         stdout.contains("served 3 run(s): 2 simulated"),
-        "only the un-journaled remainder simulates:\n{stdout}"
+        "only the unstored remainder simulates:\n{stdout}"
     );
 
     // The acceptance bar: resumed results byte-identical to reference.
@@ -161,7 +157,7 @@ fn killed_sweep_resumes_bit_identically() {
     let stdout = String::from_utf8_lossy(&replay.stdout);
     assert!(
         stdout.contains("served 3 run(s): 0 simulated"),
-        "fully-journaled sweep must not simulate:\n{stdout}"
+        "fully-stored sweep must not simulate:\n{stdout}"
     );
 
     std::fs::remove_dir_all(&reference_dir).unwrap();

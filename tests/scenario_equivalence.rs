@@ -190,6 +190,19 @@ fn figure_suite_shares_runs_through_the_cache() {
     assert_eq!(fig06_cold, fig06_warm, "cache hit changed figure rows");
     assert_eq!(mshr.len(), 3);
     assert_eq!(l1.len(), 2);
+    // Rows served partly from the shared cache equal the same
+    // generators simulated afresh.
+    let fresh = SweepRunner::uncached();
+    assert_eq!(
+        mshr,
+        ablation_mshr_with(&fresh, PLAINTEXTS, SEED).expect("mshr uncached"),
+        "cache hit changed MSHR rows"
+    );
+    assert_eq!(
+        l1,
+        ablation_l1_with(&fresh, PLAINTEXTS, SEED).expect("l1 uncached"),
+        "cache hit changed L1 rows"
+    );
 
     let report = runner.report();
     assert!(
