@@ -914,6 +914,24 @@ mod tests {
     }
 
     #[test]
+    fn disk_cache_round_trips_across_runners() {
+        let dir =
+            std::env::temp_dir().join(format!("rcoal-engine-disk-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = tiny(CoalescingPolicy::rss(4).unwrap(), 2);
+        let first = {
+            let runner = SweepRunner::with_disk_cache(&dir).unwrap();
+            runner.run_one(&s).unwrap()
+        };
+        let runner = SweepRunner::with_disk_cache(&dir).unwrap();
+        let second = runner.run_one(&s).unwrap();
+        assert_eq!(first, second, "disk hit is bit-identical");
+        assert_eq!(runner.report().launched, 0);
+        assert_eq!(runner.cache_stats().disk_hits, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn run_sweep_expands_and_executes_in_order() {
         let runner = SweepRunner::new();
         let sweep = SweepSpec::grid(tiny(CoalescingPolicy::Baseline, 2).functional_only())
@@ -995,7 +1013,7 @@ mod tests {
             std::env::temp_dir().join(format!("rcoal-engine-store-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let scenarios = vec![
-            tiny(CoalescingPolicy::rss(4).unwrap(), 2),
+            tiny(CoalescingPolicy::Baseline, 1).functional_only(),
             tiny(CoalescingPolicy::Disabled, 1).functional_only(),
         ];
         let first = {

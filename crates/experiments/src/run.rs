@@ -814,7 +814,7 @@ mod tests {
         assert_eq!(snap.counters["span.experiment.run.calls"], 1);
         assert_eq!(snap.counters["pool.launches.items"], 3);
         assert_eq!(snap.counters["sim.launches"], 3);
-        assert!(snap.hists["sim.mem_latency"].count > 0);
+        assert!(snap.hists["sim.mem_latency"].count() > 0);
         assert!(data.telemetry.is_some());
     }
 

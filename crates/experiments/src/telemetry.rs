@@ -231,7 +231,7 @@ mod tests {
         assert_eq!(snap.counters["sim.launches"], 1);
         assert_eq!(snap.counters["sim.issue_stall_cycles"], 11);
         assert_eq!(snap.counters["sim.mc1.row_hits"], 3);
-        assert_eq!(snap.hists["sim.accesses_per_load"].count, 1);
+        assert_eq!(snap.hists["sim.accesses_per_load"].count(), 1);
         assert!(tel
             .metrics_json()
             .starts_with("{\"schema\":\"rcoal-metrics/v1\""));

@@ -547,8 +547,8 @@ mod tests {
         assert_eq!(snap.counters["pool.sweep.sweeps"], 1);
         assert_eq!(snap.gauges["pool.sweep.workers"], 2);
         assert_eq!(snap.gauges["pool.sweep.utilization_permille"], 666);
-        assert_eq!(snap.hists["pool.sweep.worker_items"].count, 2);
-        assert_eq!(snap.hists["pool.sweep.worker_items"].sum, 10);
+        assert_eq!(snap.hists["pool.sweep.worker_items"].count(), 2);
+        assert_eq!(snap.hists["pool.sweep.worker_items"].sum(), 10);
     }
 
     #[test]

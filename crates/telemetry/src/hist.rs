@@ -198,26 +198,23 @@ impl Hist64 {
         self.max = self.max.max(other.max);
     }
 
-    /// Rebuilds a histogram from the raw parts of an
-    /// [`AtomicHist`](crate::AtomicHist) snapshot (same bucket layout).
+    /// Rebuilds a histogram from the raw fields of an
+    /// [`AtomicHist`](crate::AtomicHist), which shares this layout and
+    /// the empty sentinels (`min = u64::MAX`, `max = 0`).
     pub(crate) fn from_parts(
-        buckets: &[u64],
+        buckets: [u64; NUM_BUCKETS],
         count: u64,
         sum: u64,
-        min: Option<u64>,
-        max: Option<u64>,
+        min: u64,
+        max: u64,
     ) -> Self {
-        let mut hist = Hist64 {
+        Hist64 {
+            buckets,
             count,
             sum,
-            min: min.unwrap_or(u64::MAX),
-            max: max.unwrap_or(0),
-            ..Hist64::default()
-        };
-        for (b, &n) in hist.buckets.iter_mut().zip(buckets) {
-            *b = n;
+            min,
+            max,
         }
-        hist
     }
 
     /// Serializes to a stable JSON object: count, sum, min/max/mean and

@@ -43,6 +43,6 @@ mod trace;
 
 pub use hist::{log2_bucket, Hist64, NUM_BUCKETS};
 pub use json::json_escape;
-pub use metrics::{AtomicHist, Counter, Gauge, HistSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{AtomicHist, Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use span::Span;
 pub use trace::{Event, EventRing, Severity};

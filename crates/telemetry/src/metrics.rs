@@ -55,8 +55,9 @@ impl Gauge {
 }
 
 /// A thread-safe log2 histogram with the same bucket layout as
-/// [`Hist64`]; all updates are relaxed atomics (per-bucket counts, count
-/// and sum — min/max are tracked with `fetch_min`/`fetch_max`).
+/// [`Hist64`]; all updates are relaxed atomics (per-bucket counts and
+/// count; the sum saturates at `u64::MAX` like [`Hist64`]'s; min/max are
+/// tracked with `fetch_min`/`fetch_max`).
 #[derive(Debug)]
 pub struct AtomicHist {
     buckets: [AtomicU64; NUM_BUCKETS],
@@ -84,48 +85,28 @@ impl AtomicHist {
     pub fn record(&self, value: u64) {
         self.buckets[log2_bucket(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.add_sum(value);
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Snapshot as a plain [`Hist64`]-shaped summary.
-    pub fn snapshot(&self) -> HistSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        HistSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: (count > 0).then(|| self.min.load(Ordering::Relaxed)),
-            max: (count > 0).then(|| self.max.load(Ordering::Relaxed)),
-        }
+    fn add_sum(&self, value: u64) {
+        let add = |s: u64| Some(s.saturating_add(value));
+        // `add` never returns `None`, so the update cannot fail.
+        let _ = self
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
     }
-}
 
-/// Point-in-time summary of an [`AtomicHist`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistSnapshot {
-    /// Per-bucket counts ([`NUM_BUCKETS`] entries, [`Hist64`] layout).
-    pub buckets: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Smallest observation, `None` if empty.
-    pub min: Option<u64>,
-    /// Largest observation, `None` if empty.
-    pub max: Option<u64>,
-}
-
-impl HistSnapshot {
-    /// Stable JSON form, listing only non-empty buckets: exactly
-    /// [`Hist64::to_json`] of the same observations.
-    pub fn to_json(&self) -> String {
-        Hist64::from_parts(&self.buckets, self.count, self.sum, self.min, self.max).to_json()
+    /// Point-in-time copy as a plain [`Hist64`].
+    pub fn snapshot(&self) -> Hist64 {
+        Hist64::from_parts(
+            self.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)),
+            self.count.load(Ordering::Relaxed),
+            self.sum.load(Ordering::Relaxed),
+            self.min.load(Ordering::Relaxed),
+            self.max.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -196,7 +177,7 @@ impl MetricsRegistry {
             }
         }
         h.count.fetch_add(hist.count(), Ordering::Relaxed);
-        h.sum.fetch_add(hist.sum(), Ordering::Relaxed);
+        h.add_sum(hist.sum());
         if let Some(min) = hist.min() {
             h.min.fetch_min(min, Ordering::Relaxed);
         }
@@ -246,8 +227,8 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, u64>,
-    /// Histogram summaries by name.
-    pub hists: BTreeMap<String, HistSnapshot>,
+    /// Histogram copies by name.
+    pub hists: BTreeMap<String, Hist64>,
 }
 
 impl MetricsSnapshot {
@@ -311,22 +292,25 @@ mod tests {
         h.record(100);
         h.record(u64::MAX);
         let s = reg.snapshot().hists["lat"].clone();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, Some(0));
-        assert_eq!(s.max, Some(u64::MAX));
-        assert_eq!(s.buckets[0], 1);
-        assert_eq!(s.buckets[64], 1);
+        assert_eq!(s.count(), 3);
+        assert_eq!(s.sum(), u64::MAX, "saturates like Hist64");
+        assert_eq!(s.min(), Some(0));
+        assert_eq!(s.max(), Some(u64::MAX));
+        assert_eq!(s.bucket(0), 1);
+        assert_eq!(s.bucket(64), 1);
     }
 
     #[test]
     fn snapshot_json_matches_a_plain_histogram_of_the_same_observations() {
         let atomic = AtomicHist::default();
         let mut plain = Hist64::new();
+        assert_eq!(atomic.snapshot(), plain, "empty");
         assert_eq!(atomic.snapshot().to_json(), plain.to_json(), "empty");
         for v in [0u64, 1, 3, 3, 100, 4096, 70_000, u64::MAX / 4] {
             atomic.record(v);
             plain.record(v);
         }
+        assert_eq!(atomic.snapshot(), plain);
         assert_eq!(atomic.snapshot().to_json(), plain.to_json());
     }
 
@@ -340,10 +324,10 @@ mod tests {
         reg.merge_hist("sim.lat", &plain);
         reg.merge_hist("sim.lat", &plain);
         let s = reg.snapshot().hists["sim.lat"].clone();
-        assert_eq!(s.count, 6);
-        assert_eq!(s.sum, 2020);
-        assert_eq!(s.min, Some(5));
-        assert_eq!(s.max, Some(1000));
+        assert_eq!(s.count(), 6);
+        assert_eq!(s.sum(), 2020);
+        assert_eq!(s.min(), Some(5));
+        assert_eq!(s.max(), Some(1000));
     }
 
     #[test]
@@ -364,7 +348,7 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 8000);
-        assert_eq!(reg.snapshot().hists["h"].count, 8000);
+        assert_eq!(reg.snapshot().hists["h"].count(), 8000);
     }
 
     #[test]
