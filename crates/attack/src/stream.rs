@@ -219,7 +219,7 @@ struct GuessLane {
     acc: PearsonAccumulator,
 }
 
-/// Streaming recovery of one key byte: 256 [`GuessLane`]s fed chunk by
+/// Streaming recovery of one key byte: 256 `GuessLane`s fed chunk by
 /// chunk, parallelized per guess.
 ///
 /// Resident state is ~256 predictors + accumulators — independent of how

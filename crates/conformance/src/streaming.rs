@@ -345,7 +345,7 @@ fn early_stop_falsifiability(
 /// Runs the streaming-attack conformance section.
 ///
 /// `cases` scales the sample budget of the engine-equivalence corpus;
-/// the early-stop budget is fixed at [`STOP_BUDGET`].
+/// the early-stop budget is fixed at `STOP_BUDGET`.
 ///
 /// # Errors
 ///

@@ -41,11 +41,6 @@ impl CoalesceResult {
     pub fn accesses_for_subwarp(&self, sid: u8) -> usize {
         self.accesses.iter().filter(|a| a.sid == sid).count()
     }
-
-    /// Consumes the result, returning the access list.
-    pub fn into_accesses(self) -> Vec<MemAccess> {
-        self.accesses
-    }
 }
 
 impl IntoIterator for CoalesceResult {

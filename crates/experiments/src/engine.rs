@@ -25,20 +25,19 @@
 //!
 //! ## Caching policy
 //!
-//! Runs carrying telemetry stay memory-only (the codec declines to
-//! encode them: traces are bulky and mostly write-once); everything
-//! else round-trips losslessly through JSON — [`ExperimentData`] is
-//! integers and byte blocks, no floats — so disk hits are exact.
+//! Every scenario run round-trips losslessly through JSON —
+//! [`ExperimentData`] is integers and byte blocks, no floats — so disk
+//! hits are exact. Only an instrumented run (built with
+//! [`ExperimentConfig::with_telemetry`], never from a scenario) has no
+//! disk form: traces are bulky and mostly write-once.
 
 use crate::error::ExperimentError;
 use crate::run::{ExperimentConfig, ExperimentData};
-use crate::telemetry::TelemetrySpec;
 use rcoal_aes::Block;
 use rcoal_core::CoalescingPolicy;
-use rcoal_parallel::{resolve_threads, supervised_map, FailureKind, SupervisorPolicy};
+use rcoal_parallel::{resolve_threads, supervised_map, FailureKind};
 use rcoal_scenario::json::{ObjBuilder, Value};
 use rcoal_scenario::{CacheStats, ChaosPlan, RunCache, Scenario, ScenarioError, SweepSpec};
-use rcoal_telemetry::MetricsRegistry;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,17 +65,12 @@ pub fn scenario_config(scenario: &Scenario) -> ExperimentConfig {
     cfg.gpu = scenario.gpu_config();
     cfg.timing = scenario.timing;
     cfg.faults = scenario.faults.clone();
-    cfg.telemetry = scenario.telemetry.map(|t| {
-        TelemetrySpec::full()
-            .with_event_capacity(t.event_capacity)
-            .with_min_severity(t.min_severity)
-    });
     cfg
 }
 
 /// Serializes a run result to its `rcoal-run/v1` JSON form.
 ///
-/// Returns `None` for telemetry-bearing runs, which stay memory-only
+/// Returns `None` for an instrumented run, which stays memory-only
 /// (see the module docs); every other run encodes losslessly.
 pub fn encode_run(data: &ExperimentData) -> Option<String> {
     run_to_value(data).map(|doc| doc.to_json())
@@ -87,7 +81,7 @@ pub fn encode_run(data: &ExperimentData) -> Option<String> {
 ///
 /// Golden-master fixtures snapshot this value so drift diffs can point
 /// at individual fields instead of one long JSON line. Returns `None`
-/// for telemetry-bearing runs, like [`encode_run`].
+/// for an instrumented run, like [`encode_run`].
 pub fn run_to_value(data: &ExperimentData) -> Option<Value> {
     if data.telemetry.is_some() {
         return None;
@@ -132,8 +126,9 @@ pub fn run_to_value(data: &ExperimentData) -> Option<Value> {
 ///
 /// # Errors
 ///
-/// Returns a [`ScenarioError`] for syntax errors, schema mismatches, or
-/// ill-formed fields.
+/// Returns a [`ScenarioError`] for syntax errors, schema mismatches,
+/// ill-formed fields, or a per-plaintext array whose length differs from
+/// the number of ciphertexts.
 pub fn decode_run(input: &str) -> Result<ExperimentData, ScenarioError> {
     let v = Value::parse(input).map_err(|e| ScenarioError::new(e.to_string()))?;
     let schema = v.get("schema").and_then(Value::as_str).unwrap_or_default();
@@ -193,7 +188,7 @@ pub fn decode_run(input: &str) -> Result<ExperimentData, ScenarioError> {
         .and_then(Value::as_str)
         .unwrap_or("aes")
         .to_string();
-    Ok(ExperimentData {
+    let data = ExperimentData {
         policy,
         workload,
         key,
@@ -205,7 +200,28 @@ pub fn decode_run(input: &str) -> Result<ExperimentData, ScenarioError> {
         last_round_cycles: parse_opt_u64_arr(&v, "last_round_cycles")?,
         total_cycles: parse_opt_u64_arr(&v, "total_cycles")?,
         telemetry: None,
-    })
+    };
+    // One entry per plaintext in every array: a short array would feed
+    // every consumer fewer samples than the row claims to hold.
+    let n = data.ciphertexts.len();
+    let optional = |arr: &Option<Vec<u64>>| arr.as_ref().map_or(n, Vec::len);
+    let lengths = [
+        ("last_round_accesses", data.last_round_accesses.len()),
+        (
+            "last_round_accesses_by_byte",
+            data.last_round_accesses_by_byte.len(),
+        ),
+        ("total_accesses", data.total_accesses.len()),
+        ("total_requests", data.total_requests.len()),
+        ("last_round_cycles", optional(&data.last_round_cycles)),
+        ("total_cycles", optional(&data.total_cycles)),
+    ];
+    if let Some((name, len)) = lengths.into_iter().find(|&(_, len)| len != n) {
+        return Err(ScenarioError::new(format!(
+            "run has {n} ciphertexts but {len} {name} entries"
+        )));
+    }
+    Ok(data)
 }
 
 /// What a [`SweepRunner`] did so far: occurrences served, simulations
@@ -245,8 +261,8 @@ impl RunnerReport {
     }
 }
 
-/// A scenario the runner gave up on: its task exhausted the retry
-/// budget (panic, error, or deadline overrun on every attempt).
+/// A scenario the runner gave up on: its task panicked or failed on
+/// every attempt.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedScenario {
     /// First index of this scenario in the input list.
@@ -313,7 +329,6 @@ pub struct SweepRunner {
     caching: bool,
     threads: Option<usize>,
     chaos: ChaosPlan,
-    metrics: Option<MetricsRegistry>,
     served: AtomicU64,
     launched: AtomicU64,
     unresolved: AtomicU64,
@@ -340,7 +355,6 @@ impl SweepRunner {
             caching: true,
             threads: None,
             chaos: ChaosPlan::inert(),
-            metrics: None,
             served: AtomicU64::new(0),
             launched: AtomicU64::new(0),
             unresolved: AtomicU64::new(0),
@@ -394,16 +408,7 @@ impl SweepRunner {
         self
     }
 
-    /// Mirrors runner and cache failure counters into `registry`
-    /// (`pool.sweep.*` and `cache.*`).
-    #[must_use]
-    pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.cache.set_metrics(registry.clone());
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// Raw cache traffic counters.
+    /// Cache traffic counters, store failures included.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -419,12 +424,6 @@ impl SweepRunner {
         }
     }
 
-    /// Drains the cache's warning events (write failures, quarantined
-    /// entries) accumulated so far.
-    pub fn take_cache_events(&self) -> Vec<rcoal_telemetry::Event> {
-        self.cache.take_events()
-    }
-
     /// Audits every on-disk store entry without modifying anything.
     ///
     /// # Errors
@@ -433,17 +432,6 @@ impl SweepRunner {
     /// store or it cannot be listed.
     pub fn verify_store(&self) -> Result<rcoal_scenario::StoreAudit, ExperimentError> {
         Ok(self.cache.verify()?)
-    }
-
-    /// Audits the store, quarantining corrupt entries to `.corrupt`
-    /// sidecars.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Scenario`] if the runner has no disk
-    /// store or it cannot be listed.
-    pub fn repair_store(&self) -> Result<rcoal_scenario::StoreAudit, ExperimentError> {
-        Ok(self.cache.repair()?)
     }
 
     /// Expands `spec` and runs the expansion in order.
@@ -492,30 +480,6 @@ impl SweepRunner {
         Ok((data, report))
     }
 
-    /// [`SweepRunner::audit_one`] over a scenario list: resolves every
-    /// scenario through the cache-aware batch path, then audits each
-    /// row under the same spec. Reports line up index-for-index with
-    /// the input.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-index resolution or audit failure.
-    pub fn audit_scenarios(
-        &self,
-        scenarios: &[Scenario],
-        spec: &rcoal_audit::AuditSpec,
-    ) -> Result<Vec<rcoal_audit::LeakageReport>, ExperimentError> {
-        let rows = self.run_scenarios(scenarios)?;
-        scenarios
-            .iter()
-            .zip(&rows)
-            .map(|(scenario, data)| {
-                let warp_size = scenario_config(scenario).gpu.warp_size;
-                crate::audit::audit_data(data, warp_size, spec)
-            })
-            .collect()
-    }
-
     /// Runs a scenario list and fails on the first broken scenario: an
     /// adapter over [`SweepRunner::run_scenarios_supervised`] whose
     /// result vector lines up index-for-index with the input —
@@ -537,7 +501,6 @@ impl SweepRunner {
             return Err(match q.failure {
                 FailureKind::Errored(e) => e,
                 FailureKind::Panicked(msg) => std::panic::resume_unwind(Box::new(msg)),
-                FailureKind::TimedOut(_) => ExperimentError::MissingData(q.reason),
             });
         }
         outcome
@@ -561,10 +524,10 @@ impl SweepRunner {
     /// way the rows are bit-identical — the workspace's determinism
     /// contract.
     ///
-    /// * **Isolation** — a panicking, failing, or overrunning task is
-    ///   retried per [`SupervisorPolicy::default`] and, if it keeps
-    ///   failing, *quarantined*: its row comes back `None` and the sweep
-    ///   keeps going.
+    /// * **Isolation** — a panicking or failing task is retried twice
+    ///   (see [`supervised_map`]) and, if it keeps failing,
+    ///   *quarantined*: its row comes back `None` and the sweep keeps
+    ///   going.
     /// * **Per-completion persistence** — each fresh result is written
     ///   to the cache *as it completes*, inside the worker, not at batch
     ///   end, and a disk entry is fsync'd before the worker moves on. A
@@ -596,9 +559,8 @@ impl SweepRunner {
         }
 
         let inner_threads = if missing.len() > 1 { Some(1) } else { None };
-        let (results, pool_report) = supervised_map(
+        let (results, outcomes) = supervised_map(
             resolve_threads(self.threads),
-            &SupervisorPolicy::default(),
             &missing,
             |_i, scenario| -> Result<ExperimentData, ExperimentError> {
                 let op = self.chaos_ops.fetch_add(1, Ordering::Relaxed);
@@ -646,13 +608,9 @@ impl SweepRunner {
         self.launched.fetch_add(fresh, Ordering::Relaxed);
         self.served
             .fetch_add(scenarios.len() as u64, Ordering::Relaxed);
-        self.retried
-            .fetch_add(pool_report.outcomes.retried, Ordering::Relaxed);
+        self.retried.fetch_add(outcomes.retried, Ordering::Relaxed);
         self.quarantined
-            .fetch_add(pool_report.outcomes.failed(), Ordering::Relaxed);
-        if let Some(registry) = &self.metrics {
-            pool_report.record_into(registry, "sweep");
-        }
+            .fetch_add(outcomes.quarantined, Ordering::Relaxed);
 
         let mut remaining = occurrence_counts(scenarios);
         let rows: Vec<Option<ExperimentData>> = scenarios
@@ -784,8 +742,8 @@ fn unhex_blocks(hex: &str) -> Result<Vec<Block>, ScenarioError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TelemetrySpec;
     use rcoal_scenario::GpuOverrides;
-    use rcoal_telemetry::Severity;
 
     fn tiny(policy: CoalescingPolicy, n: usize) -> Scenario {
         // A real timing scenario kept cheap: 4 plaintexts of one warp.
@@ -809,10 +767,6 @@ mod tests {
             .with_gpu(GpuOverrides {
                 mshr_entries: Some(8),
                 ..GpuOverrides::default()
-            })
-            .with_telemetry(rcoal_scenario::TelemetryOverrides {
-                event_capacity: 5,
-                min_severity: Severity::Warn,
             });
         let cfg = scenario_config(&s);
         assert_eq!(cfg.policy, s.policy);
@@ -822,9 +776,7 @@ mod tests {
         assert_eq!(cfg.key, [3; 16]);
         assert_eq!(cfg.gpu.mshr_entries, 8);
         assert!(cfg.launch.is_some(), "selective sets a launch policy");
-        let spec = cfg.telemetry.unwrap();
-        assert_eq!(spec.event_capacity, 5);
-        assert_eq!(spec.min_severity, Severity::Warn);
+        assert!(cfg.telemetry.is_none(), "scenarios run uninstrumented");
         assert!(cfg.threads.is_none(), "threads stay an execution detail");
 
         let plain = scenario_config(&tiny(CoalescingPolicy::Baseline, 2).functional_only());
@@ -849,13 +801,9 @@ mod tests {
 
     #[test]
     fn telemetry_runs_are_memory_only() {
-        let s = tiny(CoalescingPolicy::Baseline, 1).with_telemetry(
-            rcoal_scenario::TelemetryOverrides {
-                event_capacity: 4,
-                min_severity: Severity::Info,
-            },
-        );
-        let data = scenario_config(&s).run().unwrap();
+        let cfg = scenario_config(&tiny(CoalescingPolicy::Baseline, 1))
+            .with_telemetry(TelemetrySpec::full().with_event_capacity(4));
+        let data = cfg.run().unwrap();
         assert!(data.telemetry.is_some());
         assert_eq!(encode_run(&data), None);
     }
@@ -866,6 +814,41 @@ mod tests {
         assert!(decode_run(r#"{"schema":"rcoal-run/v9"}"#).is_err());
         let no_key = r#"{"schema":"rcoal-run/v1","policy":"baseline"}"#;
         assert!(decode_run(no_key).is_err());
+        // A row whose per-plaintext arrays disagree in length with its
+        // ciphertexts: consumers would silently audit fewer samples.
+        let data = scenario_config(&tiny(CoalescingPolicy::Baseline, 3))
+            .run()
+            .unwrap();
+        type Cut = fn(&mut ExperimentData);
+        let cuts: [(&str, Cut); 6] = [
+            ("last_round_accesses", |d| {
+                d.last_round_accesses.pop();
+            }),
+            ("last_round_accesses_by_byte", |d| {
+                d.last_round_accesses_by_byte.pop();
+            }),
+            ("total_accesses", |d| {
+                d.total_accesses.pop();
+            }),
+            ("total_requests", |d| {
+                d.total_requests.pop();
+            }),
+            ("last_round_cycles", |d| {
+                d.last_round_cycles.as_mut().unwrap().pop();
+            }),
+            ("total_cycles", |d| {
+                d.total_cycles.as_mut().unwrap().pop();
+            }),
+        ];
+        for (name, cut) in cuts {
+            let mut short = data.clone();
+            cut(&mut short);
+            let err = decode_run(&encode_run(&short).unwrap()).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!(" {name} entries")),
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

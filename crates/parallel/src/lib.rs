@@ -30,7 +30,7 @@
 
 mod supervise;
 
-pub use supervise::{supervised_map, FailureKind, OutcomeCounts, SupervisorPolicy, TaskFailure};
+pub use supervise::{supervised_map, FailureKind, OutcomeCounts, TaskFailure};
 
 use rcoal_telemetry::MetricsRegistry;
 use std::num::NonZeroUsize;
@@ -169,10 +169,6 @@ pub struct PoolReport {
     pub per_worker_busy: Vec<Duration>,
     /// Wall-clock duration of the whole sweep.
     pub wall: Duration,
-    /// Typed task-outcome tally. The unsupervised maps report all-ok
-    /// (they abort on the first failure instead of classifying it);
-    /// [`supervised_map`] fills in retries, quarantines, and timeouts.
-    pub outcomes: OutcomeCounts,
 }
 
 impl PoolReport {
@@ -185,16 +181,6 @@ impl PoolReport {
         }
         let busy: f64 = self.per_worker_busy.iter().map(Duration::as_secs_f64).sum();
         (busy / capacity).min(1.0)
-    }
-
-    /// Items mapped per wall-clock second.
-    pub fn items_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.items as f64 / secs
-        }
     }
 
     /// Records the report into `registry` under `pool.<name>.*`:
@@ -223,17 +209,6 @@ impl PoolReport {
         for d in &self.per_worker_busy {
             worker_busy.record(d.as_micros().min(u128::from(u64::MAX)) as u64);
         }
-        // Supervision counters stay at zero for unsupervised sweeps, so
-        // dashboards can alert on any nonzero value.
-        registry
-            .counter(&format!("pool.{name}.retries"))
-            .add(self.outcomes.retries);
-        registry
-            .counter(&format!("pool.{name}.quarantined"))
-            .add(self.outcomes.quarantined);
-        registry
-            .counter(&format!("pool.{name}.timed_out"))
-            .add(self.outcomes.timed_out);
     }
 }
 
@@ -328,7 +303,6 @@ where
         per_worker_items,
         per_worker_busy,
         wall: start.elapsed(),
-        outcomes: OutcomeCounts::all_ok(n),
     };
     (indexed, report)
 }
@@ -536,7 +510,6 @@ mod tests {
             per_worker_items: vec![6, 4],
             per_worker_busy: vec![Duration::from_micros(500), Duration::from_micros(300)],
             wall: Duration::from_micros(600),
-            outcomes: OutcomeCounts::all_ok(10),
         };
         // busy 800µs over capacity 1200µs ⇒ 2/3 utilization.
         assert!((report.utilization() - 2.0 / 3.0).abs() < 1e-9);
@@ -571,11 +544,8 @@ mod tests {
     #[test]
     fn supervised_panic_is_quarantined_not_fatal() {
         let items: Vec<u32> = (0..32).collect();
-        let policy = SupervisorPolicy::default()
-            .with_max_retries(1)
-            .with_backoff(Duration::ZERO);
         for threads in [1, 4] {
-            let (out, report) = supervised_map(threads, &policy, &items, |i, &x| {
+            let (out, outcomes) = supervised_map(threads, &items, |i, &x| {
                 assert!(i != 5, "deliberate panic at 5");
                 Ok::<u32, String>(x * 2)
             });
@@ -584,7 +554,7 @@ mod tests {
                 if i == 5 {
                     let failure = r.as_ref().unwrap_err();
                     assert_eq!(failure.index, 5);
-                    assert_eq!(failure.attempts, 2, "retry budget was spent");
+                    assert_eq!(failure.attempts, 3, "retry budget was spent");
                     assert!(
                         matches!(&failure.kind, FailureKind::Panicked(m) if m.contains("deliberate")),
                         "{failure:?}"
@@ -593,9 +563,9 @@ mod tests {
                     assert_eq!(*r.as_ref().unwrap(), items[i] * 2, "index order preserved");
                 }
             }
-            assert_eq!(report.outcomes.quarantined, 1);
-            assert_eq!(report.outcomes.ok, 31);
-            assert_eq!(report.outcomes.retries, 1);
+            assert_eq!(outcomes.quarantined, 1);
+            assert_eq!(outcomes.ok, 31);
+            assert_eq!(outcomes.retries, 2);
         }
     }
 
@@ -604,15 +574,12 @@ mod tests {
     #[test]
     fn supervised_pool_remains_usable_after_panic() {
         let items: Vec<u32> = (0..64).collect();
-        let policy = SupervisorPolicy::default()
-            .with_max_retries(0)
-            .with_backoff(Duration::ZERO);
-        let (first, _) = supervised_map(4, &policy, &items, |i, &x| {
+        let (first, _) = supervised_map(4, &items, |i, &x| {
             assert!(i % 7 != 3, "poison");
             Ok::<u32, String>(x)
         });
         assert!(first.iter().any(|r| r.is_err()));
-        let (second, report) = supervised_map(4, &policy, &items, |_, &x| Ok::<u32, String>(x + 1));
+        let (second, outcomes) = supervised_map(4, &items, |_, &x| Ok::<u32, String>(x + 1));
         assert!(second.iter().all(|r| r.is_ok()), "pool is reusable");
         assert_eq!(
             second
@@ -621,8 +588,8 @@ mod tests {
                 .collect::<Vec<_>>(),
             items.iter().map(|x| x + 1).collect::<Vec<_>>()
         );
-        assert_eq!(report.outcomes.ok, 64);
-        assert_eq!(report.outcomes.failed(), 0);
+        assert_eq!(outcomes.ok, 64);
+        assert_eq!(outcomes.quarantined, 0);
     }
 
     /// Errors are retried with backoff and succeed when the failure was
@@ -632,10 +599,7 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         let attempts: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
         let items: Vec<u32> = (0..8).collect();
-        let policy = SupervisorPolicy::default()
-            .with_max_retries(2)
-            .with_backoff(Duration::ZERO);
-        let (out, report) = supervised_map(2, &policy, &items, |i, &x| {
+        let (out, outcomes) = supervised_map(2, &items, |i, &x| {
             let n = attempts[i].fetch_add(1, Ordering::Relaxed);
             // Item 3 fails twice then recovers; item 6 always fails.
             if (i == 3 && n < 2) || i == 6 {
@@ -648,71 +612,17 @@ mod tests {
         let failure = out[6].as_ref().unwrap_err();
         assert_eq!(failure.attempts, 3, "budget exhausted");
         assert!(matches!(&failure.kind, FailureKind::Errored(e) if e.contains("transient 6")));
-        assert_eq!(report.outcomes.retried, 1, "item 3");
-        assert_eq!(report.outcomes.quarantined, 1, "item 6");
-        assert_eq!(report.outcomes.ok, 6);
-        assert_eq!(
-            report.outcomes.retries,
-            2 + 2,
-            "two for item 3, two for item 6"
-        );
+        assert_eq!(outcomes.retried, 1, "item 3");
+        assert_eq!(outcomes.quarantined, 1, "item 6");
+        assert_eq!(outcomes.ok, 6);
+        assert_eq!(outcomes.retries, 2 + 2, "two for item 3, two for item 6");
     }
 
-    /// A task overrunning the deadline is classified timed-out and its
-    /// (late) result discarded.
+    /// The retry sleeps double: 10 ms before the first retry, 20 ms
+    /// before the second.
     #[test]
-    fn supervised_deadline_classifies_slow_tasks() {
-        let items: Vec<u32> = (0..4).collect();
-        let policy = SupervisorPolicy::default()
-            .with_max_retries(0)
-            .with_backoff(Duration::ZERO)
-            .with_deadline(Duration::from_millis(5));
-        let (out, report) = supervised_map(2, &policy, &items, |i, &x| {
-            if i == 2 {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Ok::<u32, String>(x)
-        });
-        let failure = out[2].as_ref().unwrap_err();
-        assert!(
-            matches!(failure.kind, FailureKind::TimedOut(d) if d >= Duration::from_millis(5)),
-            "{failure:?}"
-        );
-        assert_eq!(report.outcomes.timed_out, 1);
-        assert_eq!(report.outcomes.ok, 3);
-    }
-
-    /// Supervision outcome counters flow into the metrics registry.
-    #[test]
-    fn supervised_outcomes_record_into_registry() {
-        let items: Vec<u32> = (0..8).collect();
-        let policy = SupervisorPolicy::default()
-            .with_max_retries(1)
-            .with_backoff(Duration::ZERO);
-        let (_, report) = supervised_map(2, &policy, &items, |i, &x| {
-            if i == 1 {
-                Err("always".to_string())
-            } else {
-                Ok(x)
-            }
-        });
-        let reg = MetricsRegistry::new();
-        report.record_into(&reg, "supervised");
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["pool.supervised.quarantined"], 1);
-        assert_eq!(snap.counters["pool.supervised.retries"], 1);
-        assert_eq!(snap.counters["pool.supervised.timed_out"], 0);
-    }
-
-    /// Exponential backoff grows and saturates.
-    #[test]
-    fn backoff_schedule_is_exponential_and_capped() {
-        let p = SupervisorPolicy::default().with_backoff(Duration::from_millis(10));
-        assert_eq!(p.backoff_for(1), Duration::from_millis(10));
-        assert_eq!(p.backoff_for(2), Duration::from_millis(20));
-        assert_eq!(p.backoff_for(3), Duration::from_millis(40));
-        assert_eq!(p.backoff_for(1000), SupervisorPolicy::MAX_BACKOFF);
-        let zero = p.with_backoff(Duration::ZERO);
-        assert_eq!(zero.backoff_for(5), Duration::ZERO);
+    fn backoff_schedule_is_exponential() {
+        assert_eq!(supervise::backoff_before(1), Duration::from_millis(10));
+        assert_eq!(supervise::backoff_before(2), Duration::from_millis(20));
     }
 }

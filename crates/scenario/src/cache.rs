@@ -27,10 +27,10 @@
 //! anything torn, bit-rotted, or undecodable is **quarantined** — moved
 //! aside to a `.corrupt` sidecar (preserved as evidence, never retried)
 //! — and the lookup reports a miss so the runner simply re-simulates.
-//! Write failures are counted in [`CacheStats::write_failures`] and
-//! surfaced as telemetry warnings, never silently swallowed: a lost
-//! write only costs a future re-run, but an *uncounted* lost write hides
-//! a failing disk.
+//! Write failures are counted in [`CacheStats::write_failures`], never
+//! silently swallowed: a lost write only costs a future re-run, but an
+//! *uncounted* lost write hides a failing disk. [`RunCache::stats`] is
+//! the one report of both counts; `rcoal-cli sweep` prints it.
 //!
 //! [`RunCache::verify`] and [`RunCache::repair`] audit the whole
 //! directory offline (repair additionally performs the quarantine), and
@@ -39,7 +39,6 @@
 
 use crate::chaos::ChaosPlan;
 use crate::scenario::{fnv1a_64, Scenario, ScenarioError};
-use rcoal_telemetry::{Event, EventRing, MetricsRegistry, Severity};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,8 +120,6 @@ pub struct RunCache<V> {
     encode: EncodeFn<V>,
     decode: Option<DecodeFn<V>>,
     chaos: ChaosPlan,
-    metrics: Option<MetricsRegistry>,
-    events: Mutex<EventRing>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
@@ -157,8 +154,6 @@ impl<V: Clone> RunCache<V> {
             encode: |_| None,
             decode: None,
             chaos: ChaosPlan::inert(),
-            metrics: None,
-            events: Mutex::new(EventRing::with_capacity(64).with_min_severity(Severity::Warn)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -206,19 +201,6 @@ impl<V: Clone> RunCache<V> {
         self.chaos = plan;
     }
 
-    /// Mirrors failure counters (`cache.write_failures`,
-    /// `cache.quarantined`) into `registry`.
-    #[must_use]
-    pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// In-place form of [`RunCache::with_metrics`].
-    pub fn set_metrics(&mut self, registry: MetricsRegistry) {
-        self.metrics = Some(registry);
-    }
-
     /// Looks `scenario` up, consulting memory first, then disk. A disk
     /// hit is promoted into memory. Counted in [`RunCache::stats`].
     pub fn get(&self, scenario: &Scenario) -> Option<V> {
@@ -252,19 +234,17 @@ impl<V: Clone> RunCache<V> {
     /// to disk when a directory is attached and the codec encodes it.
     ///
     /// Disk failures never lose the in-memory value and never panic —
-    /// they increment [`CacheStats::write_failures`] and emit a `Warn`
-    /// telemetry event, because a cache that silently drops writes turns
-    /// a failing disk into mystery cache misses.
+    /// they increment [`CacheStats::write_failures`], because a cache
+    /// that silently drops writes turns a failing disk into mystery
+    /// cache misses.
     pub fn insert(&self, scenario: &Scenario, value: V) {
         let key = scenario.content_hash();
         if let Some(dir) = &self.dir {
             if let Some(payload) = (self.encode)(&value) {
                 match self.write_entry(dir, key, &payload) {
-                    Ok(()) => {
-                        self.disk_stores.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => self.note_write_failure(key, &e),
-                }
+                    Ok(()) => self.disk_stores.fetch_add(1, Ordering::Relaxed),
+                    Err(_) => self.write_failures.fetch_add(1, Ordering::Relaxed),
+                };
             }
         }
         self.lock().insert(key, value);
@@ -272,12 +252,12 @@ impl<V: Clone> RunCache<V> {
 
     /// Writes one enveloped entry with write-then-rename + fsync,
     /// applying any armed chaos faults for this write op.
-    fn write_entry(&self, dir: &Path, key: u64, payload: &str) -> Result<(), ScenarioError> {
+    fn write_entry(&self, dir: &Path, key: u64, payload: &str) -> std::io::Result<()> {
         use std::io::Write;
 
         let op = self.write_ops.fetch_add(1, Ordering::Relaxed);
         if self.chaos.io_fails_on(op) {
-            return Err(ScenarioError::new("injected io failure"));
+            return Err(std::io::Error::other("injected io failure"));
         }
         let mut bytes = encode_entry(key, payload).into_bytes();
         if self.chaos.corrupts_on(op) {
@@ -296,18 +276,14 @@ impl<V: Clone> RunCache<V> {
         // Unique temp name: concurrent writers of the same hash (or a
         // leftover from a crashed process) can never collide.
         let tmp = dir.join(format!("{key:016x}.{}.{op}.tmp", std::process::id()));
-        let io = |e: std::io::Error| ScenarioError::new(format!("{}: {e}", path.display()));
-        let mut file = std::fs::File::create(&tmp).map_err(io)?;
-        let written = file
-            .write_all(&bytes)
-            .and_then(|()| file.sync_all())
-            .map_err(io);
+        let mut file = std::fs::File::create(&tmp)?;
+        let written = file.write_all(&bytes).and_then(|()| file.sync_all());
         drop(file);
         if let Err(e) = written {
             let _ = std::fs::remove_file(&tmp);
             return Err(e);
         }
-        std::fs::rename(&tmp, &path).map_err(io)?;
+        std::fs::rename(&tmp, &path)?;
         // Persist the rename itself; best-effort (not all platforms
         // support directory fsync).
         if let Ok(d) = std::fs::File::open(dir) {
@@ -323,7 +299,7 @@ impl<V: Clone> RunCache<V> {
         let text = std::fs::read_to_string(&path).ok()?;
         let value = decode_entry(key, &text)
             .and_then(decode)
-            .map_err(|e| self.quarantine(&path, key, &e))
+            .map_err(|_| self.quarantine(&path))
             .ok()?;
         self.lock().insert(key, value.clone());
         Some(value)
@@ -356,15 +332,6 @@ impl<V> RunCache<V> {
             write_failures: self.write_failures.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drains the warning events recorded so far (write failures and
-    /// quarantines).
-    pub fn take_events(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take_events()
     }
 
     /// Audits every on-disk entry without modifying anything.
@@ -404,12 +371,11 @@ impl<V> RunCache<V> {
             audit.entries += 1;
             match verify_entry(&path) {
                 Ok(()) => audit.ok += 1,
-                Err(e) => {
+                Err(_) => {
                     audit.corrupt += 1;
                     audit.corrupt_paths.push(path.clone());
                     if repair {
-                        let key = key_from_file_name(&path).unwrap_or(0);
-                        self.quarantine(&path, key, &e);
+                        self.quarantine(&path);
                         audit.repaired += 1;
                     }
                 }
@@ -418,11 +384,11 @@ impl<V> RunCache<V> {
         Ok(audit)
     }
 
-    /// Moves a corrupt entry to its `.corrupt` sidecar and records the
-    /// failure. Quarantining is one-shot by construction: the entry
-    /// leaves the `*.json` namespace, so later lookups miss cheaply
-    /// instead of re-parsing (and re-failing on) the same bytes.
-    fn quarantine(&self, path: &Path, key: u64, reason: &ScenarioError) {
+    /// Moves a corrupt entry to its `.corrupt` sidecar and counts it.
+    /// Quarantining is one-shot by construction: the entry leaves the
+    /// `*.json` namespace, so later lookups miss cheaply instead of
+    /// re-parsing (and re-failing on) the same bytes.
+    fn quarantine(&self, path: &Path) {
         let sidecar = path.with_extension("json.corrupt");
         if sidecar.exists() {
             // Keep the first evidence file; just clear the bad entry.
@@ -433,40 +399,6 @@ impl<V> RunCache<V> {
             let _ = std::fs::remove_file(path);
         }
         self.quarantined.fetch_add(1, Ordering::Relaxed);
-        self.note(Event {
-            cycle: 0, // host-domain event: no simulator cycle exists
-            severity: Severity::Warn,
-            component: "cache",
-            code: "entry_quarantined",
-            a: key,
-            b: 0,
-        });
-        if let Some(m) = &self.metrics {
-            m.counter("cache.quarantined").add(1);
-        }
-        let _ = reason; // reason carried via the event code; kept for debuggability in callers
-    }
-
-    fn note_write_failure(&self, key: u64, _reason: &ScenarioError) {
-        self.write_failures.fetch_add(1, Ordering::Relaxed);
-        self.note(Event {
-            cycle: 0,
-            severity: Severity::Warn,
-            component: "cache",
-            code: "write_failed",
-            a: key,
-            b: 0,
-        });
-        if let Some(m) = &self.metrics {
-            m.counter("cache.write_failures").add(1);
-        }
-    }
-
-    fn note(&self, event: Event) {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(event);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, V>> {
@@ -689,13 +621,9 @@ mod tests {
         // The bad entry moved aside: evidence preserved, lookups clean.
         assert!(!entry.exists());
         assert!(dir.join(format!("{}.json.corrupt", s.hash_hex())).exists());
-        let events = cache.take_events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].code, "entry_quarantined");
-        // Second lookup is a plain miss — no re-quarantine, no event.
+        // Second lookup is a plain miss — no re-quarantine.
         assert_eq!(cache.get(&s), None);
         assert_eq!(cache.stats().quarantined, 1);
-        assert!(cache.take_events().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -729,9 +657,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.disk_stores, stats.write_failures), (0, 1));
         assert!(!dir.join(format!("{}.json", s.hash_hex())).exists());
-        let events = cache.take_events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].code, "write_failed");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -784,20 +709,6 @@ mod tests {
         let clean = cache.verify().unwrap();
         assert_eq!((clean.entries, clean.corrupt), (2, 0));
         assert!(clean.is_clean());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn metrics_mirror_failure_counters() {
-        let dir = temp_dir("metrics");
-        let (encode, decode) = u64_codec();
-        let registry = MetricsRegistry::new();
-        let cache = RunCache::with_disk(&dir, encode, decode)
-            .unwrap()
-            .with_chaos(ChaosPlan::seeded(1).with_io_failures(1))
-            .with_metrics(registry.clone());
-        cache.insert(&scenario(1), 1);
-        assert_eq!(registry.counter("cache.write_failures").get(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

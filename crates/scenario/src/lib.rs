@@ -7,9 +7,9 @@
 //!
 //! * [`Scenario`] — a versioned (`rcoal-scenario/v1`), JSON
 //!   round-trippable description of exactly one run: policy, workload
-//!   size, seed, key, GPU-config overrides, fault plan, telemetry spec.
-//!   Everything that determines the run's results, and nothing that
-//!   doesn't (thread counts and host metrics stay out — results are
+//!   size, seed, key, GPU-config overrides, fault plan. Everything that
+//!   determines the run's results, and nothing that doesn't (thread
+//!   counts, host metrics and instrumentation stay out — results are
 //!   bit-identical across them).
 //! * [`SweepSpec`] — cartesian grids over a base scenario plus explicit
 //!   scenario lists (`rcoal-sweep/v1`), expanding deterministically to a
@@ -45,6 +45,6 @@ pub use cache::{
 pub use chaos::ChaosPlan;
 pub use scenario::{
     fault_plan_from_value, fault_plan_to_value, fnv1a_64, GpuOverrides, Scenario, ScenarioError,
-    TelemetryOverrides, DEFAULT_SEED, SCENARIO_SCHEMA,
+    DEFAULT_SEED, SCENARIO_SCHEMA,
 };
 pub use sweep::{parse_spec, SweepSpec, SWEEP_SCHEMA};

@@ -2,10 +2,9 @@
 //!
 //! A [`Scenario`] is data, not code: everything that determines a run's
 //! *results* — policy, workload size, seed, key, GPU overrides, fault
-//! plan, telemetry collection — and nothing that doesn't (worker-thread
-//! counts and host metrics are execution details; results are
-//! bit-identical across them, so they stay out of the scenario and out
-//! of its hash).
+//! plan — and nothing that doesn't (worker-thread counts, host metrics
+//! and instrumentation are execution details; results are bit-identical
+//! across them, so they stay out of the scenario and out of its hash).
 //!
 //! Scenarios serialize to a versioned (`rcoal-scenario/v1`), canonical
 //! JSON form: fixed field order, number literals written exactly, and
@@ -16,7 +15,6 @@
 use crate::json::{ObjBuilder, Value};
 use rcoal_core::CoalescingPolicy;
 use rcoal_gpu_sim::{FaultPlan, GpuConfig, McFault, ReplyJitter, SchedulerPolicy};
-use rcoal_telemetry::Severity;
 use std::fmt;
 
 /// Schema identifier written into every serialized scenario.
@@ -218,42 +216,6 @@ impl GpuOverrides {
     }
 }
 
-/// Telemetry collection requested by a scenario (the scenario-level
-/// mirror of the experiment layer's `TelemetrySpec`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetryOverrides {
-    /// Events retained per launch.
-    pub event_capacity: usize,
-    /// Severity floor for retained events.
-    pub min_severity: Severity,
-}
-
-impl TelemetryOverrides {
-    fn to_value(self) -> Value {
-        ObjBuilder::new()
-            .field("event_capacity", Value::usize(self.event_capacity))
-            .field("min_severity", Value::str(self.min_severity.as_str()))
-            .build()
-    }
-
-    fn from_value(v: &Value) -> Result<Self, ScenarioError> {
-        expect_fields(v, "telemetry", &["event_capacity", "min_severity"])?;
-        let event_capacity = v
-            .get("event_capacity")
-            .and_then(Value::as_usize)
-            .ok_or_else(|| ScenarioError::new("telemetry.event_capacity must be an integer"))?;
-        let sev_str = v
-            .get("min_severity")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ScenarioError::new("telemetry.min_severity must be a string"))?;
-        let min_severity = sev_str.parse::<Severity>().map_err(ScenarioError::new)?;
-        Ok(TelemetryOverrides {
-            event_capacity,
-            min_severity,
-        })
-    }
-}
-
 /// A fully declarative, versioned description of one experiment run.
 ///
 /// ```
@@ -294,8 +256,6 @@ pub struct Scenario {
     pub gpu: GpuOverrides,
     /// Injected hardware faults (timing-only perturbation).
     pub faults: FaultPlan,
-    /// Per-launch telemetry collection, if any.
-    pub telemetry: Option<TelemetryOverrides>,
 }
 
 impl Scenario {
@@ -314,7 +274,6 @@ impl Scenario {
             selective: false,
             gpu: GpuOverrides::none(),
             faults: FaultPlan::none(),
-            telemetry: None,
         }
     }
 
@@ -372,13 +331,6 @@ impl Scenario {
         self
     }
 
-    /// Requests per-launch telemetry.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: TelemetryOverrides) -> Self {
-        self.telemetry = Some(telemetry);
-        self
-    }
-
     /// The GPU configuration this scenario runs on.
     pub fn gpu_config(&self) -> GpuConfig {
         self.gpu.apply(GpuConfig::paper())
@@ -395,11 +347,6 @@ impl Scenario {
         }
         if self.lines == 0 {
             return Err(ScenarioError::new("lines must be positive"));
-        }
-        if self.telemetry.is_some() && !self.timing {
-            return Err(ScenarioError::new(
-                "telemetry requires a timing scenario (it instruments the cycle simulator)",
-            ));
         }
         self.gpu_config().validate().map_err(ScenarioError::new)?;
         self.faults.validate().map_err(ScenarioError::new)?;
@@ -426,10 +373,6 @@ impl Scenario {
             .opt_field(
                 "faults",
                 (self.faults != FaultPlan::none()).then(|| fault_plan_to_value(&self.faults)),
-            )
-            .opt_field(
-                "telemetry",
-                self.telemetry.map(TelemetryOverrides::to_value),
             )
             .build()
     }
@@ -473,7 +416,6 @@ impl Scenario {
                 "selective",
                 "gpu",
                 "faults",
-                "telemetry",
             ],
         )?;
         let schema = v.get("schema").and_then(Value::as_str).unwrap_or_default();
@@ -543,10 +485,6 @@ impl Scenario {
             None => FaultPlan::none(),
             Some(f) => fault_plan_from_value(f)?,
         };
-        let telemetry = match v.get("telemetry") {
-            None => None,
-            Some(t) => Some(TelemetryOverrides::from_value(t)?),
-        };
         Ok(Scenario {
             policy,
             workload,
@@ -558,7 +496,6 @@ impl Scenario {
             selective,
             gpu,
             faults,
-            telemetry,
         })
     }
 
@@ -802,17 +739,12 @@ mod tests {
             }),
         );
         out.push(
-            Scenario::new(CoalescingPolicy::Baseline, 8, 32)
-                .with_faults(
-                    FaultPlan::seeded(9)
-                        .with_jitter(ReplyJitter::Uniform { min: 1, max: 40 })
-                        .with_mc_drop(2, 0.05, 3)
-                        .with_backpressure(0.001, 16),
-                )
-                .with_telemetry(TelemetryOverrides {
-                    event_capacity: 128,
-                    min_severity: Severity::Info,
-                }),
+            Scenario::new(CoalescingPolicy::Baseline, 8, 32).with_faults(
+                FaultPlan::seeded(9)
+                    .with_jitter(ReplyJitter::Uniform { min: 1, max: 40 })
+                    .with_mc_drop(2, 0.05, 3)
+                    .with_backpressure(0.001, 16),
+            ),
         );
         out.push(
             Scenario::new(CoalescingPolicy::Baseline, 8, 32).with_faults(
@@ -869,15 +801,7 @@ mod tests {
     #[test]
     fn defaults_are_omitted_from_canonical_form() {
         let json = Scenario::new(CoalescingPolicy::Baseline, 1, 32).to_json();
-        for absent in [
-            "workload",
-            "key",
-            "timing",
-            "selective",
-            "gpu",
-            "faults",
-            "telemetry",
-        ] {
+        for absent in ["workload", "key", "timing", "selective", "gpu", "faults"] {
             assert!(
                 !json.contains(&format!("\"{absent}\"")),
                 "{absent} should be omitted: {json}"
@@ -920,6 +844,12 @@ mod tests {
             r#"{{"schema":"{SCENARIO_SCHEMA}","policy":"baseline","num_plaintexts":1,"lines":32,"seed":1,"gpu":{{"cores":3}}}}"#
         );
         assert!(Scenario::from_json(&gpu).is_err());
+        // Instrumentation is an execution detail, not part of a scenario.
+        let telemetry = format!(
+            r#"{{"schema":"{SCENARIO_SCHEMA}","policy":"baseline","num_plaintexts":1,"lines":32,"seed":1,"telemetry":{{"event_capacity":4,"min_severity":"info"}}}}"#
+        );
+        let err = Scenario::from_json(&telemetry).unwrap_err().to_string();
+        assert!(err.contains("telemetry"), "{err}");
     }
 
     #[test]
@@ -1018,13 +948,6 @@ mod tests {
         let bad_faults = Scenario::new(CoalescingPolicy::Baseline, 1, 32)
             .with_faults(FaultPlan::none().with_drop(1.5, 0));
         assert!(bad_faults.validate().is_err());
-        let functional_telemetry = Scenario::new(CoalescingPolicy::Baseline, 1, 32)
-            .functional_only()
-            .with_telemetry(TelemetryOverrides {
-                event_capacity: 1,
-                min_severity: Severity::Debug,
-            });
-        assert!(functional_telemetry.validate().is_err());
         Scenario::new(CoalescingPolicy::Baseline, 1, 32)
             .validate()
             .unwrap();

@@ -77,12 +77,12 @@ impl Occupancy {
         &self.pmf
     }
 
-    /// E[𝔑].
+    /// `E[𝔑]`.
     pub fn mean(&self) -> f64 {
         self.pmf.iter().enumerate().map(|(i, p)| i as f64 * p).sum()
     }
 
-    /// E[𝔑²].
+    /// `E[𝔑²]`.
     pub fn second_moment(&self) -> f64 {
         self.pmf
             .iter()
@@ -91,7 +91,7 @@ impl Occupancy {
             .sum()
     }
 
-    /// Var[𝔑].
+    /// `Var[𝔑]`.
     pub fn variance(&self) -> f64 {
         let m = self.mean();
         (self.second_moment() - m * m).max(0.0)

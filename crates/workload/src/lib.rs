@@ -76,19 +76,6 @@ pub struct WorkloadGeometry {
     pub entry_bytes: usize,
 }
 
-impl WorkloadGeometry {
-    /// Table entries sharing one 64-byte coalescing block.
-    pub fn entries_per_block(&self) -> usize {
-        64 / self.entry_bytes.max(1)
-    }
-
-    /// `log2(entries_per_block)` — the shift of a
-    /// [`XorWhiteningOracle`] over this geometry.
-    pub fn oracle_shift(&self) -> u32 {
-        self.entries_per_block().trailing_zeros()
-    }
-}
-
 /// A GPU kernel instance built by a workload: a simulator [`Kernel`]
 /// that also exposes the per-line text the attacker observes
 /// (ciphertexts for AES's last-round attack, plaintext lines for the

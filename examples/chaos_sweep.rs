@@ -5,13 +5,14 @@
 //! cargo run --release --example chaos_sweep
 //! ```
 //!
-//! PR 1 injected faults into the *simulated* GPU; this demo injects
-//! them into the *host* that runs it: worker panics, failed disk
-//! writes, and payload corruption, all from one seeded [`ChaosPlan`].
-//! The sweep runner retries panicking workers, quarantines
-//! the incurable, counts every lost disk write, and stores each
-//! completed run as it finishes — so a killed process resumes where it
-//! crashed, serving finished work bit-identically from the store.
+//! `fault_tolerance` injects faults into the *simulated* GPU; this demo
+//! injects them into the *host* that runs it: worker panics and failed
+//! disk writes, both from one seeded [`ChaosPlan`]. The sweep runner
+//! retries panicking workers (twice, after 10 ms and 20 ms),
+//! quarantines the incurable, counts every lost disk write in its
+//! `CacheStats`, and stores each completed run as it finishes — so a
+//! killed process resumes where it crashed, serving finished work
+//! bit-identically from the store.
 
 use rcoal::prelude::*;
 use rcoal_experiments::SweepRunner;
@@ -64,9 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for q in &outcome.quarantined {
         println!("  quarantined {:016x}: {}", q.hash, q.reason);
-    }
-    for event in runner.take_cache_events() {
-        println!("  [telemetry] {}", event.to_line());
     }
     drop(runner);
 

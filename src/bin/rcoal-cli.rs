@@ -66,13 +66,16 @@ USAGE:
       to results. Every completed run is fsync'd into the store as it
       finishes, so re-running the same spec serves everything from
       cache and a killed sweep resumes without redoing completed work.
-      A scenario that still fails after two retries is quarantined:
-      reported on stderr and in index.json, its row skipped, while the
-      other scenarios run to completion and are saved; the sweep then
-      exits 1. --cache false simulates everything afresh and keeps no
-      store. The --chaos-* flags arm seeded fault injection (worker
-      panics / process abort once N runs are stored) for crash
-      testing; they need the cache.
+      The `store` line counts the runs written to DIR/cache, the
+      writes that failed, and the corrupt entries moved aside to
+      .corrupt files (their runs simulate again). A scenario that
+      still fails after two retries is quarantined: reported on stderr
+      and in index.json, its row skipped, while the other scenarios
+      run to completion and are saved; the sweep then exits 1.
+      --cache false simulates everything afresh and keeps no store.
+      The --chaos-* flags arm seeded fault injection (worker panics /
+      process abort once N runs are stored) for crash testing; they
+      need the cache.
 
   rcoal-cli audit --policy <POLICY> [--workload W] [--samples N] [--lines L] [--seed S] [--byte J]
                   [--channel CH] [--threads T] [--cache DIR] [--out FILE]
@@ -980,18 +983,14 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), String> {
             .field("scenario", s.to_value());
         match row {
             Some(d) => {
-                let result_ref = match encode_run(d) {
-                    Some(json) => {
-                        let file = results_dir.join(format!("{hash}.json"));
-                        std::fs::write(&file, json)
-                            .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
-                        Value::str(format!("results/{hash}.json"))
-                    }
-                    // Telemetry-bearing runs stay memory-only by design.
-                    None => Value::Null,
-                };
+                // Scenarios run uninstrumented, so every row encodes.
+                let json = encode_run(d)
+                    .ok_or_else(|| format!("internal: run {hash} has no store encoding"))?;
+                let file = results_dir.join(format!("{hash}.json"));
+                std::fs::write(&file, json)
+                    .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
                 entry = entry
-                    .field("result", result_ref)
+                    .field("result", Value::str(format!("results/{hash}.json")))
                     .field("mean_total_accesses", Value::f64(d.mean_total_accesses()));
                 if let Ok(cycles) = d.mean_total_cycles() {
                     entry = entry.field("mean_total_cycles", Value::f64(cycles));
@@ -1026,6 +1025,15 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), String> {
         100.0 * report.hit_rate(),
         stats.disk_hits
     );
+    if caching {
+        println!(
+            "store            : {} written, {} write failure(s), {} corrupt entr{} quarantined",
+            stats.disk_stores,
+            stats.write_failures,
+            stats.quarantined,
+            if stats.quarantined == 1 { "y" } else { "ies" }
+        );
+    }
     println!("retried          : {}", report.retried);
     let quarantined = &outcome.quarantined;
     if !quarantined.is_empty() {

@@ -6,7 +6,8 @@
 //! with no unwinding) and resumed. The resumed sweep must serve every
 //! stored run without re-simulating it and produce result files
 //! byte-identical to the reference — the acceptance criterion for the
-//! crash-safe store.
+//! crash-safe store. A store entry damaged on disk must likewise be
+//! set aside, re-simulated, and reported on the sweep's `store` line.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -198,6 +199,49 @@ fn chaos_panic_sweep_never_loses_runs() {
         3,
         "each run resolved or quarantined, none lost:\n{index}"
     );
+
+    std::fs::remove_dir_all(&out_dir).unwrap();
+}
+
+#[test]
+fn corrupted_store_entry_is_quarantined_and_reported() {
+    let out_dir = temp_dir("corrupt");
+    let spec = spec_path();
+    let sweep =
+        || run_ok(cli().args(["sweep", "--spec", &spec, "--out", out_dir.to_str().unwrap()]));
+    let first = sweep();
+    let stdout = String::from_utf8_lossy(&first.stdout);
+    assert!(
+        stdout.contains(
+            "store            : 3 written, 0 write failure(s), 0 corrupt entries quarantined"
+        ),
+        "{stdout}"
+    );
+    let reference = result_files(&out_dir);
+
+    // Tear one stored run in half, as a failing disk might.
+    let store = out_dir.join("cache");
+    let victim = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .min()
+        .unwrap();
+    let bytes = std::fs::read(&victim).unwrap();
+    std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+
+    // The rerun re-simulates exactly the damaged run and says why.
+    let rerun = sweep();
+    let stdout = String::from_utf8_lossy(&rerun.stdout);
+    assert!(stdout.contains("1 simulated, 2 from cache"), "{stdout}");
+    assert!(
+        stdout.contains(
+            "store            : 1 written, 0 write failure(s), 1 corrupt entry quarantined"
+        ),
+        "the quarantine must be reported:\n{stdout}"
+    );
+    assert_eq!(result_files(&out_dir), reference, "results unchanged");
+    run_ok(cli().args(["cache", "verify", store.to_str().unwrap()]));
 
     std::fs::remove_dir_all(&out_dir).unwrap();
 }
