@@ -218,9 +218,19 @@ impl Attack {
     }
 
     /// The configured worker-thread override (the streaming engine
-    /// parallelizes per guess).
+    /// parallelizes over blocks of guesses).
     pub(crate) fn threads_option(&self) -> Option<usize> {
         self.threads
+    }
+
+    /// Monte-Carlo replays each prediction averages over.
+    pub(crate) fn mc_samples(&self) -> usize {
+        self.mc_samples
+    }
+
+    /// The oracle mapping (observed byte, guess) to a block index.
+    pub(crate) fn oracle(&self) -> &dyn TableOracle {
+        self.oracle.as_ref()
     }
 
     /// The attached metrics sink, if any.

@@ -18,11 +18,15 @@
 //!   wrap collected samples; `rcoal-experiments` provides a
 //!   simulator-backed source that *generates* launches chunk by chunk.
 //! * [`StreamingByteRecovery`] / [`StreamingKeyRecovery`] — the
-//!   256-guess sweep over a chunk, parallelized per guess. Each guess
-//!   owns its predictor (seeded `attack.seed ^ guess`) and its
-//!   accumulator, and consumes samples in stream order — so the
-//!   accumulator state is **bit-identical at any thread count and any
-//!   chunk size**.
+//!   256-guess sweep over a chunk, held guess-major: the time side of
+//!   the 256 accumulators once, their prediction side as 256-wide
+//!   arrays, fanned out over fixed blocks of guesses. Deterministic
+//!   attacker models predict a whole block per sample with one bitmask
+//!   kernel; randomized ones keep a predictor per guess (seeded
+//!   `attack.seed ^ guess`). Every guess consumes samples in stream
+//!   order, so the accumulator state is **bit-identical at any thread
+//!   count and any chunk size**, and bit-identical to one
+//!   [`PearsonAccumulator`] per guess.
 //! * [`EarlyStop`] — terminate once the leader's separation is
 //!   statistically stable: the same guess leads for `stable_checkpoints`
 //!   consecutive checkpoints with a margin above `margin_k / √n` (the
@@ -31,10 +35,12 @@
 //!   band and the leader unstable, so it never confidently terminates.
 
 use crate::error::AttackError;
+use crate::oracle::TableOracle;
 use crate::predict::AccessPredictor;
 use crate::recover::{Attack, AttackSample, ByteRecovery, KeyRecovery};
-use rcoal_core::MAX_LANES;
-use rcoal_parallel::{parallel_map, resolve_threads};
+use rcoal_core::{CoalescingPolicy, MAX_LANES};
+use rcoal_parallel::{parallel_map_mut, resolve_threads};
+use rcoal_rng::{SeedableRng, StdRng};
 
 /// Incremental Pearson correlation over a stream of `(x, y)` pairs,
 /// using bivariate Welford updates (centered moments) instead of raw
@@ -63,18 +69,8 @@ impl PearsonAccumulator {
 
     /// Feeds one `(x, y)` observation.
     pub fn push(&mut self, x: f64, y: f64) {
-        self.n += 1;
-        let nf = self.n as f64;
-        let dx = x - self.mean_x;
-        let dy = y - self.mean_y;
-        self.mean_x += dx / nf;
-        self.mean_y += dy / nf;
-        // `dy2` uses the *updated* mean — the standard bivariate Welford
-        // co-moment recurrence.
-        let dy2 = y - self.mean_y;
-        self.m2_x += dx * (x - self.mean_x);
-        self.m2_y += dy * dy2;
-        self.cxy += dx * dy2;
+        let step = y_step(&mut self.n, &mut self.mean_y, &mut self.m2_y, y);
+        x_step(&mut self.mean_x, &mut self.m2_x, &mut self.cxy, x, step);
     }
 
     /// Observations consumed.
@@ -130,6 +126,41 @@ impl PearsonAccumulator {
             self.cxy.to_bits(),
         ]
     }
+}
+
+/// What one observation's `y` hands to every `x` side that shares its
+/// stream: the updated count and `y`'s residual against the updated
+/// mean.
+#[derive(Debug, Clone, Copy)]
+struct YStep {
+    nf: f64,
+    dy2: f64,
+}
+
+/// The `y` half of one bivariate Welford step. [`PearsonAccumulator`]
+/// runs it per observation; [`StreamingByteRecovery`] runs it once per
+/// sample for all 256 guesses, which see the same `y` stream.
+fn y_step(n: &mut u64, mean_y: &mut f64, m2_y: &mut f64, y: f64) -> YStep {
+    *n += 1;
+    let nf = *n as f64;
+    let dy = y - *mean_y;
+    *mean_y += dy / nf;
+    // `dy2` uses the *updated* mean — the standard bivariate Welford
+    // co-moment recurrence.
+    let dy2 = y - *mean_y;
+    *m2_y += dy * dy2;
+    YStep { nf, dy2 }
+}
+
+/// The `x` half of one bivariate Welford step: the recurrence's one
+/// implementation of the prediction side, for [`PearsonAccumulator`]
+/// and the guess-major engine alike.
+#[inline]
+fn x_step(mean_x: &mut f64, m2_x: &mut f64, cxy: &mut f64, x: f64, step: YStep) {
+    let dx = x - *mean_x;
+    *mean_x += dx / step.nf;
+    *m2_x += dx * (x - *mean_x);
+    *cxy += dx * step.dy2;
 }
 
 /// Pearson correlation coefficient of two equal-length samples: a fold
@@ -210,34 +241,270 @@ impl SampleSource for SliceSource<'_> {
     }
 }
 
-/// One guess's streaming state: its independently seeded predictor plus
-/// its correlation accumulator.
-#[derive(Debug, Clone)]
-struct GuessLane {
-    guess: u8,
-    predictor: AccessPredictor,
-    acc: PearsonAccumulator,
+/// Guesses per fan-out item of [`StreamingByteRecovery::push_chunk`].
+/// Eight `u64` masks fill four SSE2 registers: a lane's row is ORed in
+/// without spilling, where 32-guess masks spill to the stack.
+const BLOCK: usize = 8;
+
+/// Fan-out items per chunk: the 256 guesses in fixed blocks.
+const BLOCKS: usize = 256 / BLOCK;
+
+/// The prediction (`x`) side of [`BLOCK`] consecutive guesses'
+/// accumulators; their `y` side is the engine's, shared by all 256.
+#[derive(Debug, Clone, Default)]
+struct GuessBlock {
+    mean_x: [f64; BLOCK],
+    m2_x: [f64; BLOCK],
+    cxy: [f64; BLOCK],
+    /// One predictor per guess when the row kernel does not serve this
+    /// engine (randomized policies, wide oracles); empty otherwise.
+    predictors: Vec<AccessPredictor>,
 }
 
-/// Streaming recovery of one key byte: 256 `GuessLane`s fed chunk by
-/// chunk, parallelized per guess.
+impl GuessBlock {
+    /// Folds one sample's predictions for the whole block in.
+    fn push_x(&mut self, x: &[f64; BLOCK], step: YStep) {
+        let sides = self
+            .mean_x
+            .iter_mut()
+            .zip(&mut self.m2_x)
+            .zip(&mut self.cxy);
+        for (((mean_x, m2_x), cxy), &x) in sides.zip(x) {
+            x_step(mean_x, m2_x, cxy, x, step);
+        }
+    }
+
+    /// The per-guess path: guess `first + j`'s own predictor predicts
+    /// every sample in stream order.
+    fn push_predicted(&mut self, first: usize, column: &[u8], samples: &[SampleStep]) {
+        for (j, predictor) in self.predictors.iter_mut().enumerate() {
+            let guess = (first + j) as u8;
+            let mut start = 0;
+            for s in samples {
+                let x = predictor.predict_bytes(&column[start..s.end], guess);
+                start = s.end;
+                x_step(
+                    &mut self.mean_x[j],
+                    &mut self.m2_x[j],
+                    &mut self.cxy[j],
+                    x,
+                    s.step,
+                );
+            }
+        }
+    }
+}
+
+/// One sample of the chunk being pushed: where its byte column ends in
+/// the engine's flat column buffer, and its shared `y` step.
+#[derive(Debug, Clone, Copy)]
+struct SampleStep {
+    end: usize,
+    step: YStep,
+}
+
+/// `rows[k][b][j] = 1 << block_of(b, BLOCK·k + j)`: for guess block `k`,
+/// the block bit of every observed byte under each of its guesses.
+#[derive(Clone)]
+struct RowTable(Vec<[[u64; BLOCK]; 256]>);
+
+impl std::fmt::Debug for RowTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("RowTable(256 bytes x 256 guesses)")
+    }
+}
+
+impl RowTable {
+    /// The table for `oracle`, or `None` when some block index does not
+    /// fit a `u64` mask (the 64-block window of
+    /// [`rcoal_core::count_block_accesses`]).
+    fn build(oracle: &dyn TableOracle) -> Option<Self> {
+        let mut rows = vec![[[0u64; BLOCK]; 256]; BLOCKS];
+        for (k, table) in rows.iter_mut().enumerate() {
+            for (b, row) in table.iter_mut().enumerate() {
+                for (j, bit) in row.iter_mut().enumerate() {
+                    let block = oracle.block_of(b as u8, (k * BLOCK + j) as u8);
+                    if block >= u64::from(u64::BITS) {
+                        return None;
+                    }
+                    *bit = 1 << block;
+                }
+            }
+        }
+        Some(RowTable(rows))
+    }
+}
+
+/// A deterministic policy's split of one warp width, in the form the
+/// row kernel walks.
+#[derive(Debug, Clone)]
+struct WarpPlan {
+    /// Lanes of each subwarp with two or more lanes.
+    groups: Vec<Vec<usize>>,
+    /// Accesses no mask is needed for: one per single-lane subwarp, or
+    /// one per lane when the policy cannot split this width.
+    fixed: u32,
+}
+
+/// The row kernel: every guess of a block predicted per sample from one
+/// row of block bits per lane. Each lane ORs its byte's row into its
+/// subwarp's masks, and a mask's popcount is that subwarp's distinct
+/// block count for each guess — the guess-major form of
+/// [`rcoal_core::count_block_accesses`], exact while every block index
+/// is below 64.
+#[derive(Debug, Clone)]
+struct RowKernel {
+    rows: RowTable,
+    /// `plans[w - 1]` splits a `w`-lane warp, for every `w` up to the
+    /// attack's warp width.
+    plans: Vec<WarpPlan>,
+    warp_size: usize,
+    mc: usize,
+}
+
+impl RowKernel {
+    /// The kernel for a deterministic `attack`, or `None` when its
+    /// oracle reaches past 64 blocks.
+    fn new(attack: &Attack) -> Option<Self> {
+        let rows = RowTable::build(attack.oracle())?;
+        let policy = attack.policy();
+        let warp_size = attack.warp_size().max(1);
+        let plans = (1..=warp_size)
+            .map(|width| warp_plan(policy, width))
+            .collect();
+        Some(RowKernel {
+            rows,
+            plans,
+            warp_size,
+            mc: attack.mc_samples(),
+        })
+    }
+
+    /// Pushes the chunk through guess block `k`.
+    fn push(&self, k: usize, block: &mut GuessBlock, column: &[u8], samples: &[SampleStep]) {
+        let rows = &self.rows.0[k];
+        let mut start = 0;
+        for s in samples {
+            let x = self.predict(rows, &column[start..s.end]);
+            start = s.end;
+            block.push_x(&x, s.step);
+        }
+    }
+
+    /// The block's predictions for one sample's byte column, each equal
+    /// bit for bit to `predict_bytes` for its guess: per warp, the
+    /// count over `mc`, added `mc` times.
+    fn predict(&self, rows: &[[u64; BLOCK]; 256], column: &[u8]) -> [f64; BLOCK] {
+        if self.mc == 1 {
+            // Each warp adds `count / 1.0` once: an exact integer sum.
+            let mut total = [0u32; BLOCK];
+            for warp in column.chunks(self.warp_size) {
+                let count = self.count(rows, warp);
+                for (t, c) in total.iter_mut().zip(count) {
+                    *t += c;
+                }
+            }
+            return total.map(f64::from);
+        }
+        let mc = self.mc as f64;
+        let mut x = [0.0; BLOCK];
+        for warp in column.chunks(self.warp_size) {
+            for (xj, c) in x.iter_mut().zip(self.count(rows, warp)) {
+                let share = f64::from(c) / mc;
+                for _ in 0..self.mc {
+                    *xj += share;
+                }
+            }
+        }
+        x
+    }
+
+    /// The block's access counts for one warp.
+    #[inline]
+    fn count(&self, rows: &[[u64; BLOCK]; 256], warp: &[u8]) -> [u32; BLOCK] {
+        let plan = &self.plans[warp.len() - 1];
+        let mut count = [plan.fixed; BLOCK];
+        for group in &plan.groups {
+            let mut mask = [0u64; BLOCK];
+            for &lane in group {
+                for (m, r) in mask.iter_mut().zip(&rows[usize::from(warp[lane])]) {
+                    *m |= r;
+                }
+            }
+            for (c, m) in count.iter_mut().zip(mask) {
+                *c += m.count_ones();
+            }
+        }
+        count
+    }
+}
+
+/// The split of a `width`-lane warp under deterministic `policy`.
+fn warp_plan(policy: CoalescingPolicy, width: usize) -> WarpPlan {
+    // A deterministic policy draws nothing from the RNG.
+    let mut rng = StdRng::seed_from_u64(0);
+    match policy.assignment(width, &mut rng) {
+        Ok(assignment) => {
+            let (groups, singles): (Vec<_>, Vec<_>) = assignment
+                .lanes_by_subwarp()
+                .into_iter()
+                .partition(|lanes| lanes.len() > 1);
+            WarpPlan {
+                groups,
+                fixed: singles.len() as u32,
+            }
+        }
+        // A policy that cannot split this (partial) warp — e.g. FSS(8)
+        // on a 4-line tail — degrades to one access per thread.
+        Err(_) => WarpPlan {
+            groups: Vec::new(),
+            fixed: width as u32,
+        },
+    }
+}
+
+/// How the engine predicts, chosen on the first push.
+#[derive(Debug, Clone)]
+enum Kernel {
+    /// Nothing pushed yet.
+    Unbuilt,
+    /// Deterministic policies whose oracle fits the `u64` masks.
+    Rows(RowKernel),
+    /// One [`AccessPredictor`] per guess, held by the guess blocks.
+    PerGuess,
+}
+
+/// Streaming recovery of one key byte: 256 guess accumulators fed chunk
+/// by chunk, parallelized over fixed blocks of guesses.
 ///
-/// Resident state is ~256 predictors + accumulators — independent of how
-/// many samples flow through. Determinism contract: lane `m` consumes
-/// the stream in order whatever the chunking, and lanes are independent,
-/// so the accumulator state (and therefore every correlation, argmax,
-/// and rank) is bit-identical at any thread count and chunk size.
+/// Resident state is independent of how many samples flow through: the
+/// shared time side, 256 prediction sides, and the predictors or the
+/// row table. Determinism contract: every guess consumes the stream in
+/// order whatever the chunking, and guesses are independent, so the
+/// accumulator state (and therefore every correlation, argmax, and
+/// rank) is bit-identical at any thread count and chunk size — and to a
+/// [`PearsonAccumulator`] fed guess `m`'s `predict_bytes` in order.
 #[derive(Debug, Clone)]
 pub struct StreamingByteRecovery {
-    lanes: Vec<GuessLane>,
+    attack: Attack,
     byte: usize,
-    threads: Option<usize>,
-    n: usize,
+    /// The time side every guess shares: samples consumed, their mean,
+    /// and their centered second moment.
+    n: u64,
+    mean_y: f64,
+    m2_y: f64,
+    blocks: Vec<GuessBlock>,
+    kernel: Kernel,
+    /// Scratch reused across pushes: the chunk's byte columns back to
+    /// back, and each sample's column end and time step.
+    column: Vec<u8>,
+    samples: Vec<SampleStep>,
 }
 
 impl StreamingByteRecovery {
     /// Starts a streaming recovery of key byte `byte`, mirroring
     /// `attack`'s policy, oracle, per-guess seeds, and thread count.
+    /// Predictors or the row table are built on the first push.
     ///
     /// # Errors
     ///
@@ -254,18 +521,16 @@ impl StreamingByteRecovery {
                 attack.warp_size()
             )));
         }
-        let lanes = (0..=255u8)
-            .map(|m| GuessLane {
-                guess: m,
-                predictor: attack.predictor_for_guess(m),
-                acc: PearsonAccumulator::new(),
-            })
-            .collect();
         Ok(StreamingByteRecovery {
-            lanes,
+            attack: attack.clone(),
             byte,
-            threads: attack.threads_option(),
             n: 0,
+            mean_y: 0.0,
+            m2_y: 0.0,
+            blocks: vec![GuessBlock::default(); BLOCKS],
+            kernel: Kernel::Unbuilt,
+            column: Vec::new(),
+            samples: Vec::new(),
         })
     }
 
@@ -276,7 +541,7 @@ impl StreamingByteRecovery {
 
     /// Samples consumed so far.
     pub fn len(&self) -> usize {
-        self.n
+        self.n as usize
     }
 
     /// Whether no samples have been consumed.
@@ -286,46 +551,71 @@ impl StreamingByteRecovery {
 
     /// Feeds one chunk of samples to all 256 guesses.
     ///
-    /// The byte column is extracted once per sample (not once per
-    /// guess), then each lane processes the chunk sequentially into its
-    /// own accumulator on a worker thread.
+    /// The byte columns are extracted once into one flat buffer and the
+    /// time side steps once per sample; then each block of guesses walks
+    /// the chunk in sample order on a worker thread.
     pub fn push_chunk(&mut self, chunk: &[AttackSample]) {
         if chunk.is_empty() {
             return;
         }
+        if matches!(self.kernel, Kernel::Unbuilt) {
+            self.kernel = self.build_kernel();
+        }
         let byte = self.byte;
-        let columns: Vec<Vec<u8>> = chunk
-            .iter()
-            .map(|s| s.ciphertexts.iter().map(|ct| ct[byte]).collect())
-            .collect();
-        let times: Vec<f64> = chunk.iter().map(|s| s.time).collect();
-        let threads = resolve_threads(self.threads);
-        let lanes = std::mem::take(&mut self.lanes);
-        self.lanes = parallel_map(threads, &lanes, |_, lane| {
-            let mut lane = lane.clone();
-            // Predict the whole chunk before folding it in: with no call
-            // inside the fold, the accumulator stays in registers.
-            let predicted: Vec<f64> = columns
-                .iter()
-                .map(|col| lane.predictor.predict_bytes(col, lane.guess))
-                .collect();
-            for (&x, &t) in predicted.iter().zip(&times) {
-                lane.acc.push(x, t);
-            }
-            lane
+        self.column.clear();
+        self.samples.clear();
+        for sample in chunk {
+            self.column
+                .extend(sample.ciphertexts.iter().map(|ct| ct[byte]));
+            let step = y_step(&mut self.n, &mut self.mean_y, &mut self.m2_y, sample.time);
+            self.samples.push(SampleStep {
+                end: self.column.len(),
+                step,
+            });
+        }
+        let threads = resolve_threads(self.attack.threads_option());
+        let (kernel, column, samples) = (&self.kernel, &self.column[..], &self.samples[..]);
+        parallel_map_mut(threads, &mut self.blocks, |k, block| match kernel {
+            Kernel::Rows(rows) => rows.push(k, block, column, samples),
+            Kernel::Unbuilt | Kernel::PerGuess => block.push_predicted(k * BLOCK, column, samples),
         });
-        self.n += chunk.len();
+    }
+
+    /// The row kernel for deterministic policies; otherwise one
+    /// predictor per guess, handed to the guess blocks.
+    fn build_kernel(&mut self) -> Kernel {
+        if !self.attack.policy().is_randomized() {
+            if let Some(rows) = RowKernel::new(&self.attack) {
+                return Kernel::Rows(rows);
+            }
+        }
+        for (k, block) in self.blocks.iter_mut().enumerate() {
+            block.predictors = (0..BLOCK)
+                .map(|j| self.attack.predictor_for_guess((k * BLOCK + j) as u8))
+                .collect();
+        }
+        Kernel::PerGuess
     }
 
     /// Current correlation of guess `m` (0.0 while degenerate).
     pub fn correlation_of(&self, m: u8) -> f64 {
-        self.lanes[usize::from(m)].acc.correlation()
+        self.accumulator(m).correlation()
     }
 
     /// Accumulator of guess `m` (for state inspection / bit-identity
-    /// checks).
-    pub fn accumulator(&self, m: u8) -> &PearsonAccumulator {
-        &self.lanes[usize::from(m)].acc
+    /// checks), assembled from the shared time side and the guess's
+    /// prediction side.
+    pub fn accumulator(&self, m: u8) -> PearsonAccumulator {
+        let block = &self.blocks[usize::from(m) / BLOCK];
+        let j = usize::from(m) % BLOCK;
+        PearsonAccumulator {
+            n: self.n,
+            mean_x: block.mean_x[j],
+            mean_y: self.mean_y,
+            m2_x: block.m2_x[j],
+            m2_y: self.m2_y,
+            cxy: block.cxy[j],
+        }
     }
 
     /// The guess currently leading — an allocation-free scan over the
@@ -336,25 +626,25 @@ impl StreamingByteRecovery {
 
     /// `(leader, leader_corr, runner_up_corr)` in one scan.
     pub fn leader(&self) -> (u8, f64, f64) {
-        let mut best = 0usize;
+        let mut best = 0u8;
         let mut best_r = f64::NEG_INFINITY;
         let mut second_r = f64::NEG_INFINITY;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let r = lane.acc.correlation();
+        for m in 0..=u8::MAX {
+            let r = self.correlation_of(m);
             if r > best_r {
                 second_r = best_r;
                 best_r = r;
-                best = i;
+                best = m;
             } else if r > second_r {
                 second_r = r;
             }
         }
-        (best as u8, best_r, second_r)
+        (best, best_r, second_r)
     }
 
     /// Snapshot of the full recovery state.
     pub fn snapshot(&self) -> ByteRecovery {
-        let correlations: Vec<f64> = self.lanes.iter().map(|l| l.acc.correlation()).collect();
+        let correlations: Vec<f64> = (0..=u8::MAX).map(|m| self.correlation_of(m)).collect();
         ByteRecovery {
             best_guess: self.best_guess(),
             correlations,
@@ -1020,6 +1310,92 @@ mod tests {
                     "chunk {chunk} x threads {threads} must be bit-identical"
                 ),
             }
+        }
+    }
+
+    /// `lines`-line samples of random bytes with random times.
+    fn random_samples(n: usize, lines: usize, seed: u64) -> Vec<AttackSample> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let cts: Vec<Block> = (0..lines)
+                    .map(|_| {
+                        let mut b = [0u8; 16];
+                        rng.fill(&mut b);
+                        b
+                    })
+                    .collect();
+                AttackSample {
+                    ciphertexts: Arc::new(cts),
+                    time: rng.gen_range(0.0..40.0),
+                }
+            })
+            .collect()
+    }
+
+    /// The per-guess loop: guess `m`'s own predictor feeds its own
+    /// accumulator, sample by sample.
+    fn per_guess_states(attack: &Attack, samples: &[AttackSample], byte: usize) -> Vec<[u64; 6]> {
+        (0..=255u8)
+            .map(|m| {
+                let mut predictor = attack.predictor_for_guess(m);
+                let mut acc = PearsonAccumulator::new();
+                for s in samples {
+                    acc.push(predictor.predict(&s.ciphertexts, byte, m), s.time);
+                }
+                acc.state_bits()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_kernel_matches_per_guess_predictors() {
+        // Full warps, a 4-lane tail FSS(8) cannot split, and averaged
+        // replays: each guess's state equals its own accumulator fed
+        // its own predictor's output.
+        for policy in [
+            CoalescingPolicy::Baseline,
+            CoalescingPolicy::Disabled,
+            CoalescingPolicy::fss(4).unwrap(),
+            CoalescingPolicy::fss(8).unwrap(),
+        ] {
+            for (lines, mc) in [(32, 1), (36, 1), (36, 3)] {
+                let samples = random_samples(9, lines, 3);
+                let attack = Attack::against(policy, 32)
+                    .with_mc_samples(mc)
+                    .with_threads(Some(2));
+                let mut engine = StreamingByteRecovery::new(&attack, 5).unwrap();
+                for c in samples.chunks(4) {
+                    engine.push_chunk(c);
+                }
+                assert!(matches!(engine.kernel, Kernel::Rows(_)));
+                let state: Vec<[u64; 6]> = (0..=255u8)
+                    .map(|m| engine.accumulator(m).state_bits())
+                    .collect();
+                assert_eq!(
+                    state,
+                    per_guess_states(&attack, &samples, 5),
+                    "{policy}, {lines} lines, mc {mc}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn randomized_policies_and_wide_oracles_keep_per_guess_predictors() {
+        let samples = random_samples(5, 32, 4);
+        let wide = Attack::baseline(32)
+            .with_oracle(Arc::new(crate::oracle::XorWhiteningOracle::new(0, 16)));
+        let randomized = Attack::against(CoalescingPolicy::rss_rts(8).unwrap(), 32);
+        for attack in [wide, randomized] {
+            let mut engine = StreamingByteRecovery::new(&attack, 1).unwrap();
+            assert!(matches!(engine.kernel, Kernel::Unbuilt), "built lazily");
+            engine.push_chunk(&samples);
+            assert!(matches!(engine.kernel, Kernel::PerGuess));
+            let state: Vec<[u64; 6]> = (0..=255u8)
+                .map(|m| engine.accumulator(m).state_bits())
+                .collect();
+            assert_eq!(state, per_guess_states(&attack, &samples, 1));
         }
     }
 

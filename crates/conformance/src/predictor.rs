@@ -69,7 +69,7 @@ fn reference_predictions(
 
 /// Every registered workload's oracle, plus the 256-block whitening
 /// oracle that only the fallback count can handle.
-fn oracles() -> Vec<(String, Arc<dyn TableOracle>)> {
+pub(crate) fn oracles() -> Vec<(String, Arc<dyn TableOracle>)> {
     let mut oracles: Vec<(String, Arc<dyn TableOracle>)> = rcoal_workload::registry()
         .iter()
         .map(|w| (w.name().to_string(), w.oracle()))

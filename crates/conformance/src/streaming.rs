@@ -13,10 +13,18 @@
 //!    guess's correlation must agree within 1e-9 (Welford and two-pass
 //!    differ only in summation order), and the argmax, the true
 //!    subkey byte's rank, and the recovered key must match exactly.
-//! 2. **Bit-identical accumulators** — the per-guess
-//!    [`PearsonAccumulator`] state (six f64 words, compared bitwise)
-//!    must be invariant to the chunk size the stream arrives in *and*
-//!    to the worker thread count, for all 256 guesses.
+//! 2. **Bit-identical accumulators** — the engine's guess-major state
+//!    must equal, for all 256 guesses and bit for bit (six words of
+//!    [`PearsonAccumulator::state_bits`]), the per-guess loop it
+//!    replaced: guess `m`'s own `predictor_for_guess(m).predict_bytes`
+//!    folded into one [`PearsonAccumulator`] by `push`. On the paper's
+//!    AES samples this holds for every chunk size and thread count; over
+//!    a corpus of random samples it holds for every policy of
+//!    [`policy_pool`] × every oracle of the `attack predictor oracle`
+//!    section (the five workloads plus the 256-block whitening oracle
+//!    the row kernel leaves to per-guess predictors) × 32- and 36-line
+//!    samples × 1 and 3 Monte-Carlo replays, pushed one sample per
+//!    chunk on three worker threads.
 //! 3. **Early-stop falsifiability** — the default stopping rule must
 //!    terminate on the leaky baseline channel *with the same best
 //!    guess the full stream produces*, must never terminate on an
@@ -28,14 +36,18 @@
 //! [`SliceSource`]: rcoal_attack::SliceSource
 //! [`PearsonAccumulator`]: rcoal_attack::PearsonAccumulator
 
+use crate::predictor::oracles;
 use crate::report::SectionReport;
+use crate::strategies::policy_pool;
 use crate::ConformanceError;
 use rcoal_attack::{
-    stream_recover_byte, stream_recover_key, Attack, AttackSample, EarlyStop, SliceSource,
-    StreamOptions, StreamingByteRecovery,
+    stream_recover_byte, stream_recover_key, Attack, AttackSample, EarlyStop, PearsonAccumulator,
+    SliceSource, StreamOptions, StreamingByteRecovery,
 };
 use rcoal_core::CoalescingPolicy;
 use rcoal_experiments::{ExperimentConfig, TimingSource};
+use rcoal_rng::{Rng, RngCore, SeedableRng, StdRng};
+use std::sync::Arc;
 
 /// Warp size of the paper's attacked AES kernel.
 const WARP_SIZE: usize = 32;
@@ -43,6 +55,16 @@ const WARP_SIZE: usize = 32;
 /// Seed offset so the attack's mirrored-predictor RNG never aliases
 /// the experiment RNG.
 const ATTACK_SEED_XOR: u64 = 0x5eed;
+
+/// Samples per corpus case of contract 2: two pushes of
+/// [`CORPUS_CHUNK`], few enough to keep the debug-mode unit test short.
+const CORPUS_SAMPLES: usize = 2;
+
+/// Chunk size the corpus cases are pushed in (not the whole stream).
+const CORPUS_CHUNK: usize = 1;
+
+/// Worker threads the corpus engines fan their guess blocks over.
+const CORPUS_THREADS: usize = 3;
 
 /// Budget for the early-stop runs. The leaky baseline stabilizes well
 /// before this on its exact per-byte channel; the randomized stream
@@ -211,42 +233,122 @@ fn key_equivalence(
     Ok(())
 }
 
-/// Contract 2: per-guess accumulator state is bitwise invariant to
-/// chunk size and thread count. One case per (chunk, threads) combo.
+/// The per-guess loop the guess-major engine replaced: guess `m`'s own
+/// `attack.predictor_for_guess(m)` predicts every sample's byte column
+/// in order under guess `guess_of(m)`, and one [`PearsonAccumulator`]
+/// folds the predictions in with `push`. Returns the 256 states.
+fn per_guess_states(
+    attack: &Attack,
+    samples: &[AttackSample],
+    byte: usize,
+    guess_of: impl Fn(u8) -> u8,
+) -> Vec<[u64; 6]> {
+    let columns: Vec<Vec<u8>> = samples
+        .iter()
+        .map(|s| s.ciphertexts.iter().map(|ct| ct[byte]).collect())
+        .collect();
+    (0..=u8::MAX)
+        .map(|m| {
+            let mut predictor = attack.predictor_for_guess(m);
+            let mut acc = PearsonAccumulator::new();
+            for (column, sample) in columns.iter().zip(samples) {
+                acc.push(predictor.predict_bytes(column, guess_of(m)), sample.time);
+            }
+            acc.state_bits()
+        })
+        .collect()
+}
+
+/// Pushes `samples` through a fresh engine in `chunk`-sized pieces and
+/// names the first guess whose state differs from `reference`.
+fn engine_divergence(
+    attack: &Attack,
+    samples: &[AttackSample],
+    byte: usize,
+    chunk: usize,
+    reference: &[[u64; 6]],
+) -> Result<Option<u8>, ConformanceError> {
+    let mut engine = StreamingByteRecovery::new(attack, byte)
+        .map_err(|e| ConformanceError::new(format!("streaming engine: {e}")))?;
+    for piece in samples.chunks(chunk.max(1)) {
+        engine.push_chunk(piece);
+    }
+    Ok((0..=u8::MAX)
+        .find(|&m| Some(&engine.accumulator(m).state_bits()) != reference.get(usize::from(m))))
+}
+
+/// Contract 2a: on the paper's AES samples the engine equals the
+/// per-guess reference at every chunk size and thread count. One case
+/// per (chunk, threads) combo.
 fn accumulator_bit_identity(
     report: &mut SectionReport,
     samples: &[AttackSample],
     seed: u64,
 ) -> Result<(), ConformanceError> {
-    let reference = {
-        let attack = Attack::against(CoalescingPolicy::Baseline, WARP_SIZE)
-            .with_seed(seed ^ ATTACK_SEED_XOR);
-        let mut engine = StreamingByteRecovery::new(&attack, 0)
-            .map_err(|e| ConformanceError::new(format!("reference engine: {e}")))?;
-        engine.push_chunk(samples);
-        (0..=u8::MAX)
-            .map(|m| engine.accumulator(m).state_bits())
-            .collect::<Vec<_>>()
-    };
-
+    let attack =
+        Attack::against(CoalescingPolicy::Baseline, WARP_SIZE).with_seed(seed ^ ATTACK_SEED_XOR);
+    let reference = per_guess_states(&attack, samples, 0, |m| m);
     for &threads in &[1usize, 3] {
         for &chunk in &[1usize, 7, 64, samples.len()] {
             report.cases += 1;
-            let attack = Attack::against(CoalescingPolicy::Baseline, WARP_SIZE)
-                .with_seed(seed ^ ATTACK_SEED_XOR)
-                .with_threads(Some(threads));
-            let mut engine = StreamingByteRecovery::new(&attack, 0)
-                .map_err(|e| ConformanceError::new(format!("chunked engine: {e}")))?;
-            for piece in samples.chunks(chunk) {
-                engine.push_chunk(piece);
-            }
-            if let Some(m) = (0..=u8::MAX)
-                .find(|&m| engine.accumulator(m).state_bits() != reference[usize::from(m)])
-            {
+            let attack = attack.clone().with_threads(Some(threads));
+            if let Some(m) = engine_divergence(&attack, samples, 0, chunk, &reference)? {
                 report.failures.push(format!(
                     "chunk {chunk} x threads {threads}: guess {m:#04x} accumulator \
-                     state diverged from the monolithic reference"
+                     state diverged from the per-guess reference"
                 ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `n` samples of `lines` random ciphertext lines and random times.
+fn random_samples(rng: &mut StdRng, n: usize, lines: usize) -> Vec<AttackSample> {
+    (0..n)
+        .map(|_| {
+            let ciphertexts = (0..lines)
+                .map(|_| {
+                    let mut line = [0u8; 16];
+                    rng.fill(&mut line);
+                    line
+                })
+                .collect();
+            AttackSample {
+                ciphertexts: Arc::new(ciphertexts),
+                time: rng.gen_range(0.0..64.0),
+            }
+        })
+        .collect()
+}
+
+/// Contract 2b: the engine equals the per-guess reference for every
+/// pool policy × oracle × line count × Monte-Carlo replay count. One
+/// case per combination.
+fn guess_major_corpus(report: &mut SectionReport, seed: u64) -> Result<(), ConformanceError> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x6e55);
+    for (name, oracle) in oracles() {
+        for policy in policy_pool() {
+            for lines in [32, 36] {
+                for mc in [1, 3] {
+                    report.cases += 1;
+                    let byte = rng.next_u64() as usize % oracle.key_bytes();
+                    let samples = random_samples(&mut rng, CORPUS_SAMPLES, lines);
+                    let attack = Attack::against(policy, WARP_SIZE)
+                        .with_oracle(Arc::clone(&oracle))
+                        .with_seed(rng.next_u64())
+                        .with_mc_samples(mc)
+                        .with_threads(Some(CORPUS_THREADS));
+                    let reference = per_guess_states(&attack, &samples, byte, |m| m);
+                    if let Some(m) =
+                        engine_divergence(&attack, &samples, byte, CORPUS_CHUNK, &reference)?
+                    {
+                        report.failures.push(format!(
+                            "{policy} x {name}, {lines} lines, mc {mc}, byte {byte}: guess \
+                             {m:#04x} accumulator state diverged from the per-guess reference"
+                        ));
+                    }
+                }
             }
         }
     }
@@ -363,6 +465,7 @@ pub fn section(seed: u64, cases: usize) -> Result<SectionReport, ConformanceErro
     )?;
     key_equivalence(&mut report, &samples, subkey, seed)?;
     accumulator_bit_identity(&mut report, &samples, seed)?;
+    guess_major_corpus(&mut report, seed)?;
     early_stop_falsifiability(&mut report, seed)?;
     Ok(report)
 }
@@ -370,8 +473,12 @@ pub fn section(seed: u64, cases: usize) -> Result<SectionReport, ConformanceErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcoal_attack::PearsonAccumulator;
-    use rcoal_rng::{Rng, SeedableRng, StdRng};
+
+    /// Cases of the guess-major corpus: oracle × policy × 2 line
+    /// counts × 2 replay counts.
+    fn corpus_cases() -> usize {
+        oracles().len() * policy_pool().len() * 2 * 2
+    }
 
     #[test]
     fn streaming_section_passes_clean() {
@@ -381,14 +488,34 @@ mod tests {
             "streaming conformance violations: {:?}",
             report.failures
         );
-        // 16 bytes + key + 8 combos + 6 early-stop checks.
-        assert_eq!(report.cases, 16 + 1 + 8 + 6);
+        // 16 bytes + key + 8 combos + the corpus + 6 early-stop checks.
+        assert_eq!(report.cases, 16 + 1 + 8 + corpus_cases() + 6);
     }
 
     #[test]
     fn section_counts_every_check_as_a_case() {
         let report = section(7, 48).expect("section runs");
         assert!(report.cases >= 31);
+    }
+
+    #[test]
+    fn a_reference_fed_a_neighbouring_guess_is_flagged() {
+        // The check has teeth: one lane of the reference predicting
+        // under guess m ^ 1 disagrees with the engine on that lane only.
+        let mut rng = StdRng::seed_from_u64(11);
+        let samples = random_samples(&mut rng, 6, 32);
+        let attack = Attack::baseline(WARP_SIZE).with_threads(Some(CORPUS_THREADS));
+        let honest = per_guess_states(&attack, &samples, 0, |m| m);
+        let tampered =
+            per_guess_states(&attack, &samples, 0, |m| if m == 0x42 { m ^ 1 } else { m });
+        assert_eq!(
+            engine_divergence(&attack, &samples, 0, CORPUS_CHUNK, &honest).unwrap(),
+            None
+        );
+        assert_eq!(
+            engine_divergence(&attack, &samples, 0, CORPUS_CHUNK, &tampered).unwrap(),
+            Some(0x42)
+        );
     }
 
     // ---- The Welford accumulator against the two-pass oracle ----

@@ -1361,7 +1361,7 @@ pub fn workload_matrix_with(
         .with_workloads(workloads.iter().map(|w| (*w).to_string()).collect())
         .with_policies(policies);
     // Rows audit one after another: each audit already fans its 256
-    // guess lanes out across the worker pool.
+    // guesses out across the worker pool.
     runner
         .run_sweep(&sweep)?
         .iter()

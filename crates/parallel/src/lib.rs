@@ -35,6 +35,7 @@ pub use supervise::{supervised_map, FailureKind, OutcomeCounts, TaskFailure};
 use rcoal_telemetry::MetricsRegistry;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -77,20 +78,38 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let (indexed, _) = run_workers(
+    let (slots, _) = run_workers(
         threads,
         items,
         || (),
         |(), i, x| Ok::<R, Never>(f(i, x)),
         None,
     );
-    indexed
+    // Without an abort flag every item runs, so every slot is filled.
+    slots
         .into_iter()
-        .map(|(_, r)| match r {
+        .flatten()
+        .map(|r| match r {
             Ok(v) => v,
             Err(never) => match never {},
         })
         .collect()
+}
+
+/// [`parallel_map`] over items the map updates in place: `f(i, &mut
+/// items[i])`. Each item is claimed by exactly one worker, so `f` may
+/// keep per-item mutable state (an RNG stream, running sums) across
+/// calls without any sharing between items.
+pub fn parallel_map_mut<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    parallel_map(threads, &cells, |i, cell| {
+        f(i, &mut cell.lock().unwrap_or_else(PoisonError::into_inner))
+    })
 }
 
 /// Fallible [`parallel_map`]: maps `f` over `items` and collects
@@ -145,8 +164,10 @@ where
     F: Fn(&mut S, usize, &T) -> Result<R, E> + Sync,
 {
     let abort = AtomicBool::new(false);
-    let (indexed, report) = run_workers(threads, items, init, f, Some(&abort));
-    let result = indexed.into_iter().map(|(_, r)| r).collect();
+    let (slots, report) = run_workers(threads, items, init, f, Some(&abort));
+    // Slots left empty by the abort all lie past the failing item, so
+    // the first error in item order is still the lowest-indexed one.
+    let result = slots.into_iter().flatten().collect();
     (result, report)
 }
 
@@ -218,9 +239,14 @@ enum Never {}
 
 /// The one worker loop behind every map: claims indices from an atomic
 /// counter, applies `f` to the worker's state (built by `init` before
-/// its first item), times each item, and returns all results sorted by
-/// item index with the pool's [`PoolReport`]. When `abort` is provided,
-/// an `Err` result raises the flag and stops further claims.
+/// its first item), times each item, and returns one result slot per
+/// item, in item order, with the pool's [`PoolReport`]. When `abort` is
+/// provided, an `Err` result raises the flag and stops further claims;
+/// the slots of items never claimed stay `None`.
+///
+/// Results go straight into their item's slot, so the loop allocates
+/// the same whatever worker claims which item: the slots, not per-worker
+/// buffers that grow with a worker's share.
 ///
 /// With `threads.min(items.len()) <= 1` the single worker runs on the
 /// calling thread: nothing is spawned and a panic propagates directly.
@@ -238,7 +264,7 @@ fn run_workers<T, S, R, E, I, F>(
     init: I,
     f: F,
     abort: Option<&AtomicBool>,
-) -> (Vec<(usize, Result<R, E>)>, PoolReport)
+) -> (Vec<Option<Result<R, E>>>, PoolReport)
 where
     T: Sync,
     R: Send,
@@ -249,8 +275,9 @@ where
     let start = Instant::now();
     let n = items.len();
     let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<R, E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let worker = || {
-        let mut local: Vec<(usize, Result<R, E>)> = Vec::new();
+        let mut claimed = 0u64;
         let mut busy = Duration::ZERO;
         let mut state = None;
         loop {
@@ -269,12 +296,13 @@ where
                     a.store(true, Ordering::Relaxed);
                 }
             }
-            local.push((i, r));
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+            claimed += 1;
         }
-        (local, busy)
+        (claimed, busy)
     };
     let workers = threads.min(n);
-    let per_worker: Vec<(Vec<(usize, Result<R, E>)>, Duration)> = if workers <= 1 {
+    let per_worker: Vec<(u64, Duration)> = if workers <= 1 {
         vec![worker()]
     } else {
         thread::scope(|scope| {
@@ -288,23 +316,18 @@ where
                 .collect()
         })
     };
-    let mut indexed = Vec::with_capacity(n);
-    let mut per_worker_items = Vec::with_capacity(per_worker.len());
-    let mut per_worker_busy = Vec::with_capacity(per_worker.len());
-    for (local, busy) in per_worker {
-        per_worker_items.push(local.len() as u64);
-        per_worker_busy.push(busy);
-        indexed.extend(local);
-    }
-    indexed.sort_unstable_by_key(|&(i, _)| i);
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect();
     let report = PoolReport {
-        workers: per_worker_items.len(),
+        workers: per_worker.len(),
         items: n,
-        per_worker_items,
-        per_worker_busy,
+        per_worker_items: per_worker.iter().map(|&(claimed, _)| claimed).collect(),
+        per_worker_busy: per_worker.iter().map(|&(_, busy)| busy).collect(),
         wall: start.elapsed(),
     };
-    (indexed, report)
+    (results, report)
 }
 
 #[cfg(test)]
@@ -319,6 +342,22 @@ mod tests {
         for threads in [2, 3, 8, 64] {
             let par = parallel_map(threads, &items, |i, &x| x * 3 + i as u64);
             assert_eq!(par, seq, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn map_mut_updates_every_item_in_place_once() {
+        for threads in [1, 3] {
+            let mut items: Vec<Vec<u64>> = (0..10).map(|i| vec![i]).collect();
+            let lens = parallel_map_mut(threads, &mut items, |i, v| {
+                v.push(i as u64 * 10);
+                v.len()
+            });
+            assert_eq!(lens, vec![2; 10], "threads = {threads}");
+            assert!(items
+                .iter()
+                .enumerate()
+                .all(|(i, v)| *v == [i as u64, i as u64 * 10]));
         }
     }
 

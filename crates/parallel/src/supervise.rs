@@ -115,11 +115,13 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let (indexed, _) = run_workers(threads, items, || (), |(), i, x| run_task(i, x, &f), None);
+    let (slots, _) = run_workers(threads, items, || (), |(), i, x| run_task(i, x, &f), None);
     let mut outcomes = OutcomeCounts::default();
-    let results = indexed
+    // Without an abort flag every item runs, so every slot is filled.
+    let results = slots
         .into_iter()
-        .map(|(_, r)| match r {
+        .flatten()
+        .map(|r| match r {
             Ok((value, attempts)) => {
                 if attempts > 1 {
                     outcomes.retried += 1;

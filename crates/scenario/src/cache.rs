@@ -218,18 +218,6 @@ impl<V: Clone> RunCache<V> {
         None
     }
 
-    /// Whether `scenario` is cached (memory or disk), without touching
-    /// the traffic counters.
-    pub fn contains(&self, scenario: &Scenario) -> bool {
-        let key = scenario.content_hash();
-        if self.lock().contains_key(&key) {
-            return true;
-        }
-        self.dir
-            .as_ref()
-            .is_some_and(|dir| dir.join(file_name(key)).exists())
-    }
-
     /// Stores `value` under `scenario`'s hash: into memory always, and
     /// to disk when a directory is attached and the codec encodes it.
     ///
@@ -334,7 +322,9 @@ impl<V> RunCache<V> {
         }
     }
 
-    /// Audits every on-disk entry without modifying anything.
+    /// Audits every on-disk entry without modifying anything. An entry
+    /// is ok when its envelope verifies *and* the cache's codec decodes
+    /// its payload — exactly what a lookup accepts.
     ///
     /// # Errors
     ///
@@ -369,7 +359,7 @@ impl<V> RunCache<V> {
         paths.sort();
         for path in paths {
             audit.entries += 1;
-            match verify_entry(&path) {
+            match verify_entry(&path, self.decode) {
                 Ok(()) => audit.ok += 1,
                 Err(_) => {
                     audit.corrupt += 1;
@@ -480,14 +470,19 @@ pub fn decode_entry(expected_key: u64, text: &str) -> Result<&str, ScenarioError
     Ok(payload)
 }
 
-/// Verifies one on-disk entry file's envelope (hash taken from the file
-/// name).
-fn verify_entry(path: &Path) -> Result<(), ScenarioError> {
+/// Verifies one on-disk entry file as a lookup would read it: its
+/// envelope (hash taken from the file name), then its payload through
+/// `decode` when the cache has one.
+fn verify_entry<V>(path: &Path, decode: Option<DecodeFn<V>>) -> Result<(), ScenarioError> {
     let key = key_from_file_name(path)
         .ok_or_else(|| ScenarioError::new("entry file name is not a 16-hex-digit hash"))?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| ScenarioError::new(format!("cannot read {}: {e}", path.display())))?;
-    decode_entry(key, &text).map(|_| ())
+    let payload = decode_entry(key, &text)?;
+    match decode {
+        Some(decode) => decode(payload).map(drop),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -521,10 +516,9 @@ mod tests {
         let cache: RunCache<u64> = RunCache::in_memory();
         let s = scenario(1);
         assert_eq!(cache.get(&s), None);
-        assert!(!cache.contains(&s));
+        assert!(cache.is_empty());
         cache.insert(&s, 99);
         assert_eq!(cache.get(&s), Some(99));
-        assert!(cache.contains(&s));
         assert_eq!(cache.len(), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -556,8 +550,9 @@ mod tests {
         }
         // A brand-new cache (empty memory) reads the file back.
         let cache = RunCache::with_disk(&dir, encode, decode).unwrap();
-        assert!(cache.contains(&s));
+        assert!(cache.is_empty());
         assert_eq!(cache.get(&s), Some(1234));
+        assert_eq!(cache.len(), 1);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.disk_hits), (1, 1));
         // Promoted to memory: a second get is a memory hit.
@@ -685,7 +680,7 @@ mod tests {
         let cache = RunCache::with_disk(&dir, encode, decode).unwrap();
         cache.insert(&scenario(1), 1);
         cache.insert(&scenario(2), 2);
-        // Plant one torn entry by hand.
+        // Plant one torn entry by hand...
         let s = scenario(3);
         let full = encode_entry(s.content_hash(), "333");
         std::fs::write(
@@ -693,19 +688,27 @@ mod tests {
             &full[..full.len() - 1],
         )
         .unwrap();
+        // ...and one whose clean envelope holds a payload the codec
+        // rejects, which a lookup would quarantine.
+        let s = scenario(4);
+        std::fs::write(
+            dir.join(format!("{}.json", s.hash_hex())),
+            encode_entry(s.content_hash(), "not a number"),
+        )
+        .unwrap();
 
         let audit = cache.verify().unwrap();
-        assert_eq!((audit.entries, audit.ok, audit.corrupt), (3, 2, 1));
+        assert_eq!((audit.entries, audit.ok, audit.corrupt), (4, 2, 2));
         assert_eq!(audit.repaired, 0, "verify is read-only");
         assert!(!audit.is_clean());
-        assert_eq!(audit.corrupt_paths.len(), 1);
-        // The torn entry is still in place after verify...
-        assert!(audit.corrupt_paths[0].exists());
+        assert_eq!(audit.corrupt_paths.len(), 2);
+        // The bad entries are still in place after verify...
+        assert!(audit.corrupt_paths.iter().all(|p| p.exists()));
 
         let repaired = cache.repair().unwrap();
-        assert_eq!((repaired.corrupt, repaired.repaired), (1, 1));
+        assert_eq!((repaired.corrupt, repaired.repaired), (2, 2));
         // ...and gone (quarantined) after repair.
-        assert!(!audit.corrupt_paths[0].exists());
+        assert!(audit.corrupt_paths.iter().all(|p| !p.exists()));
         let clean = cache.verify().unwrap();
         assert_eq!((clean.entries, clean.corrupt), (2, 0));
         assert!(clean.is_clean());

@@ -1,19 +1,24 @@
-//! The allocation budget of sample generation and randomized prediction.
+//! The allocation budget of sample generation, prediction and the
+//! 256-guess push.
 //!
 //! A counting global allocator tallies every heap allocation of the
 //! process. Streamed generation reuses one kernel per launch worker and
-//! draws subwarp assignments into stack buffers, so once warm:
+//! draws subwarp assignments into stack buffers, and the attack engine
+//! reuses its column scratch, so once warm:
 //!
 //! * `SimulatorSource::next_batch` allocates only what each sample must
 //!   own (its `Arc`'d ciphertext lines) plus a per-chunk constant: at
 //!   most 2.5 allocations per sample, at one and two worker threads;
 //! * `AccessPredictor::predict_bytes` allocates nothing per call, on the
-//!   randomized RSS(8)+RTS replay as on the deterministic baseline.
+//!   randomized RSS(8)+RTS replay as on the deterministic baseline;
+//! * `StreamingByteRecovery::push_chunk` on the deterministic baseline
+//!   allocates a per-push constant: a 64-sample and a 1,024-sample push
+//!   allocate equally often, at one and two worker threads.
 //!
 //! This file holds exactly one test, so no other test allocates while
 //! it counts.
 
-use rcoal_attack::{AccessPredictor, AttackSample};
+use rcoal_attack::{AccessPredictor, Attack, AttackSample, StreamingByteRecovery};
 use rcoal_core::CoalescingPolicy;
 use rcoal_experiments::{ExperimentConfig, SimulatorSource, TimingSource};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -100,6 +105,18 @@ fn prediction_allocations_per_call(policy: CoalescingPolicy) -> f64 {
     n as f64 / CALLS as f64
 }
 
+/// `(small, large)`: allocations of one push of the first 64 and of
+/// all 1,024 `samples` through a warm baseline engine.
+fn push_allocations(samples: &[AttackSample], threads: usize) -> (u64, u64) {
+    let attack = Attack::baseline(32).with_threads(Some(threads));
+    let mut engine = StreamingByteRecovery::new(&attack, 0).expect("byte 0 exists");
+    // Warm-up: builds the row table and sizes the column scratch.
+    engine.push_chunk(samples);
+    let small = allocations_in(|| engine.push_chunk(&samples[..64]));
+    let large = allocations_in(|| engine.push_chunk(samples));
+    (small, large)
+}
+
 #[test]
 fn generation_and_randomized_prediction_stay_within_the_allocation_budget() {
     let rss_rts = CoalescingPolicy::rss_rts(8).expect("valid subwarp count");
@@ -116,6 +133,23 @@ fn generation_and_randomized_prediction_stay_within_the_allocation_budget() {
         assert_eq!(
             per_call, 0.0,
             "{policy}: {per_call} allocations per prediction"
+        );
+    }
+
+    let cfg = ExperimentConfig::new(CoalescingPolicy::Baseline, CHUNK, 32)
+        .with_seed(1)
+        .with_threads(1)
+        .functional_only();
+    let mut source =
+        SimulatorSource::new(cfg, TimingSource::ByteAccesses(0)).expect("valid stream config");
+    let mut samples: Vec<AttackSample> = Vec::with_capacity(CHUNK);
+    source.next_batch(CHUNK, &mut samples).expect("push chunk");
+    for threads in [1, 2] {
+        let (small, large) = push_allocations(&samples, threads);
+        assert_eq!(
+            small, large,
+            "at {threads} thread(s) a 64-sample push allocates {small} times \
+             but a {CHUNK}-sample push {large} times"
         );
     }
 }
