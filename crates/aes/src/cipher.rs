@@ -91,12 +91,13 @@ fn expand_key(key: &[u8], nk: usize, nr: usize) -> Vec<u32> {
 }
 
 /// The shared T-table encryption core for any AES variant: `nr` rounds
-/// over the round keys `w`.
+/// over the round keys `w`, handing each round's 16 table lookups to
+/// `record` in round order.
 fn encrypt_rounds(
     w: &[u32],
     nr: usize,
     plaintext: Block,
-    mut trace: Option<&mut LookupTrace>,
+    mut record: impl FnMut(&[TableLookup; 16]),
 ) -> Block {
     let mut s = [0u32; 4];
     for i in 0..4 {
@@ -133,9 +134,7 @@ fn encrypt_rounds(
                 index: i3 as u8,
             };
         }
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.rounds.push(lookups);
-        }
+        record(&lookups);
         s = t;
     }
     // Last round: SubBytes + ShiftRows + AddRoundKey via T4. Lookup j
@@ -154,9 +153,7 @@ fn encrypt_rounds(
             index: idx as u8,
         };
     }
-    if let Some(tr) = trace {
-        tr.rounds.push(lookups);
-    }
+    record(&lookups);
     ct
 }
 
@@ -198,7 +195,7 @@ impl Aes128 {
 
     /// Encrypts one block with the T-table implementation.
     pub fn encrypt_block(&self, plaintext: Block) -> Block {
-        self.encrypt_internal(plaintext, None)
+        self.encrypt_block_with(plaintext, |_| {})
     }
 
     /// Encrypts one block, also recording every table lookup the T-table
@@ -208,23 +205,19 @@ impl Aes128 {
         let mut trace = LookupTrace {
             rounds: Vec::with_capacity(10),
         };
-        let ct = self.encrypt_block_traced_into(plaintext, &mut trace);
+        let ct = self.encrypt_block_with(plaintext, |round| trace.rounds.push(*round));
         (ct, trace)
     }
 
-    /// [`Aes128::encrypt_block_traced`] into an existing trace, whose
-    /// rounds are overwritten (reusing their allocation).
-    pub(crate) fn encrypt_block_traced_into(
+    /// Encrypts one block, handing each round's 16 table lookups to
+    /// `record` in round order (rounds 1–9, then the last-round T4
+    /// lookups).
+    pub(crate) fn encrypt_block_with(
         &self,
         plaintext: Block,
-        trace: &mut LookupTrace,
+        record: impl FnMut(&[TableLookup; 16]),
     ) -> Block {
-        trace.rounds.clear();
-        self.encrypt_internal(plaintext, Some(trace))
-    }
-
-    fn encrypt_internal(&self, plaintext: Block, trace: Option<&mut LookupTrace>) -> Block {
-        encrypt_rounds(&self.round_keys, 10, plaintext, trace)
+        encrypt_rounds(&self.round_keys, 10, plaintext, record)
     }
 
     /// Decrypts one block (reference inverse cipher; not on the timing
@@ -422,7 +415,7 @@ impl Aes192 {
 
     /// Encrypts one block.
     pub fn encrypt_block(&self, plaintext: Block) -> Block {
-        encrypt_rounds(&self.round_keys, 12, plaintext, None)
+        encrypt_rounds(&self.round_keys, 12, plaintext, |_| {})
     }
 
     /// Encrypts one block, recording every table lookup (12 rounds of 16).
@@ -430,7 +423,9 @@ impl Aes192 {
         let mut trace = LookupTrace {
             rounds: Vec::with_capacity(12),
         };
-        let ct = encrypt_rounds(&self.round_keys, 12, plaintext, Some(&mut trace));
+        let ct = encrypt_rounds(&self.round_keys, 12, plaintext, |round| {
+            trace.rounds.push(*round)
+        });
         (ct, trace)
     }
 
@@ -457,7 +452,7 @@ impl Aes256 {
 
     /// Encrypts one block.
     pub fn encrypt_block(&self, plaintext: Block) -> Block {
-        encrypt_rounds(&self.round_keys, 14, plaintext, None)
+        encrypt_rounds(&self.round_keys, 14, plaintext, |_| {})
     }
 
     /// Encrypts one block, recording every table lookup (14 rounds of 16).
@@ -465,7 +460,9 @@ impl Aes256 {
         let mut trace = LookupTrace {
             rounds: Vec::with_capacity(14),
         };
-        let ct = encrypt_rounds(&self.round_keys, 14, plaintext, Some(&mut trace));
+        let ct = encrypt_rounds(&self.round_keys, 14, plaintext, |round| {
+            trace.rounds.push(*round)
+        });
         (ct, trace)
     }
 

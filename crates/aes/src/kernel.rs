@@ -1,5 +1,6 @@
-use crate::cipher::{Aes128, Block, LookupTrace};
-use rcoal_gpu_sim::{Kernel, TraceInstr, WarpTrace};
+use crate::cipher::{Aes128, Block};
+use crate::program::{LineLoad, TableLoad, TableProgram};
+use rcoal_gpu_sim::{Kernel, WarpTrace};
 
 /// Memory layout of the AES kernel's tables and buffers in the simulated
 /// global address space.
@@ -61,6 +62,13 @@ pub fn round_tags(r: u16) -> std::ops::Range<u16> {
 /// warp run in lock step, so lookup `j` of round `r` across the warp forms
 /// one warp-wide load that the coalescing unit merges.
 ///
+/// The kernel describes its warp program once per set of lines as a
+/// [`TableProgram`], whose entry indices are the cipher's own
+/// [`TableLookup`](crate::TableLookup)s: [`AesGpuKernel::reload`]
+/// expands it into warp traces for the cycle-level simulator, and
+/// [`AesGpuKernel::load`] stops at the description for functional
+/// counting.
+///
 /// ```
 /// use rcoal_aes::AesGpuKernel;
 /// use rcoal_gpu_sim::Kernel;
@@ -74,17 +82,15 @@ pub struct AesGpuKernel {
     aes: Aes128,
     lines: Vec<Block>,
     ciphertexts: Vec<Block>,
-    traces: Vec<LookupTrace>,
-    /// Per-warp instruction traces, written once per set of lines;
-    /// [`Kernel::trace`] hands out borrows so each of the hundreds of
-    /// launches per experiment copies nothing.
+    /// Rounds 1–10 of 16 lookups each: round `r < 10` reads T`j mod 4`
+    /// with tag `r`, round 10 reads T4 with tag
+    /// `LAST_ROUND_TAG_BASE + j`.
+    program: TableProgram,
+    /// Per-warp instruction traces, expanded from `program` by
+    /// [`AesGpuKernel::reload`]; [`Kernel::trace`] hands out borrows so
+    /// each of the hundreds of launches per experiment copies nothing.
     warp_traces: Vec<WarpTrace>,
-    warp_size: usize,
     layout: TableLayout,
-    /// ALU cycles between dependent lookups.
-    compute_per_lookup: u32,
-    /// ALU cycles of key-XOR / bookkeeping per round.
-    round_overhead: u32,
 }
 
 impl AesGpuKernel {
@@ -102,47 +108,82 @@ impl AesGpuKernel {
         warp_size: usize,
         layout: TableLayout,
     ) -> Self {
+        let loads = (1..=10u16)
+            .flat_map(|r| {
+                (0..16u16).map(move |j| {
+                    let (tag, table) = if r == 10 {
+                        (LAST_ROUND_TAG_BASE + j, 4)
+                    } else {
+                        (r, (j % 4) as u8)
+                    };
+                    TableLoad {
+                        tag,
+                        table_base: layout.lookup_addr(table, 0),
+                        entry_size: layout.entry_size,
+                    }
+                })
+            })
+            .collect();
+        let program = TableProgram::new(
+            LineLoad {
+                tag: 0,
+                base: layout.input_base,
+            },
+            loads,
+            16,
+            LineLoad {
+                tag: OUTPUT_TAG,
+                base: layout.output_base,
+            },
+            warp_size,
+        );
         let mut kernel = AesGpuKernel {
             aes: Aes128::new(key),
             lines: Vec::new(),
             ciphertexts: Vec::new(),
-            traces: Vec::new(),
+            program,
             warp_traces: Vec::new(),
-            warp_size: warp_size.max(1),
             layout,
-            compute_per_lookup: 2,
-            round_overhead: 8,
         };
         kernel.reload(&lines);
         kernel
     }
 
+    /// Loads new plaintext `lines` under the same key and layout into
+    /// the kernel's [`TableProgram`] only: re-encrypts every line,
+    /// recording its 160 lookups as the program's entry indices, and
+    /// writes no warp trace. The [`Kernel`] view has no warps until the
+    /// next [`AesGpuKernel::reload`]. With a line count seen before, it
+    /// allocates nothing.
+    pub fn load(&mut self, lines: &[Block]) {
+        self.describe(lines);
+        self.warp_traces.clear();
+    }
+
     /// Rebuilds the kernel in place for new plaintext `lines` under the
-    /// same key and layout: re-encrypts with the expanded key schedule
-    /// and rewrites every lookup trace and warp trace over the old ones.
-    /// The result equals a freshly built kernel; with the same line
-    /// count as before, it allocates nothing.
+    /// same key and layout: [`AesGpuKernel::load`], then the program
+    /// expanded into warp traces over the old ones. The result equals a
+    /// freshly built kernel; with the same line count as before, it
+    /// allocates nothing.
     pub fn reload(&mut self, lines: &[Block]) {
+        self.describe(lines);
+        self.program.write_traces(&mut self.warp_traces);
+    }
+
+    /// Encrypts `lines` into the ciphertexts and the program's indices.
+    fn describe(&mut self, lines: &[Block]) {
         self.lines.clear();
         self.lines.extend_from_slice(lines);
         self.ciphertexts.resize(lines.len(), [0; 16]);
-        self.traces.resize_with(lines.len(), || LookupTrace {
-            rounds: Vec::with_capacity(10),
-        });
-        for ((&line, ct), trace) in lines
-            .iter()
-            .zip(&mut self.ciphertexts)
-            .zip(&mut self.traces)
-        {
-            *ct = self.aes.encrypt_block_traced_into(line, trace);
+        let rows = self.program.rows_mut(lines.len());
+        for ((row, &line), ct) in rows.zip(lines).zip(&mut self.ciphertexts) {
+            let mut rounds = row.as_chunks_mut::<16>().0.iter_mut();
+            *ct = self.aes.encrypt_block_with(line, |lookups| {
+                if let Some(round) = rounds.next() {
+                    *round = lookups.map(|lookup| lookup.index);
+                }
+            });
         }
-        let num_warps = self.num_warps();
-        let mut warp_traces = std::mem::take(&mut self.warp_traces);
-        warp_traces.resize_with(num_warps, WarpTrace::default);
-        for (w, trace) in warp_traces.iter_mut().enumerate() {
-            self.write_trace(w, trace);
-        }
-        self.warp_traces = warp_traces;
     }
 
     /// The expanded key schedule in use.
@@ -165,69 +206,25 @@ impl AesGpuKernel {
         &self.layout
     }
 
-    /// Number of threads per warp.
-    pub fn warp_size(&self) -> usize {
-        self.warp_size
+    /// The warp program over the current lines.
+    pub fn program(&self) -> &TableProgram {
+        &self.program
     }
 
-    /// Last-round T4 indices `t_j` per line: `indices[line][j]`.
-    pub fn last_round_indices(&self) -> Vec<[u8; 16]> {
-        self.traces
-            .iter()
-            .map(LookupTrace::last_round_indices)
-            .collect()
+    /// Number of threads per warp.
+    pub fn warp_size(&self) -> usize {
+        self.program.warp_size()
     }
 
     /// Global line indices handled by warp `warp_id`.
     pub fn warp_lines(&self, warp_id: usize) -> std::ops::Range<usize> {
-        let start = warp_id * self.warp_size;
-        start..(start + self.warp_size).min(self.lines.len())
-    }
-
-    /// The one trace writer: warp `warp_id`'s instruction stream, written
-    /// over `trace`.
-    fn write_trace(&self, warp_id: usize, trace: &mut WarpTrace) {
-        let lines = self.warp_lines(warp_id);
-        let layout = &self.layout;
-        let mut w = trace.rewrite();
-
-        // Load the plaintext lines (16 B per thread, consecutive lines —
-        // coalesces well, like the real kernel's global reads).
-        w.load(0, lines.clone().map(|l| layout.input_base + l as u64 * 16));
-        w.push(TraceInstr::compute(self.round_overhead));
-
-        for r in 1..=10u16 {
-            let round = usize::from(r) - 1;
-            for j in 0..16usize {
-                let tag = if r == 10 {
-                    LAST_ROUND_TAG_BASE + j as u16
-                } else {
-                    r
-                };
-                w.load(
-                    tag,
-                    self.traces[lines.clone()].iter().map(|t| {
-                        let lk = t.rounds[round][j];
-                        layout.lookup_addr(lk.table, lk.index)
-                    }),
-                );
-                w.push(TraceInstr::compute(self.compute_per_lookup));
-            }
-            w.push(TraceInstr::compute(self.round_overhead));
-            w.push(TraceInstr::RoundMark { round: r });
-        }
-
-        // Store the ciphertext lines.
-        w.load(
-            OUTPUT_TAG,
-            lines.map(|l| layout.output_base + l as u64 * 16),
-        );
+        self.program.warp_lines(warp_id)
     }
 }
 
 impl Kernel for AesGpuKernel {
     fn num_warps(&self) -> usize {
-        self.lines.len().div_ceil(self.warp_size)
+        self.warp_traces.len()
     }
 
     fn warp_width(&self, warp_id: usize) -> usize {
@@ -319,21 +316,73 @@ mod tests {
     }
 
     #[test]
+    fn trace_addresses_are_the_ciphers_own_lookups() {
+        // Every table load of every lane addresses the entry its
+        // thread's traced encryption looked up, table and index: the
+        // description's static tables agree with the cipher's lookups.
+        let k = kernel(40);
+        for w in 0..k.num_warps() {
+            let traces: Vec<_> = k.lines()[k.warp_lines(w)]
+                .iter()
+                .map(|&line| k.aes().encrypt_block_traced(line).1)
+                .collect();
+            let loads = k.trace(w).instrs().iter().filter_map(|i| match i {
+                TraceInstr::Load { addrs, tag } => Some((addrs, *tag)),
+                _ => None,
+            });
+            let table_loads: Vec<_> = loads.skip(1).take(160).collect();
+            assert_eq!(table_loads.len(), 160);
+            for (k_load, (addrs, tag)) in table_loads.into_iter().enumerate() {
+                let (round, j) = (k_load / 16, k_load % 16);
+                let want_tag = if round == 9 {
+                    LAST_ROUND_TAG_BASE + j as u16
+                } else {
+                    round as u16 + 1
+                };
+                assert_eq!(tag, want_tag, "load {k_load}");
+                for (lane, (addr, trace)) in addrs.iter().zip(&traces).enumerate() {
+                    let lk = trace.rounds[round][j];
+                    assert_eq!(
+                        *addr,
+                        Some(k.layout().lookup_addr(lk.table, lk.index)),
+                        "warp {w} load {k_load} lane {lane}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn last_round_addresses_encode_t_j() {
         let k = kernel(32);
-        let t = k.trace(0);
-        let indices = k.last_round_indices();
-        for instr in t.instrs() {
+        for instr in k.trace(0).instrs() {
             if let TraceInstr::Load { addrs, tag } = instr {
                 if *tag >= LAST_ROUND_TAG_BASE {
                     let j = usize::from(tag - LAST_ROUND_TAG_BASE);
                     for (lane, a) in addrs.iter().enumerate() {
-                        let a = a.unwrap();
-                        let idx = ((a - k.layout().lookup_addr(4, 0)) / 4) as u8;
-                        assert_eq!(idx, indices[lane][j]);
+                        let idx = ((a.unwrap() - k.layout().lookup_addr(4, 0)) / 4) as u8;
+                        let ct = k.ciphertexts()[lane][j];
+                        let key = k.aes().last_round_key()[j];
+                        assert_eq!(idx, crate::last_round_index(ct, key));
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn load_describes_the_lines_without_traces() {
+        let mut k = kernel(64);
+        let fresh = kernel(40);
+        k.load(fresh.lines());
+        assert_eq!(k.num_warps(), 0, "no trace is written");
+        assert_eq!(k.program(), fresh.program());
+        assert_eq!(k.ciphertexts(), fresh.ciphertexts());
+        k.reload(fresh.lines());
+        assert_eq!(k.num_warps(), 2);
+        for w in 0..2 {
+            assert_eq!(k.warp_width(w), fresh.warp_width(w));
+            assert_eq!(k.trace(w), fresh.trace(w));
         }
     }
 

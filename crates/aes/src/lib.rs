@@ -11,6 +11,9 @@
 //! * [`AesGpuKernel`] — the CUDA-style kernel model the paper attacks:
 //!   one plaintext line per thread, 32 threads per warp in lock step, so
 //!   each table lookup becomes a warp-wide load for the coalescing unit.
+//!   Its warp program is a [`TableProgram`]: every load's table and each
+//!   lane's entry index, expanded into a trace only for the cycle-level
+//!   simulator.
 //!
 //! The timing channel lives in the last round: lookup `j` uses index
 //! `t_j = S⁻¹[c_j ⊕ k_j]` ([`last_round_index`]), so the number of
@@ -20,7 +23,9 @@
 
 mod cipher;
 mod kernel;
+mod program;
 pub mod tables;
 
 pub use cipher::{last_round_index, Aes128, Aes192, Aes256, Block, LookupTrace, TableLookup};
 pub use kernel::{round_tags, AesGpuKernel, TableLayout, LAST_ROUND_TAG_BASE, OUTPUT_TAG};
+pub use program::{LineLoad, TableLoad, TableProgram};

@@ -41,6 +41,7 @@ use crate::recover::{Attack, AttackSample, ByteRecovery, KeyRecovery};
 use rcoal_core::{CoalescingPolicy, MAX_LANES};
 use rcoal_parallel::{parallel_map_mut, resolve_threads};
 use rcoal_rng::{SeedableRng, StdRng};
+use std::sync::Arc;
 
 /// Incremental Pearson correlation over a stream of `(x, y)` pairs,
 /// using bivariate Welford updates (centered moments) instead of raw
@@ -363,9 +364,14 @@ struct RowKernel {
 }
 
 impl RowKernel {
-    /// The kernel for a deterministic `attack`, or `None` when its
-    /// oracle reaches past 64 blocks.
+    /// The kernel for a deterministic `attack`, or `None` for a
+    /// randomized policy or an oracle reaching past 64 blocks. It
+    /// depends on the attack only, never on the byte position, so one
+    /// kernel serves every byte engine of a key recovery.
     fn new(attack: &Attack) -> Option<Self> {
+        if attack.policy().is_randomized() {
+            return None;
+        }
         let rows = RowTable::build(attack.oracle())?;
         let policy = attack.policy();
         let warp_size = attack.warp_size().max(1);
@@ -468,8 +474,9 @@ fn warp_plan(policy: CoalescingPolicy, width: usize) -> WarpPlan {
 enum Kernel {
     /// Nothing pushed yet.
     Unbuilt,
-    /// Deterministic policies whose oracle fits the `u64` masks.
-    Rows(RowKernel),
+    /// Deterministic policies whose oracle fits the `u64` masks; shared
+    /// by the byte engines of one [`StreamingKeyRecovery`].
+    Rows(Arc<RowKernel>),
     /// One [`AccessPredictor`] per guess, held by the guess blocks.
     PerGuess,
 }
@@ -559,7 +566,7 @@ impl StreamingByteRecovery {
             return;
         }
         if matches!(self.kernel, Kernel::Unbuilt) {
-            self.kernel = self.build_kernel();
+            self.install(RowKernel::new(&self.attack).map(Arc::new));
         }
         let byte = self.byte;
         self.column.clear();
@@ -581,20 +588,20 @@ impl StreamingByteRecovery {
         });
     }
 
-    /// The row kernel for deterministic policies; otherwise one
-    /// predictor per guess, handed to the guess blocks.
-    fn build_kernel(&mut self) -> Kernel {
-        if !self.attack.policy().is_randomized() {
-            if let Some(rows) = RowKernel::new(&self.attack) {
-                return Kernel::Rows(rows);
+    /// Installs the row kernel `rows`, or, without one, one predictor
+    /// per guess handed to the guess blocks.
+    fn install(&mut self, rows: Option<Arc<RowKernel>>) {
+        self.kernel = match rows {
+            Some(rows) => Kernel::Rows(rows),
+            None => {
+                for (k, block) in self.blocks.iter_mut().enumerate() {
+                    block.predictors = (0..BLOCK)
+                        .map(|j| self.attack.predictor_for_guess((k * BLOCK + j) as u8))
+                        .collect();
+                }
+                Kernel::PerGuess
             }
-        }
-        for (k, block) in self.blocks.iter_mut().enumerate() {
-            block.predictors = (0..BLOCK)
-                .map(|j| self.attack.predictor_for_guess((k * BLOCK + j) as u8))
-                .collect();
-        }
-        Kernel::PerGuess
+        };
     }
 
     /// Current correlation of guess `m` (0.0 while degenerate).
@@ -653,7 +660,9 @@ impl StreamingByteRecovery {
 }
 
 /// Streaming recovery of every subkey byte the oracle exposes:
-/// `key_bytes × 256` lanes fed from one pass over the stream.
+/// `key_bytes × 256` lanes fed from one pass over the stream. The byte
+/// engines of a deterministic attack share one row kernel, built on the
+/// first push.
 #[derive(Debug, Clone)]
 pub struct StreamingKeyRecovery {
     bytes: Vec<StreamingByteRecovery>,
@@ -691,6 +700,16 @@ impl StreamingKeyRecovery {
 
     /// Feeds one chunk of samples to every byte engine.
     pub fn push_chunk(&mut self, chunk: &[AttackSample]) {
+        let unbuilt = self
+            .bytes
+            .first()
+            .is_some_and(|e| matches!(e.kernel, Kernel::Unbuilt));
+        if unbuilt && !chunk.is_empty() {
+            let rows = RowKernel::new(&self.bytes[0].attack).map(Arc::new);
+            for engine in &mut self.bytes {
+                engine.install(rows.clone());
+            }
+        }
         for engine in &mut self.bytes {
             engine.push_chunk(chunk);
         }
@@ -1449,6 +1468,32 @@ mod tests {
             .correlations
             .iter()
             .all(|c| c.abs() < 0.9));
+    }
+
+    #[test]
+    fn key_recovery_byte_engines_share_one_row_kernel() {
+        // `block_of(b, g)` does not depend on the byte position, so the
+        // byte engines of a deterministic key recovery share one table.
+        let samples = random_samples(2, 32, 9);
+        let mut key = StreamingKeyRecovery::new(&Attack::baseline(32)).unwrap();
+        key.push_chunk(&[]);
+        assert!(matches!(key.byte_engines()[0].kernel, Kernel::Unbuilt));
+        key.push_chunk(&samples);
+        let Kernel::Rows(first) = &key.byte_engines()[0].kernel else {
+            panic!("a deterministic attack predicts with the row kernel");
+        };
+        for engine in key.byte_engines() {
+            assert!(matches!(&engine.kernel, Kernel::Rows(rows) if Arc::ptr_eq(rows, first)));
+        }
+        assert_eq!(Arc::strong_count(first), 16);
+        // Randomized policies keep one predictor set per engine.
+        let rss_rts = Attack::against(CoalescingPolicy::rss_rts(8).unwrap(), 32);
+        let mut key = StreamingKeyRecovery::new(&rss_rts).unwrap();
+        key.push_chunk(&samples[..1]);
+        assert!(key
+            .byte_engines()
+            .iter()
+            .all(|e| matches!(e.kernel, Kernel::PerGuess)));
     }
 
     // ---- Early termination (satellite 3: falsifiability) ----

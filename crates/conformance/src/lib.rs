@@ -18,9 +18,10 @@
 //!    attack and audit statistics get the same treatment: the streaming
 //!    Pearson engine against a two-pass sweep ([`streaming`]), the
 //!    audit's ledger estimators against slice Welch/MI ([`audit_oracle`]),
-//!    and the reused kernels and inline subwarp draws of sample
+//!    the reused kernels and inline subwarp draws of sample
 //!    generation against fresh builds and heap-based draws
-//!    ([`generation`]).
+//!    ([`generation`]), and the trace-free functional counts against
+//!    trace-based counting ([`functional`]).
 //! 2. **Golden-master fixtures** ([`golden`]) — content-hashed
 //!    `SimStats` / run-result snapshots for paper-default configurations
 //!    committed as JSON under `tests/goldens/`, with drift reported as a
@@ -46,6 +47,7 @@ use std::fmt;
 pub mod audit_oracle;
 pub mod checker;
 pub mod dram_oracle;
+pub mod functional;
 pub mod generation;
 pub mod golden;
 pub mod icnt_oracle;
@@ -129,6 +131,7 @@ pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteReport, ConformanceError> {
         oracle::unit_section(opts.seed),
         predictor::section(opts.seed),
         generation::section(opts.seed),
+        functional::section(opts.seed),
         oracle::sim_section(opts.seed, opts.cases)?,
         dram_oracle::section(opts.seed, (opts.cases / 4).max(16)),
         icnt_oracle::section(opts.seed, (opts.cases / 2).max(24)),

@@ -493,12 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn section_counts_every_check_as_a_case() {
-        let report = section(7, 48).expect("section runs");
-        assert!(report.cases >= 31);
-    }
-
-    #[test]
     fn a_reference_fed_a_neighbouring_guess_is_flagged() {
         // The check has teeth: one lane of the reference predicting
         // under guess m ^ 1 disagrees with the engine on that lane only.

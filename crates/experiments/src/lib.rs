@@ -31,6 +31,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod audit;
+mod count;
 pub mod engine;
 mod error;
 pub mod figures;
@@ -40,6 +41,7 @@ mod telemetry;
 mod workload;
 
 pub use audit::audit_data;
+pub use count::{count_launch, CountedLoads, LaunchCounts};
 pub use engine::{
     decode_run, encode_run, run_to_value, scenario_config, QuarantinedScenario, RunnerReport,
     SweepOutcome, SweepRunner, RUN_SCHEMA,

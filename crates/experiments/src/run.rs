@@ -1,12 +1,11 @@
+use crate::count::{count_launch, CountedLoads, LaunchCounts};
 use crate::error::ExperimentError;
 use crate::telemetry::{ExperimentTelemetry, TelemetrySpec};
 use crate::workload::{fill_lines, DEMO_KEY};
 use rcoal_aes::{Block, LAST_ROUND_TAG_BASE};
 use rcoal_attack::AttackSample;
-use rcoal_core::{Coalescer, CoalescingPolicy};
-use rcoal_gpu_sim::{
-    FaultPlan, GpuConfig, GpuSimulator, Kernel, LaunchPolicy, SimTelemetry, TraceInstr,
-};
+use rcoal_core::CoalescingPolicy;
+use rcoal_gpu_sim::{FaultPlan, GpuConfig, GpuSimulator, LaunchPolicy, SimTelemetry};
 use rcoal_parallel::{resolve_threads, try_parallel_map_init};
 use rcoal_rng::SeedableRng;
 use rcoal_rng::StdRng;
@@ -252,9 +251,9 @@ impl ExperimentConfig {
             &mut plaintexts,
         );
         let sim = GpuSimulator::new(self.gpu.clone());
-        let coalescer = Coalescer::with_block_size(self.gpu.block_size)?;
         let launch = self.launch.unwrap_or(LaunchPolicy::Uniform(self.policy));
-        let launches = self.run_launches(workload, 0, &plaintexts, &sim, &coalescer, launch)?;
+        let launches =
+            self.run_launches(workload, 0, &plaintexts, &sim, launch, CountedLoads::All)?;
 
         let mut data = ExperimentData {
             policy: self.policy,
@@ -270,12 +269,12 @@ impl ExperimentConfig {
             telemetry: self.telemetry.map(|_| ExperimentTelemetry::default()),
         };
         for (i, launch_data) in launches.into_iter().enumerate() {
+            let counts = launch_data.counts;
             data.ciphertexts.push(launch_data.ciphertexts);
-            data.last_round_accesses
-                .push(launch_data.by_byte.iter().sum());
-            data.last_round_accesses_by_byte.push(launch_data.by_byte);
-            data.total_accesses.push(launch_data.total_accesses);
-            data.total_requests.push(launch_data.total_requests);
+            data.last_round_accesses.push(counts.by_byte.iter().sum());
+            data.last_round_accesses_by_byte.push(counts.by_byte);
+            data.total_accesses.push(counts.total_accesses);
+            data.total_requests.push(counts.total_requests);
             if let Some(lr) = data.last_round_cycles.as_mut() {
                 lr.push(launch_data.last_round_cycles.unwrap_or(0));
             }
@@ -301,20 +300,22 @@ impl ExperimentConfig {
     /// inputs; the first is launch `first`) and returns their data in
     /// launch order. This is the one launch path of both
     /// [`ExperimentConfig::run`] and the streaming
-    /// [`crate::SimulatorSource`].
+    /// [`crate::SimulatorSource`]; a functional launch counts the
+    /// `counted` loads, a timing launch simulates them all.
     ///
     /// Launches are independent by construction — launch `i` draws its
     /// policy randomness from its own seed — so they fan out across
     /// worker threads, and the data is bit-identical to a sequential
-    /// run. Each worker builds one kernel and reloads it per launch.
+    /// run. Each worker builds one kernel and, per launch, reloads it
+    /// (timing) or only loads its program (functional).
     pub(crate) fn run_launches(
         &self,
         workload: &dyn KernelWorkload,
         first: usize,
         plaintexts: &[Block],
         sim: &GpuSimulator,
-        coalescer: &Coalescer,
         launch: LaunchPolicy,
+        counted: CountedLoads,
     ) -> Result<Vec<LaunchData>, ExperimentError> {
         let inputs: Vec<&[Block]> = plaintexts.chunks(self.lines).collect();
         let (result, report) = try_parallel_map_init(
@@ -322,8 +323,12 @@ impl ExperimentConfig {
             &inputs,
             || workload.build_kernel(&self.key, Vec::new(), self.gpu.warp_size),
             |kernel, i, lines| {
-                kernel.reload(lines);
-                self.run_one_launch(workload, kernel.as_ref(), first + i, sim, coalescer, launch)
+                if self.timing {
+                    kernel.reload(lines);
+                } else {
+                    kernel.load(lines);
+                }
+                self.run_one_launch(workload, kernel.as_ref(), first + i, sim, launch, counted)
             },
         );
         if let Some(metrics) = &self.host_metrics {
@@ -333,7 +338,7 @@ impl ExperimentConfig {
     }
 
     /// One kernel launch (plaintext `i`) of the worker's `kernel`, just
-    /// reloaded with the launch's lines: simulates (or functionally
+    /// loaded with the launch's lines: simulates (or functionally
     /// counts) and returns everything the experiment records about it.
     /// Runs on worker threads; must depend only on its arguments.
     fn run_one_launch(
@@ -342,17 +347,15 @@ impl ExperimentConfig {
         kernel: &dyn WorkloadKernel,
         i: usize,
         sim: &GpuSimulator,
-        coalescer: &Coalescer,
         launch: LaunchPolicy,
+        counted: CountedLoads,
     ) -> Result<LaunchData, ExperimentError> {
         // One kernel launch per plaintext; each launch re-draws the
         // policy randomness from its own seed.
         let launch_seed = self.seed.wrapping_add(1 + i as u64);
         let mut out = LaunchData {
             ciphertexts: Arc::new(kernel.attack_text().to_vec()),
-            by_byte: [0; 16],
-            total_accesses: 0,
-            total_requests: 0,
+            counts: LaunchCounts::default(),
             last_round_cycles: None,
             total_cycles: None,
             telemetry: None,
@@ -367,11 +370,11 @@ impl ExperimentConfig {
             } else {
                 sim.run_launch_faulted(kernel, launch, launch_seed, &self.faults)?
             };
-            for (j, slot) in out.by_byte.iter_mut().enumerate() {
+            for (j, slot) in out.counts.by_byte.iter_mut().enumerate() {
                 *slot = stats.accesses_for_tag(LAST_ROUND_TAG_BASE + j as u16);
             }
-            out.total_accesses = stats.total_accesses;
-            out.total_requests = stats.total_requests;
+            out.counts.total_accesses = stats.total_accesses;
+            out.counts.total_requests = stats.total_requests;
             // `try_` keeps a kernel that never passes the boundary round
             // from silently reporting the whole run as "post-boundary"
             // time (registered workloads always pass it; a custom kernel
@@ -379,10 +382,7 @@ impl ExperimentConfig {
             out.last_round_cycles = stats.try_cycles_after_round(workload.timing_boundary_round());
             out.total_cycles = Some(stats.total_cycles);
         } else {
-            let counts = functional_counts(kernel, launch, launch_seed, coalescer, &self.gpu)?;
-            out.by_byte = counts.by_byte;
-            out.total_accesses = counts.total;
-            out.total_requests = counts.requests;
+            out.counts = count_launch(kernel.program(), launch, launch_seed, &self.gpu, counted)?;
         }
         Ok(out)
     }
@@ -391,59 +391,13 @@ impl ExperimentConfig {
 /// Everything one launch contributes to [`ExperimentData`].
 pub(crate) struct LaunchData {
     pub(crate) ciphertexts: Arc<Vec<Block>>,
-    pub(crate) by_byte: [u64; 16],
-    pub(crate) total_accesses: u64,
-    pub(crate) total_requests: u64,
+    pub(crate) counts: LaunchCounts,
     pub(crate) last_round_cycles: Option<u64>,
     pub(crate) total_cycles: Option<u64>,
     /// Boxed: a sink is ~2 KiB inline, and a chunk's results are
     /// collected by value, so an unboxed field would make every launch
     /// of a telemetry-free stream carry it.
     pub(crate) telemetry: Option<Box<SimTelemetry>>,
-}
-
-struct FunctionalCounts {
-    total: u64,
-    requests: u64,
-    by_byte: [u64; 16],
-}
-
-/// Counts coalesced accesses without the cycle model, drawing the same
-/// per-warp subwarp assignments the simulator would (same seed, same warp
-/// order, same [`LaunchPolicy::draw_assignments`]).
-fn functional_counts(
-    kernel: &dyn Kernel,
-    launch: LaunchPolicy,
-    launch_seed: u64,
-    coalescer: &Coalescer,
-    gpu: &GpuConfig,
-) -> Result<FunctionalCounts, ExperimentError> {
-    let mut rng = StdRng::seed_from_u64(launch_seed);
-    let mut counts = FunctionalCounts {
-        total: 0,
-        requests: 0,
-        by_byte: [0; 16],
-    };
-    for w in 0..kernel.num_warps() {
-        let width = kernel.warp_width(w).min(gpu.warp_size);
-        let (assignment, vulnerable_assignment) = launch.draw_assignments(width, &mut rng)?;
-        for instr in kernel.trace(w).instrs() {
-            if let TraceInstr::Load { addrs, tag } = instr {
-                let a = if launch.is_vulnerable_tag(*tag) {
-                    &vulnerable_assignment
-                } else {
-                    &assignment
-                };
-                let n = coalescer.count_accesses(a, addrs) as u64;
-                counts.total += n;
-                counts.requests += addrs.iter().filter(|a| a.is_some()).count() as u64;
-                if *tag >= LAST_ROUND_TAG_BASE {
-                    counts.by_byte[usize::from(tag - LAST_ROUND_TAG_BASE)] += n;
-                }
-            }
-        }
-    }
-    Ok(counts)
 }
 
 /// Results of one experiment: per-plaintext observations.

@@ -10,12 +10,12 @@
 //! any chunk size. That is what lets million-sample attack and audit
 //! budgets run with peak heap independent of the sample count.
 
+use crate::count::CountedLoads;
 use crate::error::ExperimentError;
 use crate::run::{ExperimentConfig, TimingSource};
 use crate::workload::fill_lines;
 use rcoal_aes::Block;
 use rcoal_attack::{AttackError, AttackSample, SampleSource};
-use rcoal_core::Coalescer;
 use rcoal_gpu_sim::{GpuSimulator, LaunchPolicy};
 use rcoal_rng::{SeedableRng, StdRng};
 use rcoal_workload::KernelWorkload;
@@ -37,7 +37,6 @@ pub struct SimulatorSource {
     cfg: ExperimentConfig,
     workload: &'static dyn KernelWorkload,
     sim: GpuSimulator,
-    coalescer: Coalescer,
     launch: LaunchPolicy,
     source: TimingSource,
     rng: StdRng,
@@ -102,14 +101,12 @@ impl SimulatorSource {
             ExperimentError::Config(format!("unknown workload '{}'", cfg.workload))
         })?;
         let sim = GpuSimulator::new(cfg.gpu.clone());
-        let coalescer = Coalescer::with_block_size(cfg.gpu.block_size)?;
         let launch = cfg.launch.unwrap_or(LaunchPolicy::Uniform(cfg.policy));
         let rng = StdRng::seed_from_u64(cfg.seed);
         Ok(SimulatorSource {
             cfg,
             workload,
             sim,
-            coalescer,
             launch,
             source,
             rng,
@@ -139,7 +136,9 @@ impl SimulatorSource {
     /// Launches within the chunk fan out across the configured worker
     /// threads, each reloading one kernel per launch; each launch draws
     /// its policy randomness from its own index-derived seed, so the
-    /// stream is bit-identical at any thread count and chunk size.
+    /// stream is bit-identical at any thread count and chunk size. A
+    /// functional stream counts only the per-byte loads, which are all
+    /// any [`TimingSource`] reads.
     ///
     /// # Errors
     ///
@@ -158,17 +157,18 @@ impl SimulatorSource {
             self.produced,
             &self.plaintexts,
             &self.sim,
-            &self.coalescer,
             self.launch,
+            CountedLoads::ByByte,
         )?;
         for data in launches {
+            let by_byte = data.counts.by_byte;
             let time = match self.source {
                 // `unwrap_or(0)` mirrors the materialized pipeline:
                 // `run()` records missing boundary cycles as 0.
                 TimingSource::LastRoundCycles => data.last_round_cycles.unwrap_or(0) as f64,
                 TimingSource::TotalCycles => data.total_cycles.unwrap_or(0) as f64,
-                TimingSource::LastRoundAccesses => data.by_byte.iter().sum::<u64>() as f64,
-                TimingSource::ByteAccesses(j) => data.by_byte[usize::from(j)] as f64,
+                TimingSource::LastRoundAccesses => by_byte.iter().sum::<u64>() as f64,
+                TimingSource::ByteAccesses(j) => by_byte[usize::from(j)] as f64,
             };
             out.push(AttackSample {
                 ciphertexts: Arc::clone(&data.ciphertexts),

@@ -30,32 +30,35 @@ pub fn gather_index(line: &Block, r: usize, j: usize) -> u8 {
     (h & 0xFF) as u8
 }
 
-/// Per-round index arrays for one line (the [`crate::TableKernel`]
-/// index function of the gather workload).
-pub fn gather_round_indices(line: &Block) -> Vec<[u8; 8]> {
-    (0..GATHER_ROUNDS)
-        .map(|r| {
-            let mut idx = [0u8; 8];
-            for (j, slot) in idx.iter_mut().enumerate() {
-                *slot = gather_index(line, r, j);
-            }
-            idx
-        })
-        .collect()
+/// Per-round index arrays for one line, written into `out` (the first
+/// [`GATHER_ROUNDS`] entries): the [`crate::TableKernel`] index
+/// function of the gather workload.
+pub fn gather_round_indices(line: &Block, out: &mut [[u8; 8]]) {
+    for (r, idx) in out.iter_mut().take(GATHER_ROUNDS).enumerate() {
+        for (j, slot) in idx.iter_mut().enumerate() {
+            *slot = gather_index(line, r, j);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn round_indices(line: &Block) -> [[u8; 8]; GATHER_ROUNDS] {
+        let mut out = [[0u8; 8]; GATHER_ROUNDS];
+        gather_round_indices(line, &mut out);
+        out
+    }
+
     #[test]
     fn indices_are_deterministic_and_line_sensitive() {
         let a = *b"abcdefghijklmnop";
         let mut b = a;
         b[15] ^= 1;
-        assert_eq!(gather_round_indices(&a), gather_round_indices(&a));
-        assert_ne!(gather_round_indices(&a), gather_round_indices(&b));
-        assert_eq!(gather_round_indices(&a).len(), GATHER_ROUNDS);
+        assert_eq!(round_indices(&a), round_indices(&a));
+        assert_ne!(round_indices(&a), round_indices(&b));
+        assert_eq!(round_indices(&a)[1][3], gather_index(&a, 1, 3));
     }
 
     #[test]

@@ -19,7 +19,8 @@ pub const GIFT_SBOX: [u8; 16] = [
     0x1, 0xA, 0x4, 0xC, 0x6, 0xF, 0x3, 0x9, 0x2, 0xD, 0xB, 0x7, 0x5, 0x0, 0x8, 0xE,
 ];
 
-const ROUNDS: usize = 28;
+/// Rounds, each one round of eight table lookups.
+pub const ROUNDS: usize = 28;
 
 fn inv_sbox() -> [u8; 16] {
     let mut inv = [0u8; 16];
@@ -145,18 +146,21 @@ impl Gift64 {
         s.to_be_bytes()
     }
 
-    /// Per-round byte-table indices for one plaintext. Entry 0 is the
-    /// modeled whitened round (`pt_j ^ mask_j`); entries 1..28 are the
-    /// real cipher states entering each round's SubCells.
-    pub fn round_index_bytes(&self, pt: [u8; 8]) -> Vec<[u8; 8]> {
-        let mut out = Vec::with_capacity(ROUNDS);
+    /// Per-round byte-table indices for one plaintext, written into
+    /// `out` (the first [`ROUNDS`] entries; a shorter `out` gets the
+    /// first rounds). Entry 0 is the modeled whitened round
+    /// (`pt_j ^ mask_j`); entries 1..28 are the real cipher states
+    /// entering each round's SubCells.
+    pub fn round_index_bytes(&self, pt: [u8; 8], out: &mut [[u8; 8]]) {
         let mut s = u64::from_be_bytes(pt);
-        out.push((s ^ self.masks[0]).to_be_bytes());
-        for mask in &self.masks[..ROUNDS - 1] {
-            s = perm_bits(sub_cells(s)) ^ mask;
-            out.push(s.to_be_bytes());
+        let mut slots = out.iter_mut().take(ROUNDS);
+        if let Some(first) = slots.next() {
+            *first = (s ^ self.masks[0]).to_be_bytes();
         }
-        out
+        for (slot, mask) in slots.zip(&self.masks[..ROUNDS - 1]) {
+            s = perm_bits(sub_cells(s)) ^ mask;
+            *slot = s.to_be_bytes();
+        }
     }
 }
 
@@ -247,8 +251,8 @@ mod tests {
     fn round_indices_whiten_round_one_and_track_real_states() {
         let cipher = Gift64::new(b"gift-64 test key");
         let pt = *b"abcdefgh";
-        let idx = cipher.round_index_bytes(pt);
-        assert_eq!(idx.len(), 28);
+        let mut idx = [[0u8; 8]; ROUNDS];
+        cipher.round_index_bytes(pt, &mut idx);
         let w = cipher.whitening();
         for j in 0..8 {
             assert_eq!(idx[0][j], pt[j] ^ w[j], "modeled whitening is byte-local");

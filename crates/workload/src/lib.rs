@@ -45,7 +45,7 @@ pub use table_kernel::{TableKernel, INPUT_BASE, LOADS_PER_ROUND, OUTPUT_BASE, TA
 use gather::{gather_round_indices, GATHER_ROUNDS};
 use gift::Gift64;
 use present::Present80;
-use rcoal_aes::{Aes128, AesGpuKernel, Block};
+use rcoal_aes::{Aes128, AesGpuKernel, Block, TableProgram};
 use rcoal_attack::{aes_oracle, TableOracle, XorWhiteningOracle};
 use rcoal_gpu_sim::Kernel;
 use rectangle::Rectangle128;
@@ -79,17 +79,31 @@ pub struct WorkloadGeometry {
 /// A GPU kernel instance built by a workload: a simulator [`Kernel`]
 /// that also exposes the per-line text the attacker observes
 /// (ciphertexts for AES's last-round attack, plaintext lines for the
-/// known-plaintext first-round attacks).
+/// known-plaintext first-round attacks) and the [`TableProgram`] its
+/// traces expand.
 pub trait WorkloadKernel: Kernel + Send + Sync {
     /// Attacker-observable 16-byte lines, one per thread; the attack's
     /// oracle consumes byte columns of these.
     fn attack_text(&self) -> &[Block];
 
+    /// Loads new input `lines` under the same key and warp size into the
+    /// kernel's [`TableProgram`] only: the attack text and every lane's
+    /// entry indices, from the cipher's own state. No warp trace is
+    /// written, and the [`Kernel`] view has no warps until the next
+    /// [`WorkloadKernel::reload`]; a functional launch counts from
+    /// [`WorkloadKernel::program`] alone.
+    fn load(&mut self, lines: &[Block]);
+
     /// Rebuilds the kernel in place for new input `lines` under the same
-    /// key and warp size. The result equals
+    /// key and warp size: [`WorkloadKernel::load`], then the program
+    /// expanded into warp traces. The result equals
     /// [`KernelWorkload::build_kernel`] on `lines`, at any line count;
-    /// a launch worker keeps one kernel and reloads it per launch.
+    /// a cycle-level launch worker keeps one kernel and reloads it per
+    /// launch.
     fn reload(&mut self, lines: &[Block]);
+
+    /// The warp program over the current lines.
+    fn program(&self) -> &TableProgram;
 }
 
 /// A registered table-based workload: everything the experiment
@@ -156,8 +170,16 @@ impl WorkloadKernel for AesGpuKernel {
         self.ciphertexts()
     }
 
+    fn load(&mut self, lines: &[Block]) {
+        AesGpuKernel::load(self, lines);
+    }
+
     fn reload(&mut self, lines: &[Block]) {
         AesGpuKernel::reload(self, lines);
+    }
+
+    fn program(&self) -> &TableProgram {
+        AesGpuKernel::program(self)
     }
 }
 
@@ -221,7 +243,7 @@ impl KernelWorkload for Present80Workload {
             tables: 8,
             threads_per_warp: 32,
             loads_per_round: 8,
-            rounds: 31,
+            rounds: present::ROUNDS,
             block_bytes: 8,
             key_bytes: 10,
             attack_bytes: 8,
@@ -238,8 +260,9 @@ impl KernelWorkload for Present80Workload {
         let mut k80 = [0u8; 10];
         k80.copy_from_slice(&key[..10]);
         let cipher = Present80::new(&k80);
-        let f = move |line: &Block| cipher.round_index_bytes(block8(line));
-        Box::new(TableKernel::new(lines, warp_size, 8, f))
+        let f =
+            move |line: &Block, out: &mut [[u8; 8]]| cipher.round_index_bytes(block8(line), out);
+        Box::new(TableKernel::new(lines, warp_size, 8, present::ROUNDS, f))
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -273,7 +296,7 @@ impl KernelWorkload for Gift64Workload {
             tables: 8,
             threads_per_warp: 32,
             loads_per_round: 8,
-            rounds: 28,
+            rounds: gift::ROUNDS,
             block_bytes: 8,
             key_bytes: 16,
             attack_bytes: 8,
@@ -288,8 +311,9 @@ impl KernelWorkload for Gift64Workload {
         warp_size: usize,
     ) -> Box<dyn WorkloadKernel> {
         let cipher = Gift64::new(key);
-        let f = move |line: &Block| cipher.round_index_bytes(block8(line));
-        Box::new(TableKernel::new(lines, warp_size, 4, f))
+        let f =
+            move |line: &Block, out: &mut [[u8; 8]]| cipher.round_index_bytes(block8(line), out);
+        Box::new(TableKernel::new(lines, warp_size, 4, gift::ROUNDS, f))
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -320,7 +344,7 @@ impl KernelWorkload for RectangleWorkload {
             tables: 8,
             threads_per_warp: 32,
             loads_per_round: 8,
-            rounds: 25,
+            rounds: rectangle::ROUNDS,
             block_bytes: 8,
             key_bytes: 16,
             attack_bytes: 8,
@@ -335,8 +359,9 @@ impl KernelWorkload for RectangleWorkload {
         warp_size: usize,
     ) -> Box<dyn WorkloadKernel> {
         let cipher = Rectangle128::new(key);
-        let f = move |line: &Block| cipher.round_index_bytes(block8(line));
-        Box::new(TableKernel::new(lines, warp_size, 2, f))
+        let f =
+            move |line: &Block, out: &mut [[u8; 8]]| cipher.round_index_bytes(block8(line), out);
+        Box::new(TableKernel::new(lines, warp_size, 2, rectangle::ROUNDS, f))
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -381,7 +406,13 @@ impl KernelWorkload for GatherWorkload {
         lines: Vec<Block>,
         warp_size: usize,
     ) -> Box<dyn WorkloadKernel> {
-        Box::new(TableKernel::new(lines, warp_size, 4, gather_round_indices))
+        Box::new(TableKernel::new(
+            lines,
+            warp_size,
+            4,
+            GATHER_ROUNDS,
+            gather_round_indices,
+        ))
     }
 
     fn attacked_subkey(&self, _key: &[u8; 16]) -> [u8; 16] {

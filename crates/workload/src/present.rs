@@ -17,7 +17,8 @@ pub const PRESENT_SBOX: [u8; 16] = [
     0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2,
 ];
 
-const ROUNDS: usize = 31;
+/// S-box/pLayer rounds, each one round of eight table lookups.
+pub const ROUNDS: usize = 31;
 const KEY_MASK: u128 = (1u128 << 80) - 1;
 
 fn inv_sbox() -> [u8; 16] {
@@ -121,18 +122,18 @@ impl Present80 {
         s.to_be_bytes()
     }
 
-    /// Per-round byte-table indices for one plaintext: entry `r` holds
-    /// the eight lookup indices of round `r + 1`, i.e. the big-endian
-    /// bytes of `state ^ K_{r+1}`. Entry 0 is `pt ^ K1` byte for byte.
-    pub fn round_index_bytes(&self, pt: [u8; 8]) -> Vec<[u8; 8]> {
-        let mut out = Vec::with_capacity(ROUNDS);
+    /// Per-round byte-table indices for one plaintext, written into
+    /// `out` (the first [`ROUNDS`] entries; a shorter `out` gets the
+    /// first rounds): entry `r` holds the eight lookup indices of round
+    /// `r + 1`, i.e. the big-endian bytes of `state ^ K_{r+1}`. Entry 0
+    /// is `pt ^ K1` byte for byte.
+    pub fn round_index_bytes(&self, pt: [u8; 8], out: &mut [[u8; 8]]) {
         let mut s = u64::from_be_bytes(pt);
-        for i in 0..ROUNDS {
-            let keyed = s ^ self.round_keys[i];
-            out.push(keyed.to_be_bytes());
+        for (slot, key) in out.iter_mut().zip(&self.round_keys[..ROUNDS]) {
+            let keyed = s ^ key;
+            *slot = keyed.to_be_bytes();
             s = p_layer(sbox_layer(keyed));
         }
-        out
     }
 }
 
@@ -196,8 +197,11 @@ mod tests {
     fn round_indices_start_at_whitened_plaintext_and_rebuild_the_cipher() {
         let cipher = Present80::new(b"0123456789");
         let pt = *b"abcdefgh";
-        let idx = cipher.round_index_bytes(pt);
-        assert_eq!(idx.len(), 31);
+        // One entry past the rounds: the cipher must leave it alone.
+        let mut idx = [[0xA5u8; 8]; ROUNDS + 1];
+        cipher.round_index_bytes(pt, &mut idx);
+        assert_eq!(idx[ROUNDS], [0xA5; 8]);
+        let idx = &idx[..ROUNDS];
         let w = cipher.whitening();
         for j in 0..8 {
             assert_eq!(idx[0][j], pt[j] ^ w[j], "round 1 is byte-local in the key");

@@ -25,7 +25,8 @@ pub const RECTANGLE_SBOX: [u8; 16] = [
     0x6, 0x5, 0xC, 0xA, 0x1, 0xE, 0x7, 0x9, 0xB, 0x0, 0x3, 0xD, 0x8, 0xF, 0x4, 0x2,
 ];
 
-const ROUNDS: usize = 25;
+/// Rounds, each one round of eight table lookups.
+pub const ROUNDS: usize = 25;
 
 fn inv_sbox() -> [u8; 16] {
     let mut inv = [0u8; 16];
@@ -172,17 +173,17 @@ impl Rectangle128 {
         pack(rows)
     }
 
-    /// Per-round byte-table indices: entry `r` is the packed state
-    /// after `AddRoundKey(RK_r)`, entering round `r + 1`'s SubColumn.
-    /// Entry 0 is `pt ^ RK0` byte for byte.
-    pub fn round_index_bytes(&self, pt: [u8; 8]) -> Vec<[u8; 8]> {
-        let mut out = Vec::with_capacity(ROUNDS);
+    /// Per-round byte-table indices, written into `out` (the first
+    /// [`ROUNDS`] entries; a shorter `out` gets the first rounds): entry
+    /// `r` is the packed state after `AddRoundKey(RK_r)`, entering round
+    /// `r + 1`'s SubColumn. Entry 0 is `pt ^ RK0` byte for byte.
+    pub fn round_index_bytes(&self, pt: [u8; 8], out: &mut [[u8; 8]]) {
         let mut rows = unpack(pt);
-        for rk in &self.round_keys[..ROUNDS] {
+        for (slot, rk) in out.iter_mut().zip(&self.round_keys[..ROUNDS]) {
             for i in 0..4 {
                 rows[i] ^= rk[i];
             }
-            out.push(pack(rows));
+            *slot = pack(rows);
             rows = sub_column(rows, &RECTANGLE_SBOX);
             rows = [
                 rows[0],
@@ -191,7 +192,6 @@ impl Rectangle128 {
                 rows[3].rotate_left(13),
             ];
         }
-        out
     }
 }
 
@@ -265,8 +265,8 @@ mod tests {
     fn round_indices_start_at_whitened_plaintext() {
         let cipher = Rectangle128::new(b"rectangle128 key");
         let pt = *b"abcdefgh";
-        let idx = cipher.round_index_bytes(pt);
-        assert_eq!(idx.len(), 25);
+        let mut idx = [[0u8; 8]; ROUNDS];
+        cipher.round_index_bytes(pt, &mut idx);
         let w = cipher.whitening();
         for j in 0..8 {
             assert_eq!(idx[0][j], pt[j] ^ w[j], "round 1 is byte-local in RK0");

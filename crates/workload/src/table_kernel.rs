@@ -1,7 +1,8 @@
-//! A generic GPU trace model for table-based block-cipher kernels.
+//! A generic warp-program model for table-based block-cipher kernels.
 //!
-//! Mirrors the AES kernel's instruction-stream shape (`rcoal-aes`):
-//! one thread per line, lock-step SIMT, an input load, `rounds` rounds
+//! Describes the AES kernel's program shape with the same
+//! [`TableProgram`] (`rcoal-aes`): one thread per line, lock-step SIMT,
+//! an input load, `rounds` rounds
 //! of [`LOADS_PER_ROUND`] table lookups with interleaved ALU work, and
 //! an output store. The *vulnerable* round — the one whose table
 //! indices are a byte-local function of attacker-observable text — is
@@ -11,8 +12,8 @@
 //! policies, the audit) works unchanged.
 
 use crate::WorkloadKernel;
-use rcoal_aes::{Block, LAST_ROUND_TAG_BASE, OUTPUT_TAG};
-use rcoal_gpu_sim::{Kernel, TraceInstr, WarpTrace};
+use rcoal_aes::{Block, LineLoad, TableLoad, TableProgram, LAST_ROUND_TAG_BASE, OUTPUT_TAG};
+use rcoal_gpu_sim::{Kernel, WarpTrace};
 
 /// Table lookups per round: one per state byte of a 64-bit block.
 pub const LOADS_PER_ROUND: usize = 8;
@@ -27,30 +28,25 @@ pub const INPUT_BASE: u64 = 0x10_0000;
 /// Base address of the output (ciphertext) buffer.
 pub const OUTPUT_BASE: u64 = 0x20_0000;
 
-/// ALU cycles between dependent lookups (same as the AES kernel).
-const COMPUTE_PER_LOOKUP: u32 = 2;
-
-/// ALU cycles of key-XOR / bookkeeping per round (same as AES).
-const ROUND_OVERHEAD: u32 = 8;
-
 /// Per-line, per-round table indices of a cipher model (see
-/// [`TableKernel`]).
-type IndexFn = Box<dyn Fn(&Block) -> Vec<[u8; 8]> + Send + Sync>;
+/// [`TableKernel`]), written into the caller's one-entry-per-round
+/// buffer.
+type IndexFn = Box<dyn Fn(&Block, &mut [[u8; LOADS_PER_ROUND]]) + Send + Sync>;
 
-/// A [`Kernel`] whose per-warp traces are generated from per-line,
+/// A [`Kernel`] whose warp program is described from per-line,
 /// per-round table-index bytes supplied by a cipher model.
 ///
-/// Each line's first 8 bytes form its 64-bit block; `index_fn` maps
-/// that line to one `[u8; 8]` of table indices per round (entry `r`
-/// indexes round `r+1`'s lookups, one per state byte `j`, into table
-/// `j`). Round 1 carries the per-byte vulnerable tags; rounds `2..`
-/// cycle through the AES kernel's inner-round tags `1..=9` so
-/// selective-policy tag ranges keep their meaning.
+/// Each line's first 8 bytes form its 64-bit block; `index_fn(line,
+/// out)` fills `out[r]` with round `r+1`'s indices, one per state byte
+/// `j`, into table `j`. Round 1 carries the per-byte vulnerable tags;
+/// rounds `2..` cycle through the AES kernel's inner-round tags `1..=9`
+/// so selective-policy tag ranges keep their meaning. The indices are
+/// written straight into the [`TableProgram`]'s reused rows, so a
+/// reload of a line count seen before allocates nothing.
 pub struct TableKernel {
     lines: Vec<Block>,
-    warp_size: usize,
-    entry_size: u64,
     index_fn: IndexFn,
+    program: TableProgram,
     warp_traces: Vec<WarpTrace>,
 }
 
@@ -58,26 +54,57 @@ impl std::fmt::Debug for TableKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TableKernel")
             .field("lines", &self.lines.len())
-            .field("warp_size", &self.warp_size)
-            .field("entry_size", &self.entry_size)
+            .field("warp_size", &self.program.warp_size())
+            .field("loads", &self.program.loads().len())
             .finish_non_exhaustive()
     }
 }
 
 impl TableKernel {
-    /// Builds the kernel: `entry_size` bytes per table entry, and
-    /// `index_fn(line)` returning one 8-byte index array per round.
+    /// Builds the kernel: `rounds` rounds of [`LOADS_PER_ROUND`] lookups
+    /// into tables of `entry_size`-byte entries, and `index_fn(line,
+    /// out)` filling one 8-byte index array per round.
     pub fn new(
         lines: Vec<Block>,
         warp_size: usize,
         entry_size: u64,
-        index_fn: impl Fn(&Block) -> Vec<[u8; 8]> + Send + Sync + 'static,
+        rounds: usize,
+        index_fn: impl Fn(&Block, &mut [[u8; LOADS_PER_ROUND]]) + Send + Sync + 'static,
     ) -> Self {
+        let table_stride = 256 * entry_size;
+        let loads = (1..=rounds)
+            .flat_map(|r| {
+                (0..LOADS_PER_ROUND).map(move |j| TableLoad {
+                    // Round 1 is the vulnerable (whitened) round: per-byte
+                    // tags, exactly like the AES last round. Inner rounds
+                    // reuse the AES kernel's 1..=9 tag cycle.
+                    tag: if r == 1 {
+                        LAST_ROUND_TAG_BASE + j as u16
+                    } else {
+                        1 + ((r as u16 - 2) % 9)
+                    },
+                    table_base: TABLE_BASE + j as u64 * table_stride,
+                    entry_size,
+                })
+            })
+            .collect();
+        let program = TableProgram::new(
+            LineLoad {
+                tag: 0,
+                base: INPUT_BASE,
+            },
+            loads,
+            LOADS_PER_ROUND,
+            LineLoad {
+                tag: OUTPUT_TAG,
+                base: OUTPUT_BASE,
+            },
+            warp_size,
+        );
         let mut kernel = TableKernel {
             lines: Vec::new(),
-            warp_size: warp_size.max(1),
-            entry_size,
             index_fn: Box::new(index_fn),
+            program,
             warp_traces: Vec::new(),
         };
         kernel.reload(&lines);
@@ -87,14 +114,15 @@ impl TableKernel {
     /// Rebuilds the kernel in place for new input `lines`, rewriting the
     /// warp traces over the old ones; the result equals a fresh build.
     pub fn reload(&mut self, lines: &[Block]) {
+        self.describe(lines);
+        self.program.write_traces(&mut self.warp_traces);
+    }
+
+    fn describe(&mut self, lines: &[Block]) {
         self.lines.clear();
         self.lines.extend_from_slice(lines);
-        let round_indices: Vec<Vec<[u8; 8]>> = lines.iter().map(&self.index_fn).collect();
-        let num_warps = self.num_warps();
-        self.warp_traces.resize_with(num_warps, WarpTrace::default);
-        for (w, trace) in self.warp_traces.iter_mut().enumerate() {
-            let range = w * self.warp_size..(w * self.warp_size + self.warp_size).min(lines.len());
-            write_trace(trace, range, self.entry_size, &round_indices);
+        for (row, line) in self.program.rows_mut(lines.len()).zip(lines) {
+            (self.index_fn)(line, row.as_chunks_mut().0);
         }
     }
 
@@ -105,60 +133,13 @@ impl TableKernel {
     }
 }
 
-/// The one trace writer: the warp over `lines`, written over `trace`.
-fn write_trace(
-    trace: &mut WarpTrace,
-    lines: std::ops::Range<usize>,
-    entry_size: u64,
-    round_indices: &[Vec<[u8; 8]>],
-) {
-    let rounds = lines
-        .clone()
-        .next()
-        .map(|l| round_indices[l].len())
-        .unwrap_or(0);
-    let mut w = trace.rewrite();
-
-    // Input load: 16 B per thread, consecutive lines.
-    w.load(0, lines.clone().map(|l| INPUT_BASE + l as u64 * 16));
-    w.push(TraceInstr::compute(ROUND_OVERHEAD));
-
-    let table_stride = 256 * entry_size;
-    for r in 1..=rounds {
-        for j in 0..LOADS_PER_ROUND {
-            // Round 1 is the vulnerable (whitened) round: per-byte tags,
-            // exactly like the AES last round. Inner rounds reuse the
-            // AES kernel's 1..=9 tag cycle.
-            let tag = if r == 1 {
-                LAST_ROUND_TAG_BASE + j as u16
-            } else {
-                1 + ((r as u16 - 2) % 9)
-            };
-            w.load(
-                tag,
-                round_indices[lines.clone()].iter().map(|indices| {
-                    let idx = u64::from(indices[r - 1][j]);
-                    TABLE_BASE + j as u64 * table_stride + idx * entry_size
-                }),
-            );
-            w.push(TraceInstr::compute(COMPUTE_PER_LOOKUP));
-        }
-        w.push(TraceInstr::compute(ROUND_OVERHEAD));
-        w.push(TraceInstr::RoundMark { round: r as u16 });
-    }
-
-    // Output store.
-    w.load(OUTPUT_TAG, lines.map(|l| OUTPUT_BASE + l as u64 * 16));
-}
-
 impl Kernel for TableKernel {
     fn num_warps(&self) -> usize {
-        self.lines.len().div_ceil(self.warp_size)
+        self.warp_traces.len()
     }
 
     fn warp_width(&self, warp_id: usize) -> usize {
-        let start = warp_id * self.warp_size;
-        (start + self.warp_size).min(self.lines.len()) - start.min(self.lines.len())
+        self.program.warp_lines(warp_id).len()
     }
 
     fn trace(&self, warp_id: usize) -> &WarpTrace {
@@ -171,20 +152,28 @@ impl WorkloadKernel for TableKernel {
         &self.lines
     }
 
+    fn load(&mut self, lines: &[Block]) {
+        self.describe(lines);
+        self.warp_traces.clear();
+    }
+
     fn reload(&mut self, lines: &[Block]) {
         TableKernel::reload(self, lines);
+    }
+
+    fn program(&self) -> &TableProgram {
+        &self.program
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcoal_gpu_sim::TraceInstr;
 
-    fn identity_indices(rounds: usize) -> impl Fn(&Block) -> Vec<[u8; 8]> + Send + Sync {
-        move |line: &Block| {
-            let mut block = [0u8; 8];
-            block.copy_from_slice(&line[..8]);
-            vec![block; rounds]
+    fn identity_indices(line: &Block, out: &mut [[u8; 8]]) {
+        for round in out {
+            round.copy_from_slice(&line[..8]);
         }
     }
 
@@ -202,8 +191,7 @@ mod tests {
 
     #[test]
     fn trace_shape_mirrors_aes() {
-        let f = identity_indices(31);
-        let k = TableKernel::new(lines(32), 32, 8, f);
+        let k = TableKernel::new(lines(32), 32, 8, 31, identity_indices);
         let t = k.trace(0);
         let loads = t
             .instrs()
@@ -225,8 +213,7 @@ mod tests {
 
     #[test]
     fn round_one_carries_per_byte_vulnerable_tags() {
-        let f = identity_indices(25);
-        let k = TableKernel::new(lines(32), 32, 2, f);
+        let k = TableKernel::new(lines(32), 32, 2, 25, identity_indices);
         let tags: Vec<u16> = k
             .trace(0)
             .instrs()
@@ -242,8 +229,7 @@ mod tests {
 
     #[test]
     fn inner_round_tags_stay_in_the_aes_cycle() {
-        let f = identity_indices(31);
-        let k = TableKernel::new(lines(32), 32, 8, f);
+        let k = TableKernel::new(lines(32), 32, 8, 31, identity_indices);
         for instr in k.trace(0).instrs() {
             if let TraceInstr::Load { tag, .. } = instr {
                 assert!(
@@ -259,8 +245,7 @@ mod tests {
 
     #[test]
     fn addresses_land_in_per_byte_tables() {
-        let f = identity_indices(3);
-        let k = TableKernel::new(lines(32), 32, 8, f);
+        let k = TableKernel::new(lines(32), 32, 8, 3, identity_indices);
         for instr in k.trace(0).instrs() {
             if let TraceInstr::Load { addrs, tag } = instr {
                 if *tag >= LAST_ROUND_TAG_BASE {
@@ -276,8 +261,7 @@ mod tests {
 
     #[test]
     fn partial_warps_partition_like_aes() {
-        let f = identity_indices(2);
-        let k = TableKernel::new(lines(40), 32, 4, f);
+        let k = TableKernel::new(lines(40), 32, 4, 2, identity_indices);
         assert_eq!(k.num_warps(), 2);
         assert_eq!(k.warp_width(0), 32);
         assert_eq!(k.warp_width(1), 8);
@@ -290,9 +274,8 @@ mod tests {
 
     #[test]
     fn attack_text_is_the_plaintext_lines() {
-        let f = identity_indices(2);
         let l = lines(8);
-        let k = TableKernel::new(l.clone(), 32, 4, f);
+        let k = TableKernel::new(l.clone(), 32, 4, 2, identity_indices);
         assert_eq!(k.attack_text(), &l[..]);
         assert_eq!(k.lines(), &l[..]);
     }
