@@ -1,21 +1,25 @@
 //! # rcoal-aes
 //!
-//! AES-128 and its GPU execution model for the RCoal reproduction.
+//! AES-128 and the GPU execution model of a table-based kernel for the
+//! RCoal reproduction.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`tables`] — the S-box, inverse S-box and T-tables, generated at
 //!   compile time from the GF(2⁸) field definition.
 //! * [`Aes128`] — a T-table AES-128 implementation (FIPS-197-validated)
 //!   that can *trace* every table lookup it performs.
-//! * [`AesGpuKernel`] — the CUDA-style kernel model the paper attacks:
-//!   one plaintext line per thread, 32 threads per warp in lock step, so
-//!   each table lookup becomes a warp-wide load for the coalescing unit.
-//!   Its warp program is a [`TableProgram`]: every load's table and each
-//!   lane's entry index, expanded into a trace only for the cycle-level
-//!   simulator.
+//! * [`TableProgram`] — the warp program of a table-based kernel as
+//!   data: every load's table and each lane's entry index, expanded into
+//!   a trace only for the cycle-level simulator.
+//! * [`TableKernel`] — the CUDA-style kernel model the paper attacks:
+//!   one line per thread, 32 threads per warp in lock step, so each
+//!   table lookup becomes a warp-wide load for the coalescing unit.
+//!   [`TableKernel::aes`] is the paper's AES kernel;
+//!   [`TableKernel::first_round`] serves the 64-bit-block ciphers and
+//!   the gather control of `rcoal-workload`.
 //!
-//! The timing channel lives in the last round: lookup `j` uses index
+//! The timing channel lives in AES's last round: lookup `j` uses index
 //! `t_j = S⁻¹[c_j ⊕ k_j]` ([`last_round_index`]), so the number of
 //! coalesced accesses is a deterministic function of ciphertext byte `j`
 //! and last-round key byte `k_j` — which is what `rcoal-attack` exploits
@@ -27,5 +31,5 @@ mod program;
 pub mod tables;
 
 pub use cipher::{last_round_index, Aes128, Aes192, Aes256, Block, LookupTrace, TableLookup};
-pub use kernel::{round_tags, AesGpuKernel, TableLayout, LAST_ROUND_TAG_BASE, OUTPUT_TAG};
+pub use kernel::{TableKernel, LAST_ROUND_TAG_BASE, OUTPUT_TAG};
 pub use program::{LineLoad, TableLoad, TableProgram};

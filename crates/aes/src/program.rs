@@ -1,9 +1,9 @@
 //! The warp program of a table-based GPU kernel, described once per
 //! input.
 //!
-//! A table-based kernel (the AES kernel here, and every `TableKernel`
-//! of `rcoal-workload`) runs one thread per 16-byte line, warps in lock
-//! step: an input load, rounds of table lookups with interleaved ALU
+//! A table-based kernel ([`crate::TableKernel`], for AES and every
+//! workload of `rcoal-workload`) runs one thread per 16-byte line, warps
+//! in lock step: an input load, rounds of table lookups with interleaved ALU
 //! work, and an output store. [`TableProgram`] holds that program as
 //! data: each table load's tag, table base and entry size, and, for
 //! the current input, every lane's entry index, taken from the cipher's

@@ -26,7 +26,7 @@
 //! bench fails if the event core's median simulated-cycles/sec on the
 //! AES leg drops below that floor.
 
-use rcoal_aes::AesGpuKernel;
+use rcoal_aes::TableKernel;
 use rcoal_bench::BENCH_SEED;
 use rcoal_core::CoalescingPolicy;
 use rcoal_gpu_sim::{
@@ -205,16 +205,16 @@ fn run() -> Result<(), String> {
     ];
     let mut rng = StdRng::seed_from_u64(BENCH_SEED);
     let key = *b"sim-throughput-k";
-    let kernels: Vec<AesGpuKernel> = (0..PLAINTEXTS)
+    let kernels: Vec<TableKernel> = (0..PLAINTEXTS)
         .map(|_| {
-            let lines = (0..LINES)
+            let lines: Vec<_> = (0..LINES)
                 .map(|_| {
                     let mut pt = [0u8; 16];
                     rng.fill(&mut pt);
                     pt
                 })
                 .collect();
-            AesGpuKernel::new(&key, lines, gpu.warp_size)
+            TableKernel::aes(&key, &lines, gpu.warp_size)
         })
         .collect();
     println!(

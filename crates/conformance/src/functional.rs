@@ -168,7 +168,7 @@ fn check_workload(
         for &launch in &launches {
             cases += 1;
             let seed = rng.next_u64();
-            let want = trace_counts(fresh.as_ref(), launch, seed, gpu);
+            let want = trace_counts(&fresh, launch, seed, gpu);
             let all = count(reused.program(), launch, seed, gpu, CountedLoads::All);
             if all != want {
                 failures.push(at(&format!(
@@ -199,7 +199,7 @@ fn oracle_run(
             let kernel = workload.build_kernel(&cfg.key, lines, cfg.gpu.warp_size);
             // Launch `i` of a run draws from seed `seed + 1 + i`.
             let seed = cfg.seed.wrapping_add(1 + i as u64);
-            trace_counts(kernel.as_ref(), launch, seed, &cfg.gpu)
+            trace_counts(&kernel, launch, seed, &cfg.gpu)
         })
         .collect()
 }

@@ -21,11 +21,11 @@
 
 use crate::report::SectionReport;
 use crate::strategies::policy_pool;
-use rcoal_aes::Block;
+use rcoal_aes::{Block, TableKernel};
 use rcoal_core::{CoalescingPolicy, PolicyError, SizeDistribution, MAX_LANES};
+use rcoal_gpu_sim::Kernel;
 use rcoal_rng::seq::SliceRandom;
 use rcoal_rng::{Rng, RngCore, SeedableRng, StdRng};
-use rcoal_workload::WorkloadKernel;
 
 /// Line counts one reused kernel is reloaded through, in order.
 const RELOAD_LINES: [usize; 4] = [32, 40, 32, 64];
@@ -220,7 +220,7 @@ fn random_input(rng: &mut StdRng, n: usize) -> Vec<Block> {
 }
 
 /// Where `reused` differs from `fresh`, if anywhere.
-fn kernel_difference(reused: &dyn WorkloadKernel, fresh: &dyn WorkloadKernel) -> Option<String> {
+fn kernel_difference(reused: &TableKernel, fresh: &TableKernel) -> Option<String> {
     if reused.num_warps() != fresh.num_warps() {
         return Some(format!(
             "{} warps, fresh build has {}",
@@ -266,7 +266,7 @@ pub fn section(seed: u64) -> SectionReport {
             let lines = random_input(&mut rng, n);
             reused.reload(&lines);
             let fresh = workload.build_kernel(&key, lines, 32);
-            if let Some(diff) = kernel_difference(reused.as_ref(), fresh.as_ref()) {
+            if let Some(diff) = kernel_difference(&reused, &fresh) {
                 section
                     .failures
                     .push(format!("{} reloaded to {n} lines: {diff}", workload.name()));

@@ -10,7 +10,7 @@
 
 use crate::report::SectionReport;
 use crate::ConformanceError;
-use rcoal_aes::AesGpuKernel;
+use rcoal_aes::TableKernel;
 use rcoal_core::CoalescingPolicy;
 use rcoal_experiments::{run_to_value, ExperimentConfig, DEMO_KEY};
 use rcoal_gpu_sim::{FaultPlan, GpuConfig, GpuSimulator, ReplyJitter, SimStats};
@@ -279,7 +279,7 @@ pub fn builtin_goldens() -> Result<Vec<(String, Value)>, ConformanceError> {
     let sim = GpuSimulator::new(GpuConfig::paper());
     let mut per_policy = ObjBuilder::new();
     for (name, policy) in golden_policies()? {
-        let kernel = AesGpuKernel::new(&DEMO_KEY, lines.clone(), GpuConfig::paper().warp_size);
+        let kernel = TableKernel::aes(&DEMO_KEY, &lines, GpuConfig::paper().warp_size);
         let stats = sim
             .run(&kernel, policy, GOLDEN_SEED)
             .map_err(|e| ConformanceError::new(format!("golden sim {name}: {e}")))?;
@@ -305,7 +305,7 @@ pub fn builtin_goldens() -> Result<Vec<(String, Value)>, ConformanceError> {
                 .map_err(|e| ConformanceError::new(format!("golden policy: {e}")))?,
         ),
     ] {
-        let kernel = AesGpuKernel::new(&DEMO_KEY, lines.clone(), GpuConfig::paper().warp_size);
+        let kernel = TableKernel::aes(&DEMO_KEY, &lines, GpuConfig::paper().warp_size);
         let stats = sim
             .run_faulted(&kernel, policy, GOLDEN_SEED, &plan)
             .map_err(|e| ConformanceError::new(format!("golden faulted sim {name}: {e}")))?;

@@ -6,7 +6,7 @@
 //! `(table_base + index × entry_size) >> log2(block_size)`, each line
 //! load's lane by its line address, and [`count_block_accesses`] counts
 //! the distinct `(subwarp, block)` pairs. The indices come from the
-//! cipher's own lookups (see [`rcoal_workload::WorkloadKernel::load`]),
+//! cipher's own lookups (see [`rcoal_aes::TableKernel::load`]),
 //! never from the attacker's oracle, so a bug in one cannot hide in the
 //! other.
 

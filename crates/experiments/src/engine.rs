@@ -36,7 +36,7 @@ use crate::run::{ExperimentConfig, ExperimentData};
 use rcoal_aes::Block;
 use rcoal_core::CoalescingPolicy;
 use rcoal_parallel::{resolve_threads, supervised_map, FailureKind};
-use rcoal_scenario::json::{ObjBuilder, Value};
+use rcoal_scenario::json::{hex, unhex, ObjBuilder, Value};
 use rcoal_scenario::{CacheStats, ChaosPlan, RunCache, Scenario, ScenarioError, SweepSpec};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -89,7 +89,7 @@ pub fn run_to_value(data: &ExperimentData) -> Option<Value> {
     let ciphertexts = Value::Arr(
         data.ciphertexts
             .iter()
-            .map(|lines| Value::str(hex_blocks(lines)))
+            .map(|lines| Value::str(hex(lines.as_flattened())))
             .collect(),
     );
     let by_byte = Value::Arr(
@@ -107,7 +107,7 @@ pub fn run_to_value(data: &ExperimentData) -> Option<Value> {
             "workload",
             (data.workload != "aes").then(|| Value::str(data.workload.clone())),
         )
-        .field("key", Value::str(hex_bytes(&data.key)))
+        .field("key", Value::str(hex(&data.key)))
         .field("ciphertexts", ciphertexts)
         .field("last_round_accesses", u64_arr(&data.last_round_accesses))
         .field("last_round_accesses_by_byte", by_byte)
@@ -147,7 +147,7 @@ pub fn decode_run(input: &str) -> Result<ExperimentData, ScenarioError> {
         .get("key")
         .and_then(Value::as_str)
         .ok_or_else(|| ScenarioError::new("run key must be a hex string"))?;
-    let key_bytes = unhex(key_hex)?;
+    let key_bytes = unhex(key_hex).map_err(|e| ScenarioError::new(e.to_string()))?;
     let key: [u8; 16] = key_bytes
         .try_into()
         .map_err(|_| ScenarioError::new("run key must be 16 bytes"))?;
@@ -680,50 +680,8 @@ fn parse_opt_u64_arr(v: &Value, key: &str) -> Result<Option<Vec<u64>>, ScenarioE
     }
 }
 
-/// Lower-case hex digits, indexed by nibble.
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Appends the lower-case hex form of `bytes` to `out`. A run row
-/// carries its ciphertexts as hex (32 KiB of them at 512 plaintexts), so
-/// the digits come from a table rather than one `format!` per byte.
-fn push_hex(out: &mut String, bytes: &[u8]) {
-    for &b in bytes {
-        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
-        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
-    }
-}
-
-fn hex_bytes(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    push_hex(&mut out, bytes);
-    out
-}
-
-fn hex_blocks(blocks: &[Block]) -> String {
-    let mut out = String::with_capacity(blocks.len() * 32);
-    for block in blocks {
-        push_hex(&mut out, block);
-    }
-    out
-}
-
-fn unhex(hex: &str) -> Result<Vec<u8>, ScenarioError> {
-    if !hex.len().is_multiple_of(2) {
-        return Err(ScenarioError::new("hex string has odd length"));
-    }
-    hex.as_bytes()
-        .chunks(2)
-        .map(|pair| {
-            let s = std::str::from_utf8(pair)
-                .map_err(|_| ScenarioError::new("hex string is not ascii"))?;
-            u8::from_str_radix(s, 16)
-                .map_err(|_| ScenarioError::new(format!("invalid hex byte {s:?}")))
-        })
-        .collect()
-}
-
 fn unhex_blocks(hex: &str) -> Result<Vec<Block>, ScenarioError> {
-    let bytes = unhex(hex)?;
+    let bytes = unhex(hex).map_err(|e| ScenarioError::new(e.to_string()))?;
     if bytes.len() % 16 != 0 {
         return Err(ScenarioError::new(
             "ciphertext hex must be a whole number of 16-byte blocks",
@@ -748,15 +706,6 @@ mod tests {
     fn tiny(policy: CoalescingPolicy, n: usize) -> Scenario {
         // A real timing scenario kept cheap: 4 plaintexts of one warp.
         Scenario::new(policy, n, 32).with_seed(0xbead)
-    }
-
-    #[test]
-    fn hex_digits_match_format_and_round_trip() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        let hex = hex_bytes(&bytes);
-        let formatted: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, formatted);
-        assert_eq!(unhex(&hex).unwrap(), bytes);
     }
 
     #[test]

@@ -1291,9 +1291,9 @@ pub fn ablation_l1_with(
             let rec =
                 attack.recover_byte(&data.attack_samples(TimingSource::LastRoundCycles)?, 0)?;
             // Count hits via one representative launch.
-            let kernel = rcoal_aes::AesGpuKernel::new(
+            let kernel = rcoal_aes::TableKernel::aes(
                 &data.key,
-                crate::random_plaintexts(1, 32, seed).remove(0),
+                &crate::random_plaintexts(1, 32, seed).remove(0),
                 32,
             );
             let stats = rcoal_gpu_sim::GpuSimulator::new(scenario.gpu_config()).run(

@@ -2,7 +2,7 @@ use crate::count::{count_launch, CountedLoads, LaunchCounts};
 use crate::error::ExperimentError;
 use crate::telemetry::{ExperimentTelemetry, TelemetrySpec};
 use crate::workload::{fill_lines, DEMO_KEY};
-use rcoal_aes::{Block, LAST_ROUND_TAG_BASE};
+use rcoal_aes::{Block, TableKernel, LAST_ROUND_TAG_BASE};
 use rcoal_attack::AttackSample;
 use rcoal_core::CoalescingPolicy;
 use rcoal_gpu_sim::{FaultPlan, GpuConfig, GpuSimulator, LaunchPolicy, SimTelemetry};
@@ -10,7 +10,7 @@ use rcoal_parallel::{resolve_threads, try_parallel_map_init};
 use rcoal_rng::SeedableRng;
 use rcoal_rng::StdRng;
 use rcoal_telemetry::MetricsRegistry;
-use rcoal_workload::{KernelWorkload, WorkloadKernel};
+use rcoal_workload::KernelWorkload;
 use std::sync::Arc;
 
 /// Which measurement plays the role of the attacker's timing observation.
@@ -27,6 +27,52 @@ pub enum TimingSource {
     /// cleanest possible per-byte channel, useful for isolating one
     /// byte's leakage from the other fifteen.
     ByteAccesses(u8),
+}
+
+impl TimingSource {
+    /// Checks that launches run with (`timing`) or without the cycle
+    /// simulator carry this source.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::TimingUnavailable`] for a cycle-based source
+    /// without `timing`, and [`ExperimentError::Config`] for an
+    /// out-of-range [`TimingSource::ByteAccesses`] index.
+    pub(crate) fn check(self, timing: bool) -> Result<(), ExperimentError> {
+        match self {
+            TimingSource::LastRoundCycles if !timing => Err(ExperimentError::TimingUnavailable {
+                what: "TimingSource::LastRoundCycles",
+            }),
+            TimingSource::TotalCycles if !timing => Err(ExperimentError::TimingUnavailable {
+                what: "TimingSource::TotalCycles",
+            }),
+            TimingSource::ByteAccesses(j) if usize::from(j) >= 16 => {
+                Err(ExperimentError::Config(format!(
+                    "ByteAccesses index {j} out of range (observations carry 16 \
+                     per-byte channels)"
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// This source's reading of one launch that passed
+    /// [`TimingSource::check`]: from its per-byte accesses, or its
+    /// last-round and total cycles (missing cycles read 0, as
+    /// [`ExperimentConfig::run`] records them).
+    pub(crate) fn time(
+        self,
+        by_byte: &[u64; 16],
+        last_round_cycles: Option<u64>,
+        total: Option<u64>,
+    ) -> f64 {
+        match self {
+            TimingSource::LastRoundCycles => last_round_cycles.unwrap_or(0) as f64,
+            TimingSource::TotalCycles => total.unwrap_or(0) as f64,
+            TimingSource::LastRoundAccesses => by_byte.iter().sum::<u64>() as f64,
+            TimingSource::ByteAccesses(j) => by_byte[usize::from(j)] as f64,
+        }
+    }
 }
 
 /// Configuration of one end-to-end encryption experiment: `num_plaintexts`
@@ -328,7 +374,7 @@ impl ExperimentConfig {
                 } else {
                     kernel.load(lines);
                 }
-                self.run_one_launch(workload, kernel.as_ref(), first + i, sim, launch, counted)
+                self.run_one_launch(workload, kernel, first + i, sim, launch, counted)
             },
         );
         if let Some(metrics) = &self.host_metrics {
@@ -344,7 +390,7 @@ impl ExperimentConfig {
     fn run_one_launch(
         &self,
         workload: &dyn KernelWorkload,
-        kernel: &dyn WorkloadKernel,
+        kernel: &TableKernel,
         i: usize,
         sim: &GpuSimulator,
         launch: LaunchPolicy,
@@ -468,49 +514,21 @@ impl ExperimentData {
         &self,
         source: TimingSource,
     ) -> Result<Vec<AttackSample>, ExperimentError> {
-        let times: Vec<f64> = match source {
-            TimingSource::LastRoundCycles => self
-                .last_round_cycles
-                .as_ref()
-                .ok_or(ExperimentError::TimingUnavailable {
-                    what: "TimingSource::LastRoundCycles",
-                })?
-                .iter()
-                .map(|&c| c as f64)
-                .collect(),
-            TimingSource::TotalCycles => self
-                .total_cycles
-                .as_ref()
-                .ok_or(ExperimentError::TimingUnavailable {
-                    what: "TimingSource::TotalCycles",
-                })?
-                .iter()
-                .map(|&c| c as f64)
-                .collect(),
-            TimingSource::LastRoundAccesses => {
-                self.last_round_accesses.iter().map(|&c| c as f64).collect()
-            }
-            TimingSource::ByteAccesses(j) => {
-                if usize::from(j) >= 16 {
-                    return Err(ExperimentError::Config(format!(
-                        "ByteAccesses index {j} out of range (observations carry 16 \
-                         per-byte channels)"
-                    )));
-                }
-                self.last_round_accesses_by_byte
-                    .iter()
-                    .map(|b| b[usize::from(j)] as f64)
-                    .collect()
-            }
-        };
+        source.check(self.last_round_cycles.is_some() && self.total_cycles.is_some())?;
+        let cycles = |v: &Option<Vec<u64>>, i: usize| v.as_ref().and_then(|v| v.get(i).copied());
         Ok(self
             .ciphertexts
             .iter()
-            .zip(times)
-            .map(|(cts, time)| AttackSample {
+            .zip(&self.last_round_accesses_by_byte)
+            .enumerate()
+            .map(|(i, (cts, by_byte))| AttackSample {
                 // Arc clone: the sample shares the experiment's blocks.
                 ciphertexts: Arc::clone(cts),
-                time,
+                time: source.time(
+                    by_byte,
+                    cycles(&self.last_round_cycles, i),
+                    cycles(&self.total_cycles, i),
+                ),
             })
             .collect())
     }

@@ -78,25 +78,7 @@ impl SimulatorSource {
                 "streamed sources do not collect telemetry; drop the telemetry spec".into(),
             ));
         }
-        match source {
-            TimingSource::LastRoundCycles if !cfg.timing => {
-                return Err(ExperimentError::TimingUnavailable {
-                    what: "TimingSource::LastRoundCycles",
-                });
-            }
-            TimingSource::TotalCycles if !cfg.timing => {
-                return Err(ExperimentError::TimingUnavailable {
-                    what: "TimingSource::TotalCycles",
-                });
-            }
-            TimingSource::ByteAccesses(j) if usize::from(j) >= 16 => {
-                return Err(ExperimentError::Config(format!(
-                    "ByteAccesses index {j} out of range (observations carry 16 \
-                     per-byte channels)"
-                )));
-            }
-            _ => {}
-        }
+        source.check(cfg.timing)?;
         let workload = rcoal_workload::find(&cfg.workload).ok_or_else(|| {
             ExperimentError::Config(format!("unknown workload '{}'", cfg.workload))
         })?;
@@ -161,18 +143,10 @@ impl SimulatorSource {
             CountedLoads::ByByte,
         )?;
         for data in launches {
-            let by_byte = data.counts.by_byte;
-            let time = match self.source {
-                // `unwrap_or(0)` mirrors the materialized pipeline:
-                // `run()` records missing boundary cycles as 0.
-                TimingSource::LastRoundCycles => data.last_round_cycles.unwrap_or(0) as f64,
-                TimingSource::TotalCycles => data.total_cycles.unwrap_or(0) as f64,
-                TimingSource::LastRoundAccesses => by_byte.iter().sum::<u64>() as f64,
-                TimingSource::ByteAccesses(j) => by_byte[usize::from(j)] as f64,
-            };
+            let (by_byte, cycles) = (&data.counts.by_byte, data.last_round_cycles);
             out.push(AttackSample {
                 ciphertexts: Arc::clone(&data.ciphertexts),
-                time,
+                time: self.source.time(by_byte, cycles, data.total_cycles),
             });
         }
         self.produced += max;

@@ -184,20 +184,6 @@ impl<K: Kernel + ?Sized> Kernel for &K {
     }
 }
 
-impl<K: Kernel + ?Sized> Kernel for Box<K> {
-    fn num_warps(&self) -> usize {
-        (**self).num_warps()
-    }
-
-    fn warp_width(&self, warp_id: usize) -> usize {
-        (**self).warp_width(warp_id)
-    }
-
-    fn trace(&self, warp_id: usize) -> &WarpTrace {
-        (**self).trace(warp_id)
-    }
-}
-
 /// A trivial [`Kernel`] built directly from traces; used by tests and
 /// microbenchmarks.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -484,9 +484,91 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Lower-case hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The lower-case hex form of `bytes`: keys in scenario documents,
+/// keys and ciphertexts in run rows. A row carries 32 KiB of ciphertext
+/// hex at 512 plaintexts, so the digits come from a table rather than
+/// one `format!` per byte.
+pub fn hex(bytes: &[u8]) -> String {
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
+    }
+    out
+}
+
+/// Why [`unhex`] rejected a string.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HexError {
+    /// An odd number of bytes.
+    OddLength,
+    /// A byte pair that splits a multi-byte character.
+    NotAscii,
+    /// A byte pair that is not two hex digits.
+    InvalidByte(String),
+}
+
+impl fmt::Display for HexError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HexError::OddLength => f.write_str("hex string has odd length"),
+            HexError::NotAscii => f.write_str("hex string is not ascii"),
+            HexError::InvalidByte(pair) => write!(f, "invalid hex byte {pair:?}"),
+        }
+    }
+}
+
+/// Decodes pairs of hex digits (either case) into bytes; the inverse of
+/// [`hex`].
+///
+/// # Errors
+///
+/// [`HexError`] for an odd length or the first pair that is not two hex
+/// digits.
+pub fn unhex(hex: &str) -> Result<Vec<u8>, HexError> {
+    fn nibble(c: u8) -> Option<u8> {
+        char::from(c).to_digit(16).map(|d| d as u8)
+    }
+    if !hex.len().is_multiple_of(2) {
+        return Err(HexError::OddLength);
+    }
+    hex.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| match (nibble(pair[0]), nibble(pair[1])) {
+            (Some(hi), Some(lo)) => Ok(hi << 4 | lo),
+            _ => Err(std::str::from_utf8(pair)
+                .map_or(HexError::NotAscii, |s| HexError::InvalidByte(s.into()))),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hex_digits_match_format_and_round_trip() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let formatted: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex(&bytes), formatted);
+        assert_eq!(unhex(&formatted), Ok(bytes.clone()));
+        assert_eq!(unhex(&formatted.to_uppercase()), Ok(bytes));
+    }
+
+    #[test]
+    fn unhex_names_the_first_bad_pair() {
+        assert_eq!(unhex("abc"), Err(HexError::OddLength));
+        assert_eq!(unhex("00zz11"), Err(HexError::InvalidByte("zz".into())));
+        assert_eq!(unhex("+f"), Err(HexError::InvalidByte("+f".into())));
+        assert_eq!(unhex("0é0"), Err(HexError::NotAscii));
+        assert_eq!(
+            HexError::InvalidByte("zz".into()).to_string(),
+            "invalid hex byte \"zz\""
+        );
+    }
 
     #[test]
     fn parses_scalars() {

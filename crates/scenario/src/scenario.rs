@@ -12,7 +12,7 @@
 //! is FNV-1a 64 over that canonical form, so equal scenarios hash
 //! equally in any process — the property the run cache keys on.
 
-use crate::json::{ObjBuilder, Value};
+use crate::json::{hex, unhex, ObjBuilder, Value};
 use rcoal_core::CoalescingPolicy;
 use rcoal_gpu_sim::{FaultPlan, GpuConfig, McFault, ReplyJitter, SchedulerPolicy};
 use std::fmt;
@@ -366,7 +366,7 @@ impl Scenario {
             .field("num_plaintexts", Value::usize(self.num_plaintexts))
             .field("lines", Value::usize(self.lines))
             .field("seed", Value::u64(self.seed))
-            .opt_field("key", self.key.map(|k| Value::str(hex_encode(&k))))
+            .opt_field("key", self.key.map(|k| Value::str(hex(&k))))
             .opt_field("timing", (!self.timing).then_some(Value::Bool(false)))
             .opt_field("selective", self.selective.then_some(Value::Bool(true)))
             .opt_field("gpu", (!self.gpu.is_empty()).then(|| self.gpu.to_value()))
@@ -553,23 +553,11 @@ pub(crate) fn expect_fields(v: &Value, what: &str, allowed: &[&str]) -> Result<(
     Ok(())
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 fn hex_decode_key(hex: &str) -> Result<[u8; 16], ScenarioError> {
-    if hex.len() != 32 || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
-        return Err(ScenarioError::new(format!(
-            "key must be 32 hex digits, got {hex:?}"
-        )));
-    }
-    let mut out = [0u8; 16];
-    for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-        let s = std::str::from_utf8(chunk).map_err(|_| ScenarioError::new("key must be ascii"))?;
-        out[i] = u8::from_str_radix(s, 16)
-            .map_err(|_| ScenarioError::new(format!("invalid hex byte {s:?} in key")))?;
-    }
-    Ok(out)
+    unhex(hex)
+        .ok()
+        .and_then(|bytes| <[u8; 16]>::try_from(bytes).ok())
+        .ok_or_else(|| ScenarioError::new(format!("key must be 32 hex digits, got {hex:?}")))
 }
 
 // ------------------------------------------------------------ fault plans

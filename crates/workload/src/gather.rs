@@ -31,7 +31,7 @@ pub fn gather_index(line: &Block, r: usize, j: usize) -> u8 {
 }
 
 /// Per-round index arrays for one line, written into `out` (the first
-/// [`GATHER_ROUNDS`] entries): the [`crate::TableKernel`] index
+/// [`GATHER_ROUNDS`] entries): the [`rcoal_aes::TableKernel::first_round`] index
 /// function of the gather workload.
 pub fn gather_round_indices(line: &Block, out: &mut [[u8; 8]]) {
     for (r, idx) in out.iter_mut().take(GATHER_ROUNDS).enumerate() {

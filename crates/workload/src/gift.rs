@@ -13,6 +13,11 @@
 //! documented modeling choice (DESIGN.md §14), not a claim about GIFT's
 //! round order — the encryption core itself is the published cipher,
 //! checked against the designers' test vectors below.
+//! [`Gift64::encrypt8`] and [`Gift64::round_index_bytes`] compute every
+//! round with the eight tables, built once from the bitwise layers.
+
+use crate::byte_tables::ByteTables;
+use std::sync::OnceLock;
 
 /// The GIFT 4-bit S-box (GS).
 pub const GIFT_SBOX: [u8; 16] = [
@@ -60,6 +65,12 @@ fn sub_cells(x: u64) -> u64 {
         out |= u64::from(GIFT_SBOX[((x >> (4 * n)) & 0xF) as usize]) << (4 * n);
     }
     out
+}
+
+/// `perm_bits ∘ sub_cells` as eight byte tables.
+fn round_tables() -> &'static ByteTables {
+    static TABLES: OnceLock<ByteTables> = OnceLock::new();
+    TABLES.get_or_init(|| ByteTables::new(sub_cells, perm_bits))
 }
 
 fn inv_sub_cells(x: u64) -> u64 {
@@ -130,9 +141,10 @@ impl Gift64 {
 
     /// Encrypts one 64-bit block (big-endian byte order).
     pub fn encrypt8(&self, pt: [u8; 8]) -> [u8; 8] {
+        let tables = round_tables();
         let mut s = u64::from_be_bytes(pt);
         for mask in &self.masks {
-            s = perm_bits(sub_cells(s)) ^ mask;
+            s = tables.round(s) ^ mask;
         }
         s.to_be_bytes()
     }
@@ -152,13 +164,14 @@ impl Gift64 {
     /// (`pt_j ^ mask_j`); entries 1..28 are the real cipher states
     /// entering each round's SubCells.
     pub fn round_index_bytes(&self, pt: [u8; 8], out: &mut [[u8; 8]]) {
+        let tables = round_tables();
         let mut s = u64::from_be_bytes(pt);
         let mut slots = out.iter_mut().take(ROUNDS);
         if let Some(first) = slots.next() {
             *first = (s ^ self.masks[0]).to_be_bytes();
         }
         for (slot, mask) in slots.zip(&self.masks[..ROUNDS - 1]) {
-            s = perm_bits(sub_cells(s)) ^ mask;
+            s = tables.round(s) ^ mask;
             *slot = s.to_be_bytes();
         }
     }
@@ -236,6 +249,14 @@ mod tests {
             seq.push(c);
         }
         assert_eq!(seq, vec![0x01, 0x03, 0x07, 0x0F, 0x1F, 0x3E, 0x3D, 0x3B]);
+    }
+
+    #[test]
+    fn table_round_equals_the_bitwise_round() {
+        let tables = round_tables();
+        for x in crate::byte_tables::seeded_states(0x6170_6464, 10_000) {
+            assert_eq!(tables.round(x), perm_bits(sub_cells(x)), "state {x:#018x}");
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! warps issuing table lookups whose indices are a byte-local function
 //! of secret key material — fits any table-based cipher kernel. This
 //! crate packages that abstraction as [`KernelWorkload`]: a named
-//! workload that builds a GPU [`Kernel`] from a key and input lines,
-//! exposes the attacker-observable text, the attacked subkey, the
-//! attack's [`TableOracle`], and the table geometry the analytical
-//! [`SecurityModel`](../rcoal_theory) needs (`R` blocks per table,
-//! table count, loads per round).
+//! workload that builds the one table-based GPU kernel,
+//! [`rcoal_aes::TableKernel`], from a key and input lines, and exposes
+//! the attacked subkey, the attack's [`TableOracle`], and the table
+//! geometry the analytical [`SecurityModel`](../rcoal_theory) needs (`R`
+//! blocks per table, table count, loads per round). The kernel carries
+//! the attacker-observable text.
 //!
 //! Registered workloads:
 //!
@@ -34,20 +35,17 @@
 // test modules are exempt (the harness is the panic handler there).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod byte_tables;
 pub mod gather;
 pub mod gift;
 pub mod present;
 pub mod rectangle;
-mod table_kernel;
-
-pub use table_kernel::{TableKernel, INPUT_BASE, LOADS_PER_ROUND, OUTPUT_BASE, TABLE_BASE};
 
 use gather::{gather_round_indices, GATHER_ROUNDS};
 use gift::Gift64;
 use present::Present80;
-use rcoal_aes::{Aes128, AesGpuKernel, Block, TableProgram};
+use rcoal_aes::{Aes128, Block, TableKernel};
 use rcoal_attack::{aes_oracle, TableOracle, XorWhiteningOracle};
-use rcoal_gpu_sim::Kernel;
 use rectangle::Rectangle128;
 use std::sync::Arc;
 
@@ -76,36 +74,6 @@ pub struct WorkloadGeometry {
     pub entry_bytes: usize,
 }
 
-/// A GPU kernel instance built by a workload: a simulator [`Kernel`]
-/// that also exposes the per-line text the attacker observes
-/// (ciphertexts for AES's last-round attack, plaintext lines for the
-/// known-plaintext first-round attacks) and the [`TableProgram`] its
-/// traces expand.
-pub trait WorkloadKernel: Kernel + Send + Sync {
-    /// Attacker-observable 16-byte lines, one per thread; the attack's
-    /// oracle consumes byte columns of these.
-    fn attack_text(&self) -> &[Block];
-
-    /// Loads new input `lines` under the same key and warp size into the
-    /// kernel's [`TableProgram`] only: the attack text and every lane's
-    /// entry indices, from the cipher's own state. No warp trace is
-    /// written, and the [`Kernel`] view has no warps until the next
-    /// [`WorkloadKernel::reload`]; a functional launch counts from
-    /// [`WorkloadKernel::program`] alone.
-    fn load(&mut self, lines: &[Block]);
-
-    /// Rebuilds the kernel in place for new input `lines` under the same
-    /// key and warp size: [`WorkloadKernel::load`], then the program
-    /// expanded into warp traces. The result equals
-    /// [`KernelWorkload::build_kernel`] on `lines`, at any line count;
-    /// a cycle-level launch worker keeps one kernel and reloads it per
-    /// launch.
-    fn reload(&mut self, lines: &[Block]);
-
-    /// The warp program over the current lines.
-    fn program(&self) -> &TableProgram;
-}
-
 /// A registered table-based workload: everything the experiment
 /// pipeline, the attack, the audit, and the theory need to treat a
 /// kernel family generically.
@@ -120,13 +88,11 @@ pub trait KernelWorkload: Send + Sync {
     fn geometry(&self) -> WorkloadGeometry;
 
     /// Builds the kernel for `lines` under `key` (workloads with
-    /// shorter keys use a prefix; the keyless control ignores it).
-    fn build_kernel(
-        &self,
-        key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel>;
+    /// shorter keys use a prefix; the keyless control ignores it). A
+    /// cycle-level launch worker keeps one kernel and
+    /// [`TableKernel::reload`]s it per launch, a functional one
+    /// [`TableKernel::load`]s it; either equals this on the same lines.
+    fn build_kernel(&self, key: &[u8; 16], lines: Vec<Block>, warp_size: usize) -> TableKernel;
 
     /// The subkey the timing attack recovers, zero-padded to 16 bytes
     /// (ground truth for scoring; the attack itself never reads it).
@@ -161,27 +127,9 @@ fn block8(line: &Block) -> [u8; 8] {
     b
 }
 
-/// The paper's AES-128 workload, wrapping [`AesGpuKernel`] unchanged.
+/// The paper's AES-128 workload, built by [`TableKernel::aes`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AesWorkload;
-
-impl WorkloadKernel for AesGpuKernel {
-    fn attack_text(&self) -> &[Block] {
-        self.ciphertexts()
-    }
-
-    fn load(&mut self, lines: &[Block]) {
-        AesGpuKernel::load(self, lines);
-    }
-
-    fn reload(&mut self, lines: &[Block]) {
-        AesGpuKernel::reload(self, lines);
-    }
-
-    fn program(&self) -> &TableProgram {
-        AesGpuKernel::program(self)
-    }
-}
 
 impl KernelWorkload for AesWorkload {
     fn name(&self) -> &'static str {
@@ -206,13 +154,8 @@ impl KernelWorkload for AesWorkload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
-        Box::new(AesGpuKernel::new(key, lines, warp_size))
+    fn build_kernel(&self, key: &[u8; 16], lines: Vec<Block>, warp_size: usize) -> TableKernel {
+        TableKernel::aes(key, &lines, warp_size)
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -251,18 +194,13 @@ impl KernelWorkload for Present80Workload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
+    fn build_kernel(&self, key: &[u8; 16], lines: Vec<Block>, warp_size: usize) -> TableKernel {
         let mut k80 = [0u8; 10];
         k80.copy_from_slice(&key[..10]);
         let cipher = Present80::new(&k80);
         let f =
             move |line: &Block, out: &mut [[u8; 8]]| cipher.round_index_bytes(block8(line), out);
-        Box::new(TableKernel::new(lines, warp_size, 8, present::ROUNDS, f))
+        TableKernel::first_round(&lines, warp_size, 8, present::ROUNDS, f)
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -304,16 +242,11 @@ impl KernelWorkload for Gift64Workload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
+    fn build_kernel(&self, key: &[u8; 16], lines: Vec<Block>, warp_size: usize) -> TableKernel {
         let cipher = Gift64::new(key);
         let f =
             move |line: &Block, out: &mut [[u8; 8]]| cipher.round_index_bytes(block8(line), out);
-        Box::new(TableKernel::new(lines, warp_size, 4, gift::ROUNDS, f))
+        TableKernel::first_round(&lines, warp_size, 4, gift::ROUNDS, f)
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -352,16 +285,11 @@ impl KernelWorkload for RectangleWorkload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
+    fn build_kernel(&self, key: &[u8; 16], lines: Vec<Block>, warp_size: usize) -> TableKernel {
         let cipher = Rectangle128::new(key);
         let f =
             move |line: &Block, out: &mut [[u8; 8]]| cipher.round_index_bytes(block8(line), out);
-        Box::new(TableKernel::new(lines, warp_size, 2, rectangle::ROUNDS, f))
+        TableKernel::first_round(&lines, warp_size, 2, rectangle::ROUNDS, f)
     }
 
     fn attacked_subkey(&self, key: &[u8; 16]) -> [u8; 16] {
@@ -400,19 +328,8 @@ impl KernelWorkload for GatherWorkload {
         }
     }
 
-    fn build_kernel(
-        &self,
-        _key: &[u8; 16],
-        lines: Vec<Block>,
-        warp_size: usize,
-    ) -> Box<dyn WorkloadKernel> {
-        Box::new(TableKernel::new(
-            lines,
-            warp_size,
-            4,
-            GATHER_ROUNDS,
-            gather_round_indices,
-        ))
+    fn build_kernel(&self, _key: &[u8; 16], lines: Vec<Block>, warp_size: usize) -> TableKernel {
+        TableKernel::first_round(&lines, warp_size, 4, GATHER_ROUNDS, gather_round_indices)
     }
 
     fn attacked_subkey(&self, _key: &[u8; 16]) -> [u8; 16] {
@@ -458,7 +375,8 @@ pub fn names() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcoal_gpu_sim::TraceInstr;
+    use rcoal_gpu_sim::{Kernel, TraceInstr};
+    use std::collections::HashSet;
 
     fn lines(n: usize) -> Vec<Block> {
         (0..n)
@@ -474,7 +392,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_findable() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for w in registry() {
             assert!(seen.insert(w.name()), "duplicate name {}", w.name());
             assert!(find(w.name()).is_some());
@@ -502,14 +420,44 @@ mod tests {
     }
 
     #[test]
-    fn aes_workload_wraps_the_reference_kernel() {
+    fn declared_geometry_matches_the_built_program() {
+        // `table_size_r` and `rounds` feed the theory cross-check and the
+        // timing boundary, so the declaration must describe the program
+        // the simulator runs.
+        for w in registry() {
+            let (g, name) = (w.geometry(), w.name());
+            let kernel = w.build_kernel(b"0123456789abcdef", lines(40), 32);
+            let loads = kernel.program().loads();
+            assert_eq!(
+                g.loads_per_round * g.rounds,
+                loads.len(),
+                "{name}: load count"
+            );
+            let tables: HashSet<u64> = loads.iter().map(|l| l.table_base).collect();
+            assert_eq!(g.tables, tables.len(), "{name}: distinct tables");
+            for load in loads {
+                assert_eq!(g.entry_bytes as u64, load.entry_size, "{name}: entry size");
+            }
+            for warp in 0..kernel.num_warps() {
+                let marks = kernel.trace(warp).instrs().iter();
+                let marks = marks.filter(|i| matches!(i, TraceInstr::RoundMark { .. }));
+                assert_eq!(
+                    g.rounds,
+                    marks.count(),
+                    "{name}: round marks of warp {warp}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn aes_workload_builds_the_paper_kernel() {
         let key = *b"rcoal-test-key!!";
         let l = lines(32);
-        let wk = AES.build_kernel(&key, l.clone(), 32);
-        let reference = AesGpuKernel::new(&key, l, 32);
-        assert_eq!(wk.num_warps(), reference.num_warps());
-        assert_eq!(wk.attack_text(), reference.ciphertexts());
-        assert_eq!(wk.trace(0), reference.trace(0), "byte-identical traces");
+        let kernel = AES.build_kernel(&key, l.clone(), 32);
+        let aes = Aes128::new(&key);
+        let ciphertexts: Vec<Block> = l.iter().map(|&line| aes.encrypt_block(line)).collect();
+        assert_eq!(kernel.attack_text(), &ciphertexts[..]);
         assert_eq!(
             AES.attacked_subkey(&key),
             Aes128::new(&key).last_round_key()
@@ -525,28 +473,23 @@ mod tests {
         let l = lines(32);
         for name in ["present80", "gift64", "rectangle"] {
             let w = find(name).unwrap();
-            let g = w.geometry();
             let kernel = w.build_kernel(&key, l.clone(), 32);
+            let program = kernel.program();
             let oracle = w.oracle();
             let subkey = w.attacked_subkey(&key);
-            let text = kernel.attack_text().to_vec();
-            let entry = g.entry_bytes as u64;
-            let stride = 256 * entry;
-            for instr in kernel.trace(0).instrs() {
-                if let TraceInstr::Load { addrs, tag } = instr {
-                    if *tag >= rcoal_aes::LAST_ROUND_TAG_BASE {
-                        let j = usize::from(tag - rcoal_aes::LAST_ROUND_TAG_BASE);
-                        for (lane, a) in addrs.iter().enumerate() {
-                            let a = a.unwrap();
-                            let within = a - (TABLE_BASE + j as u64 * stride);
-                            let block = within / 64;
-                            assert_eq!(
-                                block,
-                                oracle.block_of(text[lane][j], subkey[j]),
-                                "{name} byte {j} lane {lane}"
-                            );
-                        }
-                    }
+            let text = kernel.attack_text();
+            for (k, load) in program.loads().iter().enumerate() {
+                let Some(j) = load.tag.checked_sub(rcoal_aes::LAST_ROUND_TAG_BASE) else {
+                    continue;
+                };
+                let j = usize::from(j);
+                for (lane, text) in text.iter().enumerate() {
+                    let within = load.addr(program.index(lane, k)) - load.table_base;
+                    assert_eq!(
+                        within / 64,
+                        oracle.block_of(text[j], subkey[j]),
+                        "{name} byte {j} lane {lane}"
+                    );
                 }
             }
         }

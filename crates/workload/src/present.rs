@@ -6,11 +6,15 @@
 //! `state' = T0[b0] ^ T1[b1] ^ … ^ T7[b7]` where `b_j` is byte `j` of
 //! `state ^ K_i` and `T_j[v] = pLayer(sBox(v) placed at byte j)` — the
 //! standard software trick of folding sBoxLayer + pLayer into eight
-//! 256-entry `u64` tables. [`Present80::round_index_bytes`] returns
-//! exactly those per-round table indices, so the kernel's memory trace
-//! is the trace of a real table-based implementation. Round 1's indices
-//! are `pt_j ^ K1_j`: the byte-local key dependence the coalescing
-//! attack targets.
+//! 256-entry `u64` tables, built once from the bitwise layers.
+//! [`Present80::encrypt8`] and [`Present80::round_index_bytes`] compute
+//! every round with those lookups, so the kernel's memory trace is the
+//! trace of a real table-based implementation. Round 1's indices are
+//! `pt_j ^ K1_j`: the byte-local key dependence the coalescing attack
+//! targets.
+
+use crate::byte_tables::ByteTables;
+use std::sync::OnceLock;
 
 /// The PRESENT 4-bit S-box.
 pub const PRESENT_SBOX: [u8; 16] = [
@@ -55,6 +59,12 @@ fn sbox_layer(x: u64) -> u64 {
         out |= u64::from(PRESENT_SBOX[((x >> (4 * n)) & 0xF) as usize]) << (4 * n);
     }
     out
+}
+
+/// `p_layer ∘ sbox_layer` as eight byte tables.
+fn round_tables() -> &'static ByteTables {
+    static TABLES: OnceLock<ByteTables> = OnceLock::new();
+    TABLES.get_or_init(|| ByteTables::new(sbox_layer, p_layer))
 }
 
 fn inv_sbox_layer(x: u64) -> u64 {
@@ -106,9 +116,10 @@ impl Present80 {
 
     /// Encrypts one 64-bit block (big-endian byte order).
     pub fn encrypt8(&self, pt: [u8; 8]) -> [u8; 8] {
+        let tables = round_tables();
         let mut s = u64::from_be_bytes(pt);
-        for i in 0..ROUNDS {
-            s = p_layer(sbox_layer(s ^ self.round_keys[i]));
+        for key in &self.round_keys[..ROUNDS] {
+            s = tables.round(s ^ key);
         }
         (s ^ self.round_keys[31]).to_be_bytes()
     }
@@ -128,11 +139,12 @@ impl Present80 {
     /// `r + 1`, i.e. the big-endian bytes of `state ^ K_{r+1}`. Entry 0
     /// is `pt ^ K1` byte for byte.
     pub fn round_index_bytes(&self, pt: [u8; 8], out: &mut [[u8; 8]]) {
+        let tables = round_tables();
         let mut s = u64::from_be_bytes(pt);
         for (slot, key) in out.iter_mut().zip(&self.round_keys[..ROUNDS]) {
             let keyed = s ^ key;
             *slot = keyed.to_be_bytes();
-            s = p_layer(sbox_layer(keyed));
+            s = tables.round(keyed);
         }
     }
 }
@@ -182,6 +194,14 @@ mod tests {
         assert_eq!(p_layer(1 << 1), 1 << 16);
         assert_eq!(p_layer(1 << 4), 1 << 1);
         assert_eq!(p_layer(1 << 63), 1 << 63);
+    }
+
+    #[test]
+    fn table_round_equals_the_bitwise_round() {
+        let tables = round_tables();
+        for x in crate::byte_tables::seeded_states(0x9E5E_4780, 10_000) {
+            assert_eq!(tables.round(x), p_layer(sbox_layer(x)), "state {x:#018x}");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use rcoal_workload as workload;
 
 /// Commonly used items, importable with `use rcoal::prelude::*`.
 pub mod prelude {
-    pub use rcoal_aes::{Aes128, AesGpuKernel};
+    pub use rcoal_aes::{Aes128, TableKernel};
     pub use rcoal_attack::{
         stream_recover_byte, stream_recover_key, Attack, AttackError, AttackSample, EarlyStop,
         KeyRecovery, RecoveryOutcome, SampleSource, SliceSource, StreamOptions,
@@ -99,5 +99,5 @@ pub mod prelude {
         Event, EventRing, Hist64, MetricsRegistry, MetricsSnapshot, Severity,
     };
     pub use rcoal_theory::{table2, Mechanism, RCoalScore, SecurityModel};
-    pub use rcoal_workload::{KernelWorkload, WorkloadGeometry, WorkloadKernel};
+    pub use rcoal_workload::{KernelWorkload, WorkloadGeometry};
 }
