@@ -19,7 +19,6 @@ pub struct AccessPredictor {
     policy: CoalescingPolicy,
     warp_size: usize,
     rng: StdRng,
-    mc_samples: usize,
     /// Workload table oracle mapping (byte, guess) → block index;
     /// defaults to the AES-128 last round.
     oracle: Arc<dyn TableOracle>,
@@ -32,7 +31,7 @@ pub struct AccessPredictor {
     /// Deterministic policies' assignments, built on first use of each
     /// warp width (`None`: the policy cannot split a warp that narrow).
     /// They draw nothing from the RNG, so one assignment per width
-    /// serves every warp and every Monte-Carlo replay.
+    /// serves every warp.
     fixed_assignments: Vec<(usize, Option<SubwarpAssignment>)>,
     /// Ciphertext byte-column scratch backing [`AccessPredictor::predict`].
     bytes_scratch: Vec<u8>,
@@ -47,19 +46,11 @@ impl AccessPredictor {
             policy,
             warp_size: warp_size.max(1),
             rng: StdRng::seed_from_u64(seed),
-            mc_samples: 1,
             oracle: aes_oracle(),
             block_table: None,
             fixed_assignments: Vec::new(),
             bytes_scratch: Vec::new(),
         }
-    }
-
-    /// Averages each prediction over `n ≥ 1` Monte-Carlo replays of the
-    /// defense's randomness (only meaningful for randomized policies).
-    pub fn with_mc_samples(mut self, n: usize) -> Self {
-        self.mc_samples = n.max(1);
-        self
     }
 
     /// Replaces the table oracle (AES-128 last round by default) —
@@ -107,7 +98,6 @@ impl AccessPredictor {
             }
         };
         let table = &self.block_table.insert(memo).1;
-        let mc = self.mc_samples as f64;
         let mut total = 0.0;
         for warp in bytes.chunks(self.warp_size) {
             let accesses = |assignment: Option<&SubwarpAssignment>| match assignment {
@@ -117,21 +107,15 @@ impl AccessPredictor {
                 // one access per thread.
                 None => warp.len(),
             };
-            if self.policy.is_randomized() {
-                for _ in 0..self.mc_samples {
-                    let assignment = self.policy.assignment(warp.len(), &mut self.rng).ok();
-                    total += accesses(assignment.as_ref()) as f64 / mc;
-                }
+            let count = if self.policy.is_randomized() {
+                let assignment = self.policy.assignment(warp.len(), &mut self.rng).ok();
+                accesses(assignment.as_ref())
             } else {
                 let cached = &mut self.fixed_assignments;
                 let assignment = fixed_assignment(cached, self.policy, warp.len(), &mut self.rng);
-                // The same addend in the same order as one count per
-                // replay, so the f64 total is unchanged.
-                let share = accesses(assignment) as f64 / mc;
-                for _ in 0..self.mc_samples {
-                    total += share;
-                }
-            }
+                accesses(assignment)
+            };
+            total += count as f64;
         }
         total
     }
@@ -247,24 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn mc_averaging_reduces_prediction_variance() {
-        let (cts, k10) = ciphertexts(32, b"0123456789abcdef");
-        let policy = CoalescingPolicy::rss_rts(4).unwrap();
-        let spread = |mc: usize, seed_base: u64| {
-            let preds: Vec<f64> = (0..40)
-                .map(|s| {
-                    AccessPredictor::new(policy, 32, seed_base + s)
-                        .with_mc_samples(mc)
-                        .predict(&cts, 0, k10[0])
-                })
-                .collect();
-            let mean = preds.iter().sum::<f64>() / preds.len() as f64;
-            preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / preds.len() as f64
-        };
-        assert!(spread(16, 1) < spread(1, 1000));
-    }
-
-    #[test]
     fn predict_bytes_is_bit_identical_to_predict() {
         // The memoized byte-column path must replay the same RNG stream
         // and the same f64 accumulation as the Block-based path, across
@@ -276,8 +242,8 @@ mod tests {
             CoalescingPolicy::fss(4).unwrap(),
             CoalescingPolicy::rss_rts(4).unwrap(),
         ] {
-            let mut a = AccessPredictor::new(policy, 32, 7).with_mc_samples(3);
-            let mut b = AccessPredictor::new(policy, 32, 7).with_mc_samples(3);
+            let mut a = AccessPredictor::new(policy, 32, 7);
+            let mut b = AccessPredictor::new(policy, 32, 7);
             for guess in [0u8, k10[5], 255, k10[5]] {
                 let va = a.predict(&cts, 5, guess);
                 let vb = b.predict_bytes(&column, guess);

@@ -134,7 +134,6 @@ pub struct Attack {
     policy: CoalescingPolicy,
     warp_size: usize,
     seed: u64,
-    mc_samples: usize,
     threads: Option<usize>,
     metrics: Option<MetricsRegistry>,
     oracle: Arc<dyn TableOracle>,
@@ -154,7 +153,6 @@ impl Attack {
             policy,
             warp_size,
             seed: 0x5eed,
-            mc_samples: 1,
             threads: None,
             metrics: None,
             oracle: aes_oracle(),
@@ -179,13 +177,6 @@ impl Attack {
         self
     }
 
-    /// Averages predictions over `n` Monte-Carlo replays of the defense's
-    /// randomness.
-    pub fn with_mc_samples(mut self, n: usize) -> Self {
-        self.mc_samples = n.max(1);
-        self
-    }
-
     /// Sets the worker-thread count for the 256-guess correlation sweep
     /// (`None` defers to `RCOAL_THREADS` / the machine's parallelism).
     /// Every guess has an independent predictor seed, so the result is
@@ -195,13 +186,13 @@ impl Attack {
         self
     }
 
-    /// Attaches a host-domain metrics sink. Byte sweeps then record
-    /// `span.attack.byte.*` wall-clock spans, an `attack.guesses`
-    /// counter (256 added per byte swept, once its correlations are
-    /// final), `attack.samples_correlated`, and an
-    /// `attack.correlations_per_sec` throughput gauge. Metrics never
-    /// influence the recovery itself — results stay bit-identical with
-    /// and without a sink.
+    /// Attaches a host-domain metrics sink that
+    /// [`crate::stream_recover_byte`] and [`crate::stream_recover_key`]
+    /// record into: `span.attack.stream_{byte,key}.*` wall-clock spans, the
+    /// `attack.stream.*` checkpoint gauges and counters, and
+    /// `attack.samples_correlated`. Metrics never influence the
+    /// recovery itself — results stay bit-identical with and without a
+    /// sink.
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.metrics = Some(registry.clone());
         self
@@ -223,11 +214,6 @@ impl Attack {
         self.threads
     }
 
-    /// Monte-Carlo replays each prediction averages over.
-    pub(crate) fn mc_samples(&self) -> usize {
-        self.mc_samples
-    }
-
     /// The oracle mapping (observed byte, guess) to a block index.
     pub(crate) fn oracle(&self) -> &dyn TableOracle {
         self.oracle.as_ref()
@@ -243,21 +229,7 @@ impl Attack {
     /// a stream across guesses).
     pub fn predictor_for_guess(&self, m: u8) -> AccessPredictor {
         AccessPredictor::new(self.policy, self.warp_size, self.seed ^ u64::from(m))
-            .with_mc_samples(self.mc_samples)
             .with_oracle(Arc::clone(&self.oracle))
-    }
-
-    /// Computes the correlation of every guess for key byte `j`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Attack::recover_byte`].
-    pub fn correlations_for_byte(
-        &self,
-        samples: &[AttackSample],
-        j: usize,
-    ) -> Result<Vec<f64>, AttackError> {
-        Ok(self.recover_byte(samples, j)?.correlations)
     }
 
     /// Attacks key byte `j`: pushes `samples` through one
@@ -276,24 +248,8 @@ impl Attack {
         if samples.is_empty() {
             return Err(AttackError::NoSamples);
         }
-        let span = self.metrics.as_ref().map(|m| m.span("attack.byte"));
         engine.push_chunk(samples);
-        let recovery = engine.snapshot();
-        if let (Some(span), Some(metrics)) = (span, &self.metrics) {
-            let elapsed = span.finish();
-            let guesses = recovery.correlations.len() as u64;
-            metrics.counter("attack.guesses").add(guesses);
-            metrics
-                .counter("attack.samples_correlated")
-                .add(guesses * samples.len() as u64);
-            let secs = elapsed.as_secs_f64();
-            if secs > 0.0 {
-                metrics
-                    .gauge("attack.correlations_per_sec")
-                    .set((guesses as f64 / secs) as u64);
-            }
-        }
-        Ok(recovery)
+        Ok(engine.snapshot())
     }
 
     /// Attacks every subkey byte the oracle exposes (16 for AES).
@@ -302,13 +258,9 @@ impl Attack {
     ///
     /// [`AttackError::NoSamples`] for an empty sample set.
     pub fn recover_key(&self, samples: &[AttackSample]) -> Result<KeyRecovery, AttackError> {
-        let span = self.metrics.as_ref().map(|m| m.span("attack.recover_key"));
         let bytes = (0..self.oracle.key_bytes())
             .map(|j| self.recover_byte(samples, j))
             .collect::<Result<Vec<_>, _>>()?;
-        if let Some(span) = span {
-            span.finish();
-        }
         Ok(KeyRecovery { bytes })
     }
 }
@@ -485,40 +437,10 @@ mod tests {
     }
 
     #[test]
-    fn metrics_track_progress_without_changing_results() {
-        let (samples, _) = synthetic_samples_for(20, b"attack test key!", &[0]);
-        let plain = Attack::baseline(32).recover_byte(&samples, 0).unwrap();
-        let registry = MetricsRegistry::new();
-        let metered = Attack::baseline(32)
-            .with_metrics(&registry)
-            .recover_byte(&samples, 0)
-            .unwrap();
-        assert_eq!(metered, plain, "metrics must not perturb the recovery");
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["attack.guesses"], 256);
-        assert_eq!(snap.counters["attack.samples_correlated"], 256 * 20);
-        assert_eq!(snap.counters["span.attack.byte.calls"], 1);
-    }
-
-    #[test]
-    fn recover_key_records_its_span() {
-        let (samples, _) = synthetic_samples_for(10, b"attack test key!", &[0]);
-        let registry = MetricsRegistry::new();
-        Attack::baseline(32)
-            .with_metrics(&registry)
-            .recover_key(&samples)
-            .unwrap();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["span.attack.recover_key.calls"], 1);
-        assert_eq!(snap.counters["span.attack.byte.calls"], 16);
-        assert_eq!(snap.counters["attack.guesses"], 16 * 256);
-    }
-
-    #[test]
     fn byte_index_and_empty_samples_are_typed_errors() {
         let attack = Attack::baseline(32);
         assert_eq!(
-            attack.correlations_for_byte(&[], 16).unwrap_err(),
+            attack.recover_byte(&[], 16).unwrap_err(),
             crate::AttackError::ByteIndex { j: 16 }
         );
         assert_eq!(

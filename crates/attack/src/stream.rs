@@ -360,7 +360,6 @@ struct RowKernel {
     /// attack's warp width.
     plans: Vec<WarpPlan>,
     warp_size: usize,
-    mc: usize,
 }
 
 impl RowKernel {
@@ -382,7 +381,6 @@ impl RowKernel {
             rows,
             plans,
             warp_size,
-            mc: attack.mc_samples(),
         })
     }
 
@@ -398,31 +396,17 @@ impl RowKernel {
     }
 
     /// The block's predictions for one sample's byte column, each equal
-    /// bit for bit to `predict_bytes` for its guess: per warp, the
-    /// count over `mc`, added `mc` times.
+    /// bit for bit to `predict_bytes` for its guess: the warps' counts
+    /// summed as integers, an exact sum of small whole numbers.
     fn predict(&self, rows: &[[u64; BLOCK]; 256], column: &[u8]) -> [f64; BLOCK] {
-        if self.mc == 1 {
-            // Each warp adds `count / 1.0` once: an exact integer sum.
-            let mut total = [0u32; BLOCK];
-            for warp in column.chunks(self.warp_size) {
-                let count = self.count(rows, warp);
-                for (t, c) in total.iter_mut().zip(count) {
-                    *t += c;
-                }
-            }
-            return total.map(f64::from);
-        }
-        let mc = self.mc as f64;
-        let mut x = [0.0; BLOCK];
+        let mut total = [0u32; BLOCK];
         for warp in column.chunks(self.warp_size) {
-            for (xj, c) in x.iter_mut().zip(self.count(rows, warp)) {
-                let share = f64::from(c) / mc;
-                for _ in 0..self.mc {
-                    *xj += share;
-                }
+            let count = self.count(rows, warp);
+            for (t, c) in total.iter_mut().zip(count) {
+                *t += c;
             }
         }
-        x
+        total.map(f64::from)
     }
 
     /// The block's access counts for one warp.
@@ -788,6 +772,11 @@ impl StopTracker {
 }
 
 /// Options for the streaming drivers.
+///
+/// Early-stop and trajectory checkpoints fall every
+/// `max(1, max_samples / 16)` samples. They land on exact sample counts
+/// regardless of the chunk size (chunks are split internally), so
+/// trajectories and termination points are chunk-size invariant too.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamOptions {
     /// Sample budget: the stream stops here even without early
@@ -796,12 +785,6 @@ pub struct StreamOptions {
     /// Samples pulled from the source per chunk (each chunk is one
     /// parallel 256-guess sweep). `0` is treated as 1.
     pub chunk: usize,
-    /// Samples between early-stop/trajectory checkpoints; `0` derives
-    /// `max(1, max_samples / 16)`. Checkpoints land on exact sample
-    /// counts regardless of the chunk size (chunks are split
-    /// internally), so trajectories and termination points are
-    /// chunk-size invariant too.
-    pub checkpoint_every: usize,
     /// Early-termination rule; `None` always runs to the budget.
     pub early_stop: Option<EarlyStop>,
 }
@@ -813,7 +796,6 @@ impl StreamOptions {
         StreamOptions {
             max_samples,
             chunk: 4096,
-            checkpoint_every: 0,
             early_stop: None,
         }
     }
@@ -824,24 +806,15 @@ impl StreamOptions {
         self
     }
 
-    /// Sets the checkpoint spacing.
-    pub fn with_checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = every;
-        self
-    }
-
     /// Arms early termination.
     pub fn with_early_stop(mut self, rule: EarlyStop) -> Self {
         self.early_stop = Some(rule);
         self
     }
 
-    fn resolved_checkpoint_every(&self) -> usize {
-        if self.checkpoint_every > 0 {
-            self.checkpoint_every
-        } else {
-            (self.max_samples / 16).max(1)
-        }
+    /// Samples between checkpoints.
+    fn checkpoint_spacing(&self) -> usize {
+        (self.max_samples / 16).max(1)
     }
 }
 
@@ -1081,7 +1054,7 @@ fn drive_stream<E>(
     mut checkpoint: impl FnMut(&mut E, usize) -> bool,
 ) -> Result<(), AttackError> {
     let chunk = opts.chunk.max(1);
-    let cp_every = opts.resolved_checkpoint_every();
+    let cp_every = opts.checkpoint_spacing();
     let mut consumed = 0usize;
     let mut buf: Vec<AttackSample> = Vec::with_capacity(chunk.min(opts.max_samples));
     'stream: while consumed < opts.max_samples {
@@ -1369,20 +1342,18 @@ mod tests {
 
     #[test]
     fn row_kernel_matches_per_guess_predictors() {
-        // Full warps, a 4-lane tail FSS(8) cannot split, and averaged
-        // replays: each guess's state equals its own accumulator fed
-        // its own predictor's output.
+        // Full warps and a 4-lane tail FSS(8) cannot split: each guess's
+        // state equals its own accumulator fed its own predictor's
+        // output.
         for policy in [
             CoalescingPolicy::Baseline,
             CoalescingPolicy::Disabled,
             CoalescingPolicy::fss(4).unwrap(),
             CoalescingPolicy::fss(8).unwrap(),
         ] {
-            for (lines, mc) in [(32, 1), (36, 1), (36, 3)] {
+            for lines in [32, 36] {
                 let samples = random_samples(9, lines, 3);
-                let attack = Attack::against(policy, 32)
-                    .with_mc_samples(mc)
-                    .with_threads(Some(2));
+                let attack = Attack::against(policy, 32).with_threads(Some(2));
                 let mut engine = StreamingByteRecovery::new(&attack, 5).unwrap();
                 for c in samples.chunks(4) {
                     engine.push_chunk(c);
@@ -1394,7 +1365,7 @@ mod tests {
                 assert_eq!(
                     state,
                     per_guess_states(&attack, &samples, 5),
-                    "{policy}, {lines} lines, mc {mc}"
+                    "{policy}, {lines} lines"
                 );
             }
         }
@@ -1506,7 +1477,6 @@ mod tests {
         let mut source = SliceSource::new(&samples);
         let opts = StreamOptions::new(samples.len())
             .with_chunk(32)
-            .with_checkpoint_every(20)
             .with_early_stop(EarlyStop::default());
         let out = stream_recover_byte(&attack, &mut source, 2, &opts).unwrap();
         assert!(out.terminated_early, "clean channel must stabilize");
@@ -1532,7 +1502,6 @@ mod tests {
         let mut source = SliceSource::new(&samples);
         let opts = StreamOptions::new(samples.len())
             .with_chunk(32)
-            .with_checkpoint_every(20)
             .with_early_stop(EarlyStop::default());
         let out = stream_recover_byte(&attack, &mut source, 2, &opts).unwrap();
         assert!(
@@ -1566,11 +1535,11 @@ mod tests {
         let mut source = SliceSource::new(&samples);
         let opts = StreamOptions::new(samples.len())
             .with_chunk(32)
-            .with_checkpoint_every(20)
             .with_early_stop(naive);
         let out = stream_recover_byte(&attack, &mut source, 2, &opts).unwrap();
+        // The 400-sample budget puts the first checkpoint at 400 / 16.
         assert!(
-            out.terminated_early && out.samples == 20,
+            out.terminated_early && out.samples == 25,
             "the strawman rule stops at the first checkpoint on noise"
         );
     }
@@ -1637,17 +1606,14 @@ mod tests {
         let (samples, _) = leaky_samples(100, 0);
         let attack = Attack::baseline(32);
         let mut source = SliceSource::new(&samples);
-        let opts = StreamOptions::new(50)
-            .with_chunk(7)
-            .with_checkpoint_every(20);
+        let opts = StreamOptions::new(50).with_chunk(7);
         let out = stream_recover_byte(&attack, &mut source, 0, &opts).unwrap();
         assert_eq!(out.samples, 50);
+        // Checkpoints every 50 / 16 = 3 samples, then one closing the
+        // trajectory at the budget.
         let counts: Vec<usize> = out.checkpoints.iter().map(|c| c.samples).collect();
-        assert_eq!(
-            counts,
-            vec![20, 40, 50],
-            "boundaries independent of chunk 7"
-        );
+        let want: Vec<usize> = (1..=16).map(|i| 3 * i).chain([50]).collect();
+        assert_eq!(counts, want, "boundaries independent of chunk 7");
         assert_eq!(source.remaining_hint(), Some(50), "unconsumed tail stays");
     }
 
@@ -1716,15 +1682,14 @@ mod tests {
         let attack = Attack::baseline(32).with_metrics(&registry);
         let plain = Attack::baseline(32);
         let mut source = SliceSource::new(&samples);
-        let opts = StreamOptions::new(60)
-            .with_chunk(16)
-            .with_checkpoint_every(20);
+        let opts = StreamOptions::new(60).with_chunk(16);
         let metered = stream_recover_byte(&attack, &mut source, 2, &opts).unwrap();
         let mut source = SliceSource::new(&samples);
         let unmetered = stream_recover_byte(&plain, &mut source, 2, &opts).unwrap();
         assert_eq!(metered, unmetered, "metrics must not perturb the recovery");
         let snap = registry.snapshot();
-        assert_eq!(snap.counters["attack.stream.checkpoints"], 3);
+        // One checkpoint every 60 / 16 = 3 samples.
+        assert_eq!(snap.counters["attack.stream.checkpoints"], 20);
         assert_eq!(snap.counters["attack.samples_correlated"], 256 * 60);
         assert_eq!(snap.counters["span.attack.stream_byte.calls"], 1);
         assert_eq!(snap.gauges["attack.stream.samples"], 60);

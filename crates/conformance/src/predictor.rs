@@ -5,18 +5,18 @@
 //! [`AccessPredictor::predict_bytes`], so a change to the predictor
 //! would move both sides at once. This section pins it to a reference
 //! built from first principles: each warp's assignment is drawn from an
-//! identically seeded `StdRng` (per warp, per Monte-Carlo replay, in
-//! column order), the lanes become `block_of(b, m) × 64` pseudo-addresses
-//! coalesced by [`reference_coalesce`], and each replay adds
-//! `count / mc` to an `f64` total. The predictor must match bit for bit.
+//! identically seeded `StdRng` (per warp, in column order), the lanes
+//! become `block_of(b, m) × 64` pseudo-addresses coalesced by
+//! [`reference_coalesce`], and each warp adds its count to an `f64`
+//! total. The predictor must match bit for bit.
 //!
 //! Coverage: every policy of [`policy_pool`] × every registered
 //! workload's oracle plus `XorWhiteningOracle::new(0, 16)`, whose 256
 //! blocks overflow the 64-block window of the bitmask count. Columns of
 //! 32 lines are one full warp; columns of 36 add a 4-lane tail that no
-//! FSS(8) or wider split fits (one access per thread); a third run
-//! averages 3 Monte-Carlo replays. One predictor serves a sequence of
-//! guesses, so its per-guess memo is exercised across switches.
+//! FSS(8) or wider split fits (one access per thread). One predictor
+//! serves a sequence of guesses, so its per-guess memo is exercised
+//! across switches.
 
 use crate::oracle::reference_coalesce;
 use crate::report::SectionReport;
@@ -38,11 +38,9 @@ fn reference_predictions(
     policy: CoalescingPolicy,
     oracle: &dyn TableOracle,
     seed: u64,
-    mc_samples: usize,
     inputs: &[(u8, Vec<u8>)],
 ) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mc = mc_samples.max(1);
     inputs
         .iter()
         .map(|(guess, column)| {
@@ -52,15 +50,13 @@ fn reference_predictions(
                     .iter()
                     .map(|&b| Some(oracle.block_of(b, *guess) * DEFAULT_BLOCK_SIZE))
                     .collect();
-                for _ in 0..mc {
-                    let accesses = match policy.assignment(warp.len(), &mut rng) {
-                        Ok(assignment) => {
-                            reference_coalesce(&assignment, &addrs, DEFAULT_BLOCK_SIZE).len()
-                        }
-                        Err(_) => warp.len(),
-                    };
-                    total += accesses as f64 / mc as f64;
-                }
+                let accesses = match policy.assignment(warp.len(), &mut rng) {
+                    Ok(assignment) => {
+                        reference_coalesce(&assignment, &addrs, DEFAULT_BLOCK_SIZE).len()
+                    }
+                    Err(_) => warp.len(),
+                };
+                total += accesses as f64;
             }
             total
         })
@@ -87,13 +83,11 @@ fn check_case(
     policy: CoalescingPolicy,
     oracle: &Arc<dyn TableOracle>,
     seed: u64,
-    mc_samples: usize,
     inputs: &[(u8, Vec<u8>)],
 ) -> Vec<String> {
-    let expected = reference_predictions(policy, oracle.as_ref(), seed, mc_samples, inputs);
-    let mut predictor = AccessPredictor::new(policy, WARP_SIZE, seed)
-        .with_oracle(Arc::clone(oracle))
-        .with_mc_samples(mc_samples);
+    let expected = reference_predictions(policy, oracle.as_ref(), seed, inputs);
+    let mut predictor =
+        AccessPredictor::new(policy, WARP_SIZE, seed).with_oracle(Arc::clone(oracle));
     inputs
         .iter()
         .zip(expected)
@@ -117,7 +111,7 @@ pub fn section(seed: u64) -> SectionReport {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0a11);
     for (name, oracle) in oracles() {
         for policy in policy_pool() {
-            for (lines, mc_samples) in [(32, 1), (36, 1), (36, 3)] {
+            for lines in [32, 36] {
                 section.cases += 1;
                 let first = rng.next_u64() as u8;
                 let guesses = [first, rng.next_u64() as u8, first];
@@ -127,10 +121,10 @@ pub fn section(seed: u64) -> SectionReport {
                     .map(|g| (g, (0..lines).map(|_| rng.next_u64() as u8).collect()))
                     .collect();
                 let case_seed = rng.next_u64();
-                for f in check_case(policy, &oracle, case_seed, mc_samples, &inputs) {
-                    section.failures.push(format!(
-                        "{policy} x {name}, {lines} lines, mc {mc_samples}: {f}"
-                    ));
+                for f in check_case(policy, &oracle, case_seed, &inputs) {
+                    section
+                        .failures
+                        .push(format!("{policy} x {name}, {lines} lines: {f}"));
                 }
             }
         }
@@ -145,7 +139,7 @@ mod tests {
     #[test]
     fn predictor_section_is_clean() {
         let s = section(0x5eed);
-        assert_eq!(s.cases, oracles().len() * policy_pool().len() * 3);
+        assert_eq!(s.cases, oracles().len() * policy_pool().len() * 2);
         assert!(s.passed(), "{:?}", s.failures);
     }
 
@@ -159,14 +153,14 @@ mod tests {
         let inputs: Vec<(u8, Vec<u8>)> = (0..8)
             .map(|_| (0x42, (0..32).map(|_| rng.next_u64() as u8).collect()))
             .collect();
-        let expected = reference_predictions(policy, oracle.as_ref(), 7, 1, &inputs);
+        let expected = reference_predictions(policy, oracle.as_ref(), 7, &inputs);
         let mut predictor = AccessPredictor::new(policy, WARP_SIZE, 8).with_oracle(oracle);
         let got: Vec<f64> = inputs
             .iter()
             .map(|(g, col)| predictor.predict_bytes(col, *g))
             .collect();
         assert_ne!(got, expected);
-        assert!(check_case(policy, &rcoal_attack::aes_oracle(), 7, 1, &inputs).is_empty());
+        assert!(check_case(policy, &rcoal_attack::aes_oracle(), 7, &inputs).is_empty());
     }
 
     #[test]
@@ -178,7 +172,7 @@ mod tests {
         let full = vec![0u8; 32];
         let mut with_tail = full.clone();
         with_tail.extend([0u8; 4]);
-        let p = reference_predictions(policy, oracle.as_ref(), 0, 1, &[(0, full), (0, with_tail)]);
+        let p = reference_predictions(policy, oracle.as_ref(), 0, &[(0, full), (0, with_tail)]);
         assert_eq!(p[1] - p[0], 4.0);
     }
 }

@@ -23,8 +23,7 @@
 //!    [`policy_pool`] × every oracle of the `attack predictor oracle`
 //!    section (the five workloads plus the 256-block whitening oracle
 //!    the row kernel leaves to per-guess predictors) × 32- and 36-line
-//!    samples × 1 and 3 Monte-Carlo replays, pushed one sample per
-//!    chunk on three worker threads.
+//!    samples, pushed one sample per chunk on three worker threads.
 //! 3. **Early-stop falsifiability** — the default stopping rule must
 //!    terminate on the leaky baseline channel *with the same best
 //!    guess the full stream produces*, must never terminate on an
@@ -323,31 +322,27 @@ fn random_samples(rng: &mut StdRng, n: usize, lines: usize) -> Vec<AttackSample>
 }
 
 /// Contract 2b: the engine equals the per-guess reference for every
-/// pool policy × oracle × line count × Monte-Carlo replay count. One
-/// case per combination.
+/// pool policy × oracle × line count. One case per combination.
 fn guess_major_corpus(report: &mut SectionReport, seed: u64) -> Result<(), ConformanceError> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6e55);
     for (name, oracle) in oracles() {
         for policy in policy_pool() {
             for lines in [32, 36] {
-                for mc in [1, 3] {
-                    report.cases += 1;
-                    let byte = rng.next_u64() as usize % oracle.key_bytes();
-                    let samples = random_samples(&mut rng, CORPUS_SAMPLES, lines);
-                    let attack = Attack::against(policy, WARP_SIZE)
-                        .with_oracle(Arc::clone(&oracle))
-                        .with_seed(rng.next_u64())
-                        .with_mc_samples(mc)
-                        .with_threads(Some(CORPUS_THREADS));
-                    let reference = per_guess_states(&attack, &samples, byte, |m| m);
-                    if let Some(m) =
-                        engine_divergence(&attack, &samples, byte, CORPUS_CHUNK, &reference)?
-                    {
-                        report.failures.push(format!(
-                            "{policy} x {name}, {lines} lines, mc {mc}, byte {byte}: guess \
-                             {m:#04x} accumulator state diverged from the per-guess reference"
-                        ));
-                    }
+                report.cases += 1;
+                let byte = rng.next_u64() as usize % oracle.key_bytes();
+                let samples = random_samples(&mut rng, CORPUS_SAMPLES, lines);
+                let attack = Attack::against(policy, WARP_SIZE)
+                    .with_oracle(Arc::clone(&oracle))
+                    .with_seed(rng.next_u64())
+                    .with_threads(Some(CORPUS_THREADS));
+                let reference = per_guess_states(&attack, &samples, byte, |m| m);
+                if let Some(m) =
+                    engine_divergence(&attack, &samples, byte, CORPUS_CHUNK, &reference)?
+                {
+                    report.failures.push(format!(
+                        "{policy} x {name}, {lines} lines, byte {byte}: guess {m:#04x} \
+                         accumulator state diverged from the per-guess reference"
+                    ));
                 }
             }
         }
@@ -475,9 +470,9 @@ mod tests {
     use super::*;
 
     /// Cases of the guess-major corpus: oracle × policy × 2 line
-    /// counts × 2 replay counts.
+    /// counts.
     fn corpus_cases() -> usize {
-        oracles().len() * policy_pool().len() * 2 * 2
+        oracles().len() * policy_pool().len() * 2
     }
 
     #[test]

@@ -183,11 +183,16 @@ pub fn decode_run(input: &str) -> Result<ExperimentData, ScenarioError> {
                 .map_err(|_| ScenarioError::new("by-byte rows must have 16 entries"))
         })
         .collect::<Result<Vec<[u64; 16]>, ScenarioError>>()?;
-    let workload = v
-        .get("workload")
-        .and_then(Value::as_str)
-        .unwrap_or("aes")
-        .to_string();
+    // AES rows leave the field out. An unregistered name must fail here:
+    // `workload_def` would otherwise audit the row against AES.
+    let workload = v.get("workload").and_then(Value::as_str).unwrap_or("aes");
+    if rcoal_workload::find(workload).is_none() {
+        return Err(ScenarioError::new(format!(
+            "run names unregistered workload {workload:?} (registered: {})",
+            rcoal_workload::names()
+        )));
+    }
+    let workload = workload.to_string();
     let data = ExperimentData {
         policy,
         workload,
@@ -798,6 +803,13 @@ mod tests {
                 "{name}: {err}"
             );
         }
+        // A workload the registry does not know would be audited against
+        // the AES oracle and key.
+        let mut unknown = data.clone();
+        unknown.workload = "nosuch".into();
+        let err = decode_run(&encode_run(&unknown).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("\"nosuch\""), "{err}");
+        assert!(err.to_string().contains(&rcoal_workload::names()), "{err}");
     }
 
     #[test]

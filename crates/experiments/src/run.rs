@@ -489,8 +489,8 @@ impl ExperimentData {
     }
 
     /// The registry entry of the workload that produced this data.
-    /// Unknown names (e.g. data decoded from a future cache format)
-    /// fall back to the AES entry, matching the pre-registry pipeline.
+    /// [`crate::engine::decode_run`] rejects unregistered names, so only
+    /// data built by hand reaches the fallback to the AES entry.
     pub fn workload_def(&self) -> &'static dyn KernelWorkload {
         rcoal_workload::find(&self.workload).unwrap_or(rcoal_workload::registry()[0])
     }

@@ -39,9 +39,10 @@ fn inv_sbox() -> [u8; 16] {
 }
 
 /// Applies the S-box to every bit-column of four rows (row 0 holds the
-/// least-significant bit of each column nibble). Generic over the row
-/// width so the cipher state (u16 rows) and the key schedule (u32 rows)
-/// share it.
+/// least-significant bit of each column nibble), one column at a time.
+/// Generic over the row width so the key schedule (u32 rows) and the
+/// inverse cipher (u16 rows) share it; it is also the oracle for
+/// [`sub_column_bitsliced`].
 fn sub_column_u32(rows: [u32; 4], cols: u32, table: &[u8; 16]) -> [u32; 4] {
     let mut out = [0u32; 4];
     for c in 0..cols {
@@ -60,6 +61,19 @@ fn sub_column_u32(rows: [u32; 4], cols: u32, table: &[u8; 16]) -> [u32; 4] {
 fn sub_column(rows: [u16; 4], table: &[u8; 16]) -> [u16; 4] {
     let wide = sub_column_u32(rows.map(u32::from), 16, table);
     wide.map(|r| r as u16)
+}
+
+/// [`RECTANGLE_SBOX`] on all 16 columns at once: the cipher's
+/// 12-operation boolean form, where row `i` holds nibble bit `ai`.
+fn sub_column_bitsliced([a0, a1, a2, a3]: [u16; 4]) -> [u16; 4] {
+    let t1 = !a1;
+    let b0 = (a0 & t1) ^ (a2 ^ a3);
+    let t6 = a0 ^ (a3 | t1);
+    let b1 = a2 ^ t6;
+    let t8 = a1 ^ a2;
+    let b3 = t8 ^ ((a2 ^ a3) & t6);
+    let b2 = t6 ^ (b0 | t8);
+    [b0, b1, b2, b3]
 }
 
 fn pack(rows: [u16; 4]) -> [u8; 8] {
@@ -137,7 +151,7 @@ impl Rectangle128 {
             for i in 0..4 {
                 rows[i] ^= rk[i];
             }
-            rows = sub_column(rows, &RECTANGLE_SBOX);
+            rows = sub_column_bitsliced(rows);
             rows = [
                 rows[0],
                 rows[1].rotate_left(1),
@@ -184,7 +198,7 @@ impl Rectangle128 {
                 rows[i] ^= rk[i];
             }
             *slot = pack(rows);
-            rows = sub_column(rows, &RECTANGLE_SBOX);
+            rows = sub_column_bitsliced(rows);
             rows = [
                 rows[0],
                 rows[1].rotate_left(1),
@@ -205,6 +219,27 @@ mod tests {
         for v in RECTANGLE_SBOX {
             assert!(!seen[v as usize]);
             seen[v as usize] = true;
+        }
+    }
+
+    #[test]
+    fn bitsliced_sub_column_equals_the_table_driven_one() {
+        // Each nibble in all 16 columns at once, then seeded states.
+        let spread = |nib: u8| -> [u16; 4] {
+            std::array::from_fn(|i| if (nib >> i) & 1 == 1 { 0xFFFF } else { 0 })
+        };
+        for nib in 0..16u8 {
+            let want = spread(RECTANGLE_SBOX[usize::from(nib)]);
+            assert_eq!(sub_column_bitsliced(spread(nib)), want, "nibble {nib:#x}");
+            assert_eq!(sub_column(spread(nib), &RECTANGLE_SBOX), want);
+        }
+        for state in crate::byte_tables::seeded_states(0x5ec7, 10_000) {
+            let rows: [u16; 4] = std::array::from_fn(|i| (state >> (16 * i)) as u16);
+            assert_eq!(
+                sub_column_bitsliced(rows),
+                sub_column(rows, &RECTANGLE_SBOX),
+                "state {state:#018x}"
+            );
         }
     }
 

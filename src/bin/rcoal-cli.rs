@@ -4,7 +4,7 @@
 //! rcoal-cli table2
 //! rcoal-cli workloads
 //! rcoal-cli simulate --policy rss-rts:4 [--workload W] [--plaintexts 20] [--lines 32] [--seed 7] [--selective true] [--threads N] [--trace-out F] [--metrics-out F] [--progress true]
-//! rcoal-cli attack   --policy baseline  [--workload W] [--samples 400] [--byte all|J] [--seed 7] [--threads N] [--trace-out F] [--metrics-out F] [--progress true]
+//! rcoal-cli attack   --policy baseline  [--workload W] [--max-samples 400] [--chunk 4096] [--early-stop true] [--byte all|J] [--seed 7] [--threads N] [--metrics-out F]
 //! rcoal-cli score    [--samples 100] [--seed 7] [--threads N]
 //! ```
 
@@ -38,21 +38,21 @@ USAGE:
       cycles and coalesced accesses. With --selective true, only the
       last-round loads use the (randomized) policy.
 
-  rcoal-cli attack --policy <POLICY> [--workload W] [--samples N] [--byte J|all] [--seed S] [--threads T]
-                   [--max-samples N] [--chunk C] [--early-stop true|false]
-                   [--trace-out FILE] [--metrics-out FILE] [--progress true]
-      Deploy POLICY on the victim, collect N timing samples, run the
-      corresponding correlation attack, and grade the subkey recovery
-      (AES's 16-byte last-round key by default; see `workloads` for the
-      other kernels' attacked subkeys). With --max-samples N the attack
-      runs the single-pass streaming engine instead: samples are
-      generated chunk by chunk (--chunk, default 4096) and fed to
-      online per-guess correlators, so peak memory is independent of N
-      and million-sample budgets are practical. --early-stop (default
-      true) stops drawing samples once the leading guess has been
-      stable across consecutive checkpoints with a margin above the
-      1/sqrt(n) sampling-error band; the checkpoint trajectory (leader,
-      correlation, margin) is printed as it is recorded.
+  rcoal-cli attack --policy <POLICY> [--workload W] [--max-samples N] [--chunk C]
+                   [--early-stop true|false] [--byte J|all] [--seed S] [--threads T]
+                   [--metrics-out FILE]
+      Deploy POLICY on the victim, stream up to N last-round timing
+      samples (default 400) into the corresponding correlation attack,
+      and grade the subkey recovery (AES's 16-byte last-round key by
+      default; see `workloads` for the other kernels' attacked
+      subkeys). Samples are generated chunk by chunk (--chunk, default
+      4096) and fed to online per-guess correlators in a single pass,
+      so peak memory is independent of N and million-sample budgets
+      are practical. --early-stop (default true) stops drawing samples
+      once the leading guess has been stable across consecutive
+      checkpoints with a margin above the 1/sqrt(n) sampling-error
+      band; with --byte J the checkpoint trajectory (leader,
+      correlation, margin) is printed too.
 
   rcoal-cli score [--samples N] [--seed S] [--threads T]
       Sweep all mechanisms and print RCoal_Score rankings (Figure 17).
@@ -121,7 +121,7 @@ USAGE:
       fixtures are rewritten instead of failing.
 
 OPTIONS: every command rejects an option it does not read, naming it
-        (attack --max-samples streams, so it rejects --samples).
+        (attack's budget is --max-samples, so it rejects --samples).
 
 POLICY: baseline | disabled | fss:M | rss:M | fss-rts:M | rss-rts:M
         (M = number of subwarps, a divisor of 32 for fss variants)
@@ -138,15 +138,18 @@ THREADS: worker threads for launch sweeps and attack guess sweeps.
         sequentially, 0 is rejected).
 
 TELEMETRY:
-  --trace-out FILE    instrument every launch of the policy under test
-                      and write its cycle-stamped event stream as JSONL
-                      (one {\"launch\":i,\"cycle\":c,...} object per line;
-                      deterministic for a fixed seed at any T).
-  --metrics-out FILE  write an rcoal-metrics/v1 JSON snapshot: the
-                      aggregate sim.* leakage profile plus host-domain
-                      span.*/pool.*/attack.* wall-clock metrics.
-  --progress true     print per-byte attack progress and a pool
-                      utilization summary to stderr.";
+  --trace-out FILE    (simulate) instrument every launch of the policy
+                      under test and write its cycle-stamped event stream
+                      as JSONL (one {\"launch\":i,\"cycle\":c,...} object
+                      per line; deterministic for a fixed seed at any T).
+  --metrics-out FILE  write an rcoal-metrics/v1 JSON snapshot: for
+                      simulate, the aggregate sim.* leakage profile plus
+                      host-domain span.*/pool.* wall-clock metrics; for
+                      attack, the online attacker's attack.stream.*
+                      checkpoints, attack.samples_correlated and its
+                      span.attack.stream_* spans.
+  --progress true     (simulate) print a pool utilization summary to
+                      stderr.";
 
 fn main() -> ExitCode {
     match run() {
@@ -260,74 +263,32 @@ fn cmd_workloads(args: &ParsedArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--trace-out` / `--metrics-out` / `--progress` trio shared by the
-/// simulate and attack commands.
-struct TelemetryArgs {
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
-    progress: bool,
+/// Writes the `--metrics-out` snapshot, if requested.
+fn write_metrics(path: Option<&str>, registry: &MetricsRegistry) -> Result<(), String> {
+    if let Some(path) = path {
+        let mut json = registry.snapshot().to_json();
+        json.push('\n');
+        write_artifact(path, &json)?;
+        println!("metrics written  : {path}");
+    }
+    Ok(())
 }
 
-impl TelemetryArgs {
-    fn parse(args: &ParsedArgs) -> Result<Self, String> {
-        Ok(TelemetryArgs {
-            trace_out: args.get("trace-out").map(str::to_string),
-            metrics_out: args.get("metrics-out").map(str::to_string),
-            progress: args.get_or("progress", false)?,
-        })
-    }
-
-    /// Whether any host-side instrumentation was requested.
-    fn wants_any(&self) -> bool {
-        self.trace_out.is_some() || self.metrics_out.is_some() || self.progress
-    }
-
-    /// Writes the event trace of an instrumented run, if requested.
-    fn write_trace(&self, data: &ExperimentData) -> Result<(), String> {
-        if let Some(path) = &self.trace_out {
-            let tel = data
-                .telemetry
-                .as_ref()
-                .ok_or("internal: --trace-out run collected no telemetry")?;
-            write_artifact(path, &tel.trace_jsonl())?;
-            println!("trace written    : {path} ({} events)", tel.num_events());
-        }
-        Ok(())
-    }
-
-    /// Writes the metrics snapshot, if requested.
-    fn write_metrics(&self, registry: &MetricsRegistry) -> Result<(), String> {
-        if let Some(path) = &self.metrics_out {
-            let mut json = registry.snapshot().to_json();
-            json.push('\n');
-            write_artifact(path, &json)?;
-            println!("metrics written  : {path}");
-        }
-        Ok(())
-    }
-
-    /// Prints the pool utilization summary to stderr under `--progress`.
-    fn report_pool(&self, registry: &MetricsRegistry, pool: &str) {
-        if !self.progress {
-            return;
-        }
-        let snap = registry.snapshot();
-        let workers = snap.gauges.get(&format!("pool.{pool}.workers")).copied();
-        let permille = snap
-            .gauges
-            .get(&format!("pool.{pool}.utilization_permille"))
-            .copied();
-        let wall = snap
-            .counters
-            .get(&format!("pool.{pool}.wall_micros"))
-            .copied();
-        if let (Some(w), Some(u), Some(micros)) = (workers, permille, wall) {
-            eprintln!(
-                "[progress] {pool}: {w} workers, {:.1}% busy, {:.1} ms wall",
-                u as f64 / 10.0,
-                micros as f64 / 1000.0
-            );
-        }
+/// Prints the launch pool's utilization summary to stderr.
+fn report_pool(registry: &MetricsRegistry) {
+    let snap = registry.snapshot();
+    let workers = snap.gauges.get("pool.launches.workers").copied();
+    let permille = snap
+        .gauges
+        .get("pool.launches.utilization_permille")
+        .copied();
+    let wall = snap.counters.get("pool.launches.wall_micros").copied();
+    if let (Some(w), Some(u), Some(micros)) = (workers, permille, wall) {
+        eprintln!(
+            "[progress] launches: {w} workers, {:.1}% busy, {:.1} ms wall",
+            u as f64 / 10.0,
+            micros as f64 / 1000.0
+        );
     }
 }
 
@@ -339,7 +300,9 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), String> {
     let seed: u64 = args.get_or("seed", 7)?;
     let selective: bool = args.get_or("selective", false)?;
     let threads = parse_threads(args)?;
-    let telemetry = TelemetryArgs::parse(args)?;
+    let trace_out = args.get("trace-out");
+    let metrics_out = args.get("metrics-out");
+    let progress: bool = args.get_or("progress", false)?;
     args.reject_unread()?;
 
     let mut cfg = if selective {
@@ -357,14 +320,17 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), String> {
     // Only the policy under test is instrumented; the baseline reference
     // run stays plain.
     let registry = MetricsRegistry::new();
-    if telemetry.wants_any() {
+    let instrumented = trace_out.is_some() || metrics_out.is_some();
+    if instrumented || progress {
         cfg = cfg.with_host_metrics(&registry);
     }
-    if telemetry.trace_out.is_some() || telemetry.metrics_out.is_some() {
+    if instrumented {
         cfg = cfg.with_telemetry(TelemetrySpec::full());
     }
     let data = cfg.with_seed(seed).run().map_err(|e| e.to_string())?;
-    telemetry.report_pool(&registry, "launches");
+    if progress {
+        report_pool(&registry);
+    }
     let base = base.with_seed(seed).run().map_err(|e| e.to_string())?;
 
     println!(
@@ -411,132 +377,22 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), String> {
             );
         }
     }
-    telemetry.write_trace(&data)?;
-    telemetry.write_metrics(&registry)?;
-    Ok(())
+    if let Some(path) = trace_out {
+        let tel = data
+            .telemetry
+            .as_ref()
+            .ok_or("internal: --trace-out run collected no telemetry")?;
+        write_artifact(path, &tel.trace_jsonl())?;
+        println!("trace written    : {path} ({} events)", tel.num_events());
+    }
+    write_metrics(metrics_out, &registry)
 }
 
-fn cmd_attack(args: &ParsedArgs) -> Result<(), String> {
-    if args.get("max-samples").is_some() {
-        return cmd_attack_stream(args);
-    }
-    let policy = policy_from(args)?;
-    let workload = workload_from(args)?;
-    let samples: usize = args.get_or("samples", 400)?;
-    let seed: u64 = args.get_or("seed", 7)?;
-    let byte_spec = args.get("byte").unwrap_or("all").to_string();
-    let threads = parse_threads(args)?;
-    let telemetry = TelemetryArgs::parse(args)?;
-    args.reject_unread()?;
-    let key_bytes = workload.oracle().key_bytes().min(16);
-
-    println!("victim policy : {policy}");
-    println!("workload      : {}", workload.name());
-    println!("samples       : {samples} (32-line plaintexts, last-round timing)");
-    let registry = MetricsRegistry::new();
-    let mut cfg = ExperimentConfig::new(policy, samples, 32)
-        .with_workload(workload.name())
-        .with_seed(seed);
-    if let Some(t) = threads {
-        cfg = cfg.with_threads(t);
-    }
-    if telemetry.wants_any() {
-        cfg = cfg.with_host_metrics(&registry);
-    }
-    if telemetry.trace_out.is_some() || telemetry.metrics_out.is_some() {
-        cfg = cfg.with_telemetry(TelemetrySpec::full());
-    }
-    let data = cfg.run().map_err(|e| e.to_string())?;
-    telemetry.report_pool(&registry, "launches");
-    let k10 = data.attacked_subkey();
-    let mut attack = Attack::against(policy, 32)
-        .with_oracle(workload.oracle())
-        .with_seed(seed ^ 0xa77ac)
-        .with_threads(threads);
-    if telemetry.wants_any() {
-        attack = attack.with_metrics(&registry);
-    }
-    let samples = data
-        .attack_samples(TimingSource::LastRoundCycles)
-        .map_err(|e| e.to_string())?;
-    telemetry.write_trace(&data)?;
-
-    if byte_spec == "all" {
-        let rec = if telemetry.progress {
-            // Per-byte sweep so progress is visible between the
-            // (expensive) 256-guess correlation scans; identical results
-            // to a single recover_key call.
-            let mut bytes = Vec::with_capacity(key_bytes);
-            for j in 0..key_bytes {
-                bytes.push(
-                    attack
-                        .recover_byte(&samples, j)
-                        .map_err(|e| e.to_string())?,
-                );
-                let guesses = registry.counter("attack.guesses").get();
-                let rate = registry.gauge("attack.correlations_per_sec").get();
-                eprintln!(
-                    "[progress] byte {:2}/{key_bytes} done ({guesses} guesses swept, ~{rate} corr/s)",
-                    j + 1
-                );
-            }
-            KeyRecovery { bytes }
-        } else {
-            attack.recover_key(&samples).map_err(|e| e.to_string())?
-        };
-        let out = rec.outcome(&k10);
-        for (j, b) in rec.bytes.iter().enumerate() {
-            let hit = if b.best_guess == k10[j] {
-                "HIT "
-            } else {
-                "miss"
-            };
-            println!(
-                "byte {j:2}: guess 0x{:02x} actual 0x{:02x} [{hit}] corr {:+.3} rank {}",
-                b.best_guess,
-                k10[j],
-                b.correlation_of(k10[j]),
-                b.rank_of(k10[j])
-            );
-        }
-        println!(
-            "\nrecovered {}/{key_bytes} bytes; avg corr(correct) = {:+.3}; avg rank = {:.1}",
-            out.num_correct, out.avg_correct_correlation, out.avg_rank_of_correct
-        );
-        println!(
-            "remaining key security: ~2^{:.1} candidate keys to enumerate",
-            rcoal_attack::log2_key_rank(&rec, &k10)
-        );
-    } else {
-        let j: usize = byte_spec.parse().map_err(|_| {
-            format!(
-                "--byte must be 0..={} or 'all', got {byte_spec:?}",
-                key_bytes - 1
-            )
-        })?;
-        if j >= key_bytes {
-            return Err(format!("--byte must be 0..={} or 'all'", key_bytes - 1));
-        }
-        let rec = attack
-            .recover_byte(&samples, j)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "byte {j}: guess 0x{:02x} actual 0x{:02x} corr {:+.3} rank {}",
-            rec.best_guess,
-            k10[j],
-            rec.correlation_of(k10[j]),
-            rec.rank_of(k10[j])
-        );
-    }
-    telemetry.write_metrics(&registry)?;
-    Ok(())
-}
-
-/// The `attack --max-samples` path: single-pass streaming engine with
-/// simulator-backed generation, online per-guess correlators, and
+/// The attack: a single pass of the streaming engine over
+/// simulator-backed generation, with online per-guess correlators and
 /// optional early termination. Peak memory is independent of the
 /// sample budget.
-fn cmd_attack_stream(args: &ParsedArgs) -> Result<(), String> {
+fn cmd_attack(args: &ParsedArgs) -> Result<(), String> {
     let policy = policy_from(args)?;
     let workload = workload_from(args)?;
     let budget: usize = args.get_or("max-samples", 400)?;
@@ -545,14 +401,9 @@ fn cmd_attack_stream(args: &ParsedArgs) -> Result<(), String> {
     let seed: u64 = args.get_or("seed", 7)?;
     let byte_spec = args.get("byte").unwrap_or("all").to_string();
     let threads = parse_threads(args)?;
-    let telemetry = TelemetryArgs::parse(args)?;
+    let metrics_out = args.get("metrics-out");
     args.reject_unread()?;
     let key_bytes = workload.oracle().key_bytes().min(16);
-    if telemetry.trace_out.is_some() {
-        return Err(
-            "--trace-out needs a materialized run; streamed launches are not collected".into(),
-        );
-    }
 
     println!("victim policy : {policy}");
     println!("workload      : {}", workload.name());
@@ -574,7 +425,7 @@ fn cmd_attack_stream(args: &ParsedArgs) -> Result<(), String> {
         .with_oracle(workload.oracle())
         .with_seed(seed ^ 0xa77ac)
         .with_threads(threads);
-    if telemetry.wants_any() {
+    if metrics_out.is_some() {
         attack = attack.with_metrics(&registry);
     }
     let mut opts = StreamOptions::new(budget).with_chunk(chunk);
@@ -640,8 +491,7 @@ fn cmd_attack_stream(args: &ParsedArgs) -> Result<(), String> {
             rec.checkpoints.len(),
         );
     }
-    telemetry.write_metrics(&registry)?;
-    Ok(())
+    write_metrics(metrics_out, &registry)
 }
 
 fn print_stream_outcome(samples: usize, budget: usize, terminated_early: bool, checkpoints: usize) {
