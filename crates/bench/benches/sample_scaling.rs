@@ -27,9 +27,10 @@
 use rcoal_attack::{
     stream_recover_byte, Attack, AttackSample, EarlyStop, SampleSource, StreamOptions,
 };
-use rcoal_bench::{PeakAlloc, BENCH_SEED};
+use rcoal_bench::{record, write_record, PeakAlloc, BENCH_SEED};
 use rcoal_core::CoalescingPolicy;
 use rcoal_experiments::{ExperimentConfig, SimulatorSource, TimingSource};
+use rcoal_scenario::json::Value;
 use std::time::Instant;
 
 #[global_allocator]
@@ -210,23 +211,37 @@ fn run() -> Result<(), String> {
         stop.samples, stop.checkpoints, stop.terminated_early
     );
 
-    let json = format!(
-        "{{\n  \"schema\": \"rcoal-bench/v1\",\n  \"bench\": \"sample_scaling\",\n  \"workload\": \"streamed single-byte recovery, paper AES config, exact access channel\",\n  \"byte\": {BYTE},\n  \"chunk\": {chunk},\n  \"samples_small\": {},\n  \"samples_large\": {},\n  \"small_seconds\": {:.6},\n  \"small_peak_heap_bytes\": {},\n  \"large_seconds\": {:.6},\n  \"large_peak_heap_bytes\": {},\n  \"heap_ratio\": {heap_ratio:.6},\n  \"heap_ratio_floor\": {HEAP_RATIO_FLOOR},\n  \"heap_independent\": {heap_independent},\n  \"samples_per_second\": {samples_per_second:.1},\n  \"samples_per_second_floor\": {SAMPLES_PER_SEC_FLOOR:.1},\n  \"best_guess\": {},\n  \"rank_of_true\": {},\n  \"materialized_best_guess\": {mat_guess},\n  \"materialized_rank_of_true\": {mat_rank},\n  \"materialized_attack_seconds\": {mat_seconds:.6},\n  \"verdicts_match\": {verdicts_match},\n  \"early_stop_samples\": {},\n  \"early_stop_checkpoints\": {},\n  \"early_stop_terminated\": {}\n}}\n",
-        lo.samples,
-        hi.samples,
-        lo.seconds,
-        lo.peak_heap_bytes,
-        hi.seconds,
-        hi.peak_heap_bytes,
-        hi.best_guess,
-        hi.rank_of_true,
-        stop.samples,
-        stop.checkpoints,
-        stop.terminated_early,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_attack.json");
-    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-    println!("  recorded to BENCH_attack.json");
+    let json = record("sample_scaling")
+        .field(
+            "workload",
+            Value::str("streamed single-byte recovery, paper AES config, exact access channel"),
+        )
+        .field("byte", Value::usize(BYTE))
+        .field("chunk", Value::usize(chunk))
+        .field("samples_small", Value::usize(lo.samples))
+        .field("samples_large", Value::usize(hi.samples))
+        .field("small_seconds", Value::f64(lo.seconds))
+        .field("small_peak_heap_bytes", Value::usize(lo.peak_heap_bytes))
+        .field("large_seconds", Value::f64(hi.seconds))
+        .field("large_peak_heap_bytes", Value::usize(hi.peak_heap_bytes))
+        .field("heap_ratio", Value::f64(heap_ratio))
+        .field("heap_ratio_floor", Value::f64(HEAP_RATIO_FLOOR))
+        .field("heap_independent", Value::Bool(heap_independent))
+        .field("samples_per_second", Value::f64(samples_per_second))
+        .field(
+            "samples_per_second_floor",
+            Value::f64(SAMPLES_PER_SEC_FLOOR),
+        )
+        .field("best_guess", Value::u64(hi.best_guess.into()))
+        .field("rank_of_true", Value::usize(hi.rank_of_true))
+        .field("materialized_best_guess", Value::u64(mat_guess.into()))
+        .field("materialized_rank_of_true", Value::usize(mat_rank))
+        .field("materialized_attack_seconds", Value::f64(mat_seconds))
+        .field("verdicts_match", Value::Bool(verdicts_match))
+        .field("early_stop_samples", Value::usize(stop.samples))
+        .field("early_stop_checkpoints", Value::usize(stop.checkpoints))
+        .field("early_stop_terminated", Value::Bool(stop.terminated_early));
+    write_record("attack", json)?;
 
     if !heap_independent {
         return Err(format!(

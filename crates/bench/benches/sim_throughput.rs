@@ -27,13 +27,14 @@
 //! AES leg drops below that floor.
 
 use rcoal_aes::TableKernel;
-use rcoal_bench::BENCH_SEED;
+use rcoal_bench::{record, write_record, BENCH_SEED};
 use rcoal_core::CoalescingPolicy;
 use rcoal_gpu_sim::{
     FaultPlan, GpuConfig, GpuSimulator, Kernel, LaunchPolicy, SimStats, SimTelemetry, TraceInstr,
     TraceKernel, WarpTrace,
 };
 use rcoal_rng::{Rng, SeedableRng, StdRng};
+use rcoal_scenario::json::{ObjBuilder, Value};
 use std::time::Instant;
 
 /// Plaintexts per leg: enough kernels for stable wall-clock numbers on
@@ -74,15 +75,20 @@ impl Leg {
         self.pass_kernels as f64 / self.median()
     }
 
-    /// This leg's `BENCH_sim.json` fields, each prefixed with `name`.
-    fn json_fields(&self, name: &str) -> String {
+    /// Appends this leg's `BENCH_sim.json` fields, each prefixed with
+    /// `name`.
+    fn fields(&self, name: &str, mut record: ObjBuilder) -> ObjBuilder {
         let (min, max) = (self.seconds[0], self.seconds[self.seconds.len() - 1]);
-        format!(
-            "  \"{name}_seconds_median\": {:.6},\n  \"{name}_seconds_min\": {min:.6},\n  \"{name}_seconds_max\": {max:.6},\n  \"{name}_cycles_per_sec\": {:.1},\n  \"{name}_kernels_per_sec\": {:.3},\n",
-            self.median(),
-            self.cycles_per_sec(),
-            self.kernels_per_sec()
-        )
+        for (field, x) in [
+            ("seconds_median", self.median()),
+            ("seconds_min", min),
+            ("seconds_max", max),
+            ("cycles_per_sec", self.cycles_per_sec()),
+            ("kernels_per_sec", self.kernels_per_sec()),
+        ] {
+            record = record.field(&format!("{name}_{field}"), Value::f64(x));
+        }
+        record
     }
 }
 
@@ -246,18 +252,26 @@ fn run() -> Result<(), String> {
         println!("  floor      : {floor:.3e} cycles/sec ok");
     }
 
-    let json = format!(
-        "{{\n  \"schema\": \"rcoal-bench/v1\",\n  \"bench\": \"sim_throughput\",\n  \"passes\": {PASSES},\n  \"workload\": \"paper-config AES, {PLAINTEXTS} plaintexts x {} policies per pass, single thread\",\n  \"simulated_cycles\": {},\n{}{}  \"speedup\": {speedup:.4},\n  \"idle_workload\": \"idle-heavy trace, 2 kernels x {} warps, {IDLE_LOADS} loads with {IDLE_BURST}-cycle compute bursts\",\n{}{}  \"idle_speedup\": {idle_speedup:.4},\n  \"stats_identical\": true\n}}\n",
-        policies.len(),
-        event.pass_cycles,
-        event.json_fields("event"),
-        reference.json_fields("reference"),
-        gpu.num_sms,
-        idle_event.json_fields("idle_event"),
-        idle_ref.json_fields("idle_reference"),
+    let workload = format!(
+        "paper-config AES, {PLAINTEXTS} plaintexts x {} policies per pass, single thread",
+        policies.len()
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
-    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-    println!("  recorded to BENCH_sim.json");
-    Ok(())
+    let idle_workload = format!(
+        "idle-heavy trace, 2 kernels x {} warps, {IDLE_LOADS} loads with {IDLE_BURST}-cycle \
+         compute bursts",
+        gpu.num_sms
+    );
+    let mut json = record("sim_throughput")
+        .field("passes", Value::usize(PASSES))
+        .field("workload", Value::str(workload))
+        .field("simulated_cycles", Value::u64(event.pass_cycles));
+    json = reference
+        .fields("reference", event.fields("event", json))
+        .field("speedup", Value::f64(speedup))
+        .field("idle_workload", Value::str(idle_workload));
+    json = idle_ref
+        .fields("idle_reference", idle_event.fields("idle_event", json))
+        .field("idle_speedup", Value::f64(idle_speedup))
+        .field("stats_identical", Value::Bool(true));
+    write_record("sim", json)
 }

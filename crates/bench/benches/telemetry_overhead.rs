@@ -12,9 +12,10 @@
 //! disabled-hook cost, and their spread is the noise floor the enabled
 //! overheads should be read against.
 
-use rcoal_bench::BENCH_SEED;
+use rcoal_bench::{record, write_record, BENCH_SEED};
 use rcoal_core::CoalescingPolicy;
 use rcoal_experiments::{ExperimentConfig, ExperimentData, TelemetrySpec};
+use rcoal_scenario::json::Value;
 use std::time::Instant;
 
 /// Plaintexts per leg: enough simulated launches for stable timings
@@ -98,11 +99,19 @@ fn run() -> Result<(), String> {
         full_overhead * 100.0
     );
 
-    let json = format!(
-        "{{\n  \"schema\": \"rcoal-bench/v1\",\n  \"bench\": \"telemetry_overhead\",\n  \"workload\": \"RSS+RTS(8) timing experiment x {PLAINTEXTS} plaintexts, threads=1, best of {REPS}\",\n  \"off_seconds\": {off_a:.6},\n  \"off_repeat_seconds\": {off_b:.6},\n  \"noise_floor\": {noise_floor:.4},\n  \"profile_only_seconds\": {profile_secs:.6},\n  \"profile_only_overhead\": {profile_overhead:.4},\n  \"full_trace_seconds\": {full_secs:.6},\n  \"full_trace_overhead\": {full_overhead:.4},\n  \"events_collected\": {events},\n  \"observations_identical\": true\n}}\n"
+    let workload = format!(
+        "RSS+RTS(8) timing experiment x {PLAINTEXTS} plaintexts, threads=1, best of {REPS}"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-    println!("  recorded to BENCH_telemetry.json");
-    Ok(())
+    let json = record("telemetry_overhead")
+        .field("workload", Value::str(workload))
+        .field("off_seconds", Value::f64(off_a))
+        .field("off_repeat_seconds", Value::f64(off_b))
+        .field("noise_floor", Value::f64(noise_floor))
+        .field("profile_only_seconds", Value::f64(profile_secs))
+        .field("profile_only_overhead", Value::f64(profile_overhead))
+        .field("full_trace_seconds", Value::f64(full_secs))
+        .field("full_trace_overhead", Value::f64(full_overhead))
+        .field("events_collected", Value::usize(events))
+        .field("observations_identical", Value::Bool(true));
+    write_record("telemetry", json)
 }

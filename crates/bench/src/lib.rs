@@ -6,11 +6,36 @@
 //! record. The paper's tables and figures are printed by
 //! `examples/reproduce_all.rs`, not by benches.
 
+use rcoal_scenario::json::{ObjBuilder, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Canonical seed used by the benches so printed numbers are reproducible
 /// run to run.
 pub const BENCH_SEED: u64 = 0xbe_c4;
+
+/// Starts an `rcoal-bench/v1` record with its `schema` and `bench`
+/// fields; the bench appends its own fields in order.
+pub fn record(bench: &str) -> ObjBuilder {
+    ObjBuilder::new()
+        .field("schema", Value::str("rcoal-bench/v1"))
+        .field("bench", Value::str(bench))
+}
+
+/// Writes `record` as one line of compact JSON to `BENCH_<name>.json`
+/// at the repository root.
+///
+/// # Errors
+///
+/// The file path and the I/O error when the write fails.
+pub fn write_record(name: &str, record: ObjBuilder) -> Result<(), String> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let path = std::path::Path::new(path).join(format!("BENCH_{name}.json"));
+    let mut json = record.build().to_json();
+    json.push('\n');
+    std::fs::write(&path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    println!("  recorded to BENCH_{name}.json");
+    Ok(())
+}
 
 /// A counting wrapper around the system allocator for benches that
 /// report peak heap usage alongside wall-clock numbers.

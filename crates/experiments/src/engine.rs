@@ -241,10 +241,8 @@ pub struct RunnerReport {
     /// Occurrences left without a row because their scenario was
     /// quarantined.
     pub unresolved: u64,
-    /// Supervised tasks that succeeded only after retrying.
-    pub retried: u64,
-    /// Supervised tasks that exhausted their retry budget and were
-    /// quarantined (their rows are `None` in the [`SweepOutcome`]).
+    /// Supervised tasks that panicked or failed and were quarantined
+    /// (their rows are `None` in the [`SweepOutcome`]).
     pub quarantined: u64,
 }
 
@@ -266,19 +264,17 @@ impl RunnerReport {
     }
 }
 
-/// A scenario the runner gave up on: its task panicked or failed on
-/// every attempt.
+/// A scenario the runner gave up on: its task panicked or failed. It
+/// simulates again the next time the sweep runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedScenario {
     /// First index of this scenario in the input list.
     pub index: usize,
     /// The scenario's content hash.
     pub hash: u64,
-    /// Attempts consumed (first try + retries).
-    pub attempts: u32,
-    /// Human-readable failure description (last attempt's).
+    /// Human-readable failure description.
     pub reason: String,
-    /// The last attempt's typed failure.
+    /// The typed failure.
     pub failure: FailureKind<ExperimentError>,
 }
 
@@ -337,11 +333,7 @@ pub struct SweepRunner {
     served: AtomicU64,
     launched: AtomicU64,
     unresolved: AtomicU64,
-    retried: AtomicU64,
     quarantined: AtomicU64,
-    /// Monotonic op counter for chaos panic injection: retries draw
-    /// fresh ops, so an injected panic is transient, not permanent.
-    chaos_ops: AtomicU64,
     /// Runs completed and stored, counted for the chaos abort switch.
     completions: AtomicU64,
 }
@@ -363,9 +355,7 @@ impl SweepRunner {
             served: AtomicU64::new(0),
             launched: AtomicU64::new(0),
             unresolved: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
-            chaos_ops: AtomicU64::new(0),
             completions: AtomicU64::new(0),
         }
     }
@@ -404,7 +394,9 @@ impl SweepRunner {
     }
 
     /// Arms seeded fault injection: worker panics and the abort switch
-    /// fire in the sweep workers, write-path faults in the cache.
+    /// fire in the sweep workers, write-path faults in the cache. The
+    /// panic schedule is keyed by each task's index in its batch, so a
+    /// seed quarantines the same scenarios at any thread count.
     /// Test-only by intent; the default plan is inert.
     #[must_use]
     pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
@@ -424,7 +416,6 @@ impl SweepRunner {
             served: self.served.load(Ordering::Relaxed),
             launched: self.launched.load(Ordering::Relaxed),
             unresolved: self.unresolved.load(Ordering::Relaxed),
-            retried: self.retried.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
         }
     }
@@ -496,7 +487,7 @@ impl SweepRunner {
     /// # Errors
     ///
     /// The lowest-index quarantined scenario's own error. A scenario
-    /// that panicked on every attempt re-raises its panic instead.
+    /// that panicked re-raises its panic instead.
     pub fn run_scenarios(
         &self,
         scenarios: &[Scenario],
@@ -529,10 +520,11 @@ impl SweepRunner {
     /// way the rows are bit-identical — the workspace's determinism
     /// contract.
     ///
-    /// * **Isolation** — a panicking or failing task is retried twice
-    ///   (see [`supervised_map`]) and, if it keeps failing,
-    ///   *quarantined*: its row comes back `None` and the sweep keeps
-    ///   going.
+    /// * **Isolation** — a panicking or failing task runs once (see
+    ///   [`supervised_map`]) and is *quarantined*: its row comes back
+    ///   `None` and the sweep keeps going. A scenario is a pure
+    ///   function of its description, so it would fail the same way
+    ///   again; it simulates afresh the next time the sweep runs.
     /// * **Per-completion persistence** — each fresh result is written
     ///   to the cache *as it completes*, inside the worker, not at batch
     ///   end, and a disk entry is fsync'd before the worker moves on. A
@@ -564,13 +556,12 @@ impl SweepRunner {
         }
 
         let inner_threads = if missing.len() > 1 { Some(1) } else { None };
-        let (results, outcomes) = supervised_map(
+        let results = supervised_map(
             resolve_threads(self.threads),
             &missing,
-            |_i, scenario| -> Result<ExperimentData, ExperimentError> {
-                let op = self.chaos_ops.fetch_add(1, Ordering::Relaxed);
-                if self.chaos.panics_on(op) {
-                    panic!("injected chaos panic (op {op})");
+            |i, scenario| -> Result<ExperimentData, ExperimentError> {
+                if self.chaos.panics_on(i as u64) {
+                    panic!("injected chaos panic (task {i})");
                 }
                 let mut cfg = scenario_config(scenario);
                 cfg.threads = inner_threads.or(self.threads);
@@ -604,18 +595,16 @@ impl SweepRunner {
                 Err(failure) => quarantined.push(QuarantinedScenario {
                     index: first_index.get(&key).copied().unwrap_or(0),
                     hash: key,
-                    attempts: failure.attempts,
                     reason: failure.to_string(),
-                    failure: failure.kind,
+                    failure,
                 }),
             }
         }
         self.launched.fetch_add(fresh, Ordering::Relaxed);
         self.served
             .fetch_add(scenarios.len() as u64, Ordering::Relaxed);
-        self.retried.fetch_add(outcomes.retried, Ordering::Relaxed);
         self.quarantined
-            .fetch_add(outcomes.quarantined, Ordering::Relaxed);
+            .fetch_add(quarantined.len() as u64, Ordering::Relaxed);
 
         let mut remaining = occurrence_counts(scenarios);
         let rows: Vec<Option<ExperimentData>> = scenarios
@@ -921,7 +910,6 @@ mod tests {
         assert_eq!(outcome.quarantined.len(), 1);
         let q = &outcome.quarantined[0];
         assert_eq!((q.index, q.hash), (1, broken().content_hash()));
-        assert!(q.attempts >= 1);
         assert_eq!(outcome.report.quarantined, 1);
         assert_eq!(
             outcome.report.hits(),
@@ -983,12 +971,9 @@ mod tests {
     #[test]
     fn chaos_panics_never_lose_tasks() {
         use rcoal_scenario::ChaosPlan;
-        // Aggressive panic injection, single-threaded for a
-        // deterministic op schedule. Every input must end as a result
-        // or an accounted quarantine — never silently vanish.
-        let runner = SweepRunner::new()
-            .with_threads(1)
-            .with_chaos(ChaosPlan::seeded(11).with_panics(2));
+        // Aggressive panic injection: every input must end as a result
+        // or an accounted quarantine, never silently vanish.
+        let plan = ChaosPlan::seeded(11).with_panics(2);
         let scenarios: Vec<Scenario> = (0..6)
             .map(|i| {
                 tiny(CoalescingPolicy::Baseline, 1)
@@ -996,21 +981,44 @@ mod tests {
                     .functional_only()
             })
             .collect();
-        let outcome = runner.run_scenarios_supervised(&scenarios);
-        assert_eq!(outcome.rows.len(), 6);
+        let hashes = |outcome: &SweepOutcome| -> Vec<u64> {
+            outcome.quarantined.iter().map(|q| q.hash).collect()
+        };
+        let dir =
+            std::env::temp_dir().join(format!("rcoal-engine-chaos-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let chaotic = SweepRunner::with_disk_cache(&dir)
+            .unwrap()
+            .with_threads(1)
+            .with_chaos(plan)
+            .run_scenarios_supervised(&scenarios);
+        // The schedule is keyed by task index, not by interleaving.
+        let parallel = SweepRunner::new()
+            .with_threads(4)
+            .with_chaos(plan)
+            .run_scenarios_supervised(&scenarios);
+        assert_eq!(hashes(&chaotic), hashes(&parallel), "1 vs 4 threads");
+        let report = chaotic.report;
+        assert!(report.quarantined > 0, "period-2 injection must fire");
+        assert_eq!(report.quarantined, chaotic.quarantined.len() as u64);
         assert_eq!(
-            outcome.completed() + outcome.quarantined.len(),
+            chaotic.completed() + chaotic.quarantined.len(),
             6,
             "every task accounted for"
         );
-        for q in &outcome.quarantined {
-            assert!(q.reason.contains("panic"), "{}", q.reason);
+        for q in &chaotic.quarantined {
+            assert!(q.reason.starts_with("panicked: injected"), "{}", q.reason);
         }
-        let report = outcome.report;
-        assert!(
-            report.retried > 0 || report.quarantined > 0,
-            "period-2 injection must have fired: {report:?}"
-        );
+        // A chaos-free rerun over the same store simulates exactly the
+        // quarantined scenarios and completes bit-identically.
+        let runner = SweepRunner::with_disk_cache(&dir).unwrap();
+        let rerun = runner.run_scenarios_supervised(&scenarios);
+        assert!(rerun.is_complete());
+        assert_eq!(rerun.report.launched, report.quarantined);
+        let reference = SweepRunner::uncached().run_scenarios(&scenarios).unwrap();
+        let rows: Vec<ExperimentData> = rerun.rows.into_iter().flatten().collect();
+        assert_eq!(rows, reference);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -434,6 +434,11 @@ pub struct ScoreRow {
 /// correlation, dispatched through the run's workload oracle (AES's
 /// 16-byte last-round subkey for legacy runs).
 ///
+/// Each byte replays only the correct guess, with the predictor
+/// `attack` uses for it, so the value equals
+/// `attack.recover_key(..)?.outcome(..).avg_correct_correlation` for the
+/// same samples without sweeping the other 255 guesses.
+///
 /// # Errors
 ///
 /// [`ExperimentError::TimingUnavailable`] when `source` needs cycle data
@@ -444,15 +449,13 @@ pub fn avg_correct_correlation(
     source: TimingSource,
 ) -> Result<f64, ExperimentError> {
     let samples = data.attack_samples(source)?;
-    let workload = data.workload_def();
+    let attack = attack.with_oracle(data.workload_def().oracle());
     let subkey = data.attacked_subkey();
-    let bytes = workload.oracle().key_bytes().min(16);
+    let bytes = attack.key_bytes().min(16);
     let times: Vec<f64> = samples.iter().map(|s| s.time).collect();
     let mut sum = 0.0;
     for (j, &kj) in subkey.iter().take(bytes).enumerate() {
-        let mut predictor =
-            rcoal_attack::AccessPredictor::new(attack.policy(), 32, 0xc0ffee + j as u64)
-                .with_oracle(workload.oracle());
+        let mut predictor = attack.predictor_for_guess(kj);
         let predicted: Vec<f64> = samples
             .iter()
             .map(|s| predictor.predict(&s.ciphertexts, j, kj))
@@ -664,6 +667,39 @@ mod tests {
     // Figure generators are exercised end-to-end (with small sample
     // counts) by the integration tests in `tests/`; here we keep fast
     // sanity checks of the pure pieces.
+
+    /// The figures' correct-guess correlation is the one the attack's
+    /// own key recovery reports, bit for bit, for deterministic and
+    /// randomized attacker models alike.
+    #[test]
+    fn avg_correct_correlation_matches_the_key_recovery() {
+        for policy in [
+            CoalescingPolicy::rss_rts(8).unwrap(),
+            CoalescingPolicy::fss(8).unwrap(),
+        ] {
+            let data = crate::ExperimentConfig::new(policy, 24, 32)
+                .with_seed(5)
+                .functional_only()
+                .run()
+                .unwrap();
+            let attack = Attack::against(policy, 32).with_seed(0xa77ac);
+            let samples = data
+                .attack_samples(TimingSource::LastRoundAccesses)
+                .unwrap();
+            let expected = attack
+                .recover_key(&samples)
+                .unwrap()
+                .outcome(&data.attacked_subkey())
+                .avg_correct_correlation;
+            let avg =
+                avg_correct_correlation(&data, attack, TimingSource::LastRoundAccesses).unwrap();
+            assert_eq!(
+                avg.to_bits(),
+                expected.to_bits(),
+                "{policy}: {avg} vs {expected}"
+            );
+        }
+    }
 
     #[test]
     fn mechanisms_cover_the_paper_set() {

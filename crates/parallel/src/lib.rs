@@ -30,7 +30,7 @@
 
 mod supervise;
 
-pub use supervise::{supervised_map, FailureKind, OutcomeCounts, TaskFailure};
+pub use supervise::{supervised_map, FailureKind};
 
 use rcoal_telemetry::MetricsRegistry;
 use std::num::NonZeroUsize;
@@ -584,7 +584,7 @@ mod tests {
     fn supervised_panic_is_quarantined_not_fatal() {
         let items: Vec<u32> = (0..32).collect();
         for threads in [1, 4] {
-            let (out, outcomes) = supervised_map(threads, &items, |i, &x| {
+            let out = supervised_map(threads, &items, |i, &x| {
                 assert!(i != 5, "deliberate panic at 5");
                 Ok::<u32, String>(x * 2)
             });
@@ -592,19 +592,15 @@ mod tests {
             for (i, r) in out.iter().enumerate() {
                 if i == 5 {
                     let failure = r.as_ref().unwrap_err();
-                    assert_eq!(failure.index, 5);
-                    assert_eq!(failure.attempts, 3, "retry budget was spent");
                     assert!(
-                        matches!(&failure.kind, FailureKind::Panicked(m) if m.contains("deliberate")),
+                        matches!(failure, FailureKind::Panicked(m) if m.contains("deliberate")),
                         "{failure:?}"
                     );
+                    assert!(failure.to_string().starts_with("panicked: deliberate"));
                 } else {
                     assert_eq!(*r.as_ref().unwrap(), items[i] * 2, "index order preserved");
                 }
             }
-            assert_eq!(outcomes.quarantined, 1);
-            assert_eq!(outcomes.ok, 31);
-            assert_eq!(outcomes.retries, 2);
         }
     }
 
@@ -613,55 +609,49 @@ mod tests {
     #[test]
     fn supervised_pool_remains_usable_after_panic() {
         let items: Vec<u32> = (0..64).collect();
-        let (first, _) = supervised_map(4, &items, |i, &x| {
+        let first = supervised_map(4, &items, |i, &x| {
             assert!(i % 7 != 3, "poison");
             Ok::<u32, String>(x)
         });
         assert!(first.iter().any(|r| r.is_err()));
-        let (second, outcomes) = supervised_map(4, &items, |_, &x| Ok::<u32, String>(x + 1));
-        assert!(second.iter().all(|r| r.is_ok()), "pool is reusable");
+        let second = supervised_map(4, &items, |_, &x| Ok::<u32, String>(x + 1));
         assert_eq!(
-            second
-                .iter()
-                .map(|r| *r.as_ref().unwrap())
-                .collect::<Vec<_>>(),
-            items.iter().map(|x| x + 1).collect::<Vec<_>>()
+            second.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
+            items.iter().map(|x| x + 1).collect::<Vec<_>>(),
+            "pool is reusable"
         );
-        assert_eq!(outcomes.ok, 64);
-        assert_eq!(outcomes.quarantined, 0);
     }
 
-    /// Errors are retried with backoff and succeed when the failure was
-    /// transient (keyed off an attempt counter, the chaos-test pattern).
+    /// A failing task is not re-run: a task that always errors and one
+    /// that always panics are each called exactly once, and every other
+    /// slot keeps its value in index order.
     #[test]
-    fn supervised_retries_recover_transient_failures() {
+    fn supervised_tasks_run_exactly_once() {
         use std::sync::atomic::AtomicU32;
-        let attempts: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
         let items: Vec<u32> = (0..8).collect();
-        let (out, outcomes) = supervised_map(2, &items, |i, &x| {
-            let n = attempts[i].fetch_add(1, Ordering::Relaxed);
-            // Item 3 fails twice then recovers; item 6 always fails.
-            if (i == 3 && n < 2) || i == 6 {
-                Err(format!("transient {i}"))
-            } else {
-                Ok(x)
+        for threads in [1, 3] {
+            let calls: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
+            let out = supervised_map(threads, &items, |i, &x| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+                assert!(i != 6, "always panics");
+                if i == 3 {
+                    Err(format!("always fails {i}"))
+                } else {
+                    Ok(x * 10)
+                }
+            });
+            let calls: Vec<u32> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            assert_eq!(calls, vec![1; 8], "threads = {threads}");
+            assert_eq!(
+                out[3],
+                Err(FailureKind::Errored("always fails 3".to_string()))
+            );
+            assert!(matches!(&out[6], Err(FailureKind::Panicked(m)) if m == "always panics"));
+            for (i, r) in out.iter().enumerate() {
+                if i != 3 && i != 6 {
+                    assert_eq!(*r, Ok(items[i] * 10), "slot {i} (threads = {threads})");
+                }
             }
-        });
-        assert!(out[3].is_ok(), "transient failure recovered");
-        let failure = out[6].as_ref().unwrap_err();
-        assert_eq!(failure.attempts, 3, "budget exhausted");
-        assert!(matches!(&failure.kind, FailureKind::Errored(e) if e.contains("transient 6")));
-        assert_eq!(outcomes.retried, 1, "item 3");
-        assert_eq!(outcomes.quarantined, 1, "item 6");
-        assert_eq!(outcomes.ok, 6);
-        assert_eq!(outcomes.retries, 2 + 2, "two for item 3, two for item 6");
-    }
-
-    /// The retry sleeps double: 10 ms before the first retry, 20 ms
-    /// before the second.
-    #[test]
-    fn backoff_schedule_is_exponential() {
-        assert_eq!(supervise::backoff_before(1), Duration::from_millis(10));
-        assert_eq!(supervise::backoff_before(2), Duration::from_millis(20));
+        }
     }
 }

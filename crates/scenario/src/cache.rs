@@ -38,6 +38,7 @@
 //! for the chaos test-suite.
 
 use crate::chaos::ChaosPlan;
+use crate::json::{ObjBuilder, Value};
 use crate::scenario::{fnv1a_64, Scenario, ScenarioError};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -412,10 +413,16 @@ fn key_from_file_name(path: &Path) -> Option<u64> {
 /// file keeps its `.json` extension.
 pub fn encode_entry(key: u64, payload: &str) -> String {
     let checksum = fnv1a_64(payload.as_bytes());
-    format!(
-        "{{\"schema\":\"{ENTRY_SCHEMA}\",\"hash\":\"{key:016x}\",\"len\":{},\"checksum\":\"{checksum:016x}\"}}\n{payload}",
-        payload.len()
-    )
+    let mut entry = ObjBuilder::new()
+        .field("schema", Value::str(ENTRY_SCHEMA))
+        .field("hash", Value::str(format!("{key:016x}")))
+        .field("len", Value::usize(payload.len()))
+        .field("checksum", Value::str(format!("{checksum:016x}")))
+        .build()
+        .to_json();
+    entry.push('\n');
+    entry.push_str(payload);
+    entry
 }
 
 /// Unwraps and verifies an envelope produced by [`encode_entry`],
@@ -430,11 +437,11 @@ pub fn decode_entry(expected_key: u64, text: &str) -> Result<&str, ScenarioError
     let (header, payload) = text
         .split_once('\n')
         .ok_or_else(|| ScenarioError::new("cache entry has no envelope header"))?;
-    let v = crate::json::Value::parse(header)
+    let v = Value::parse(header)
         .map_err(|e| ScenarioError::new(format!("cache entry header is not JSON: {e}")))?;
     let field = |name: &str| {
         v.get(name)
-            .and_then(crate::json::Value::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| ScenarioError::new(format!("cache entry header missing `{name}`")))
     };
     if field("schema")? != ENTRY_SCHEMA {
@@ -451,7 +458,7 @@ pub fn decode_entry(expected_key: u64, text: &str) -> Result<&str, ScenarioError
     }
     let len = v
         .get("len")
-        .and_then(crate::json::Value::as_u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| ScenarioError::new("cache entry header missing `len`"))?;
     if payload.len() as u64 != len {
         return Err(ScenarioError::new(format!(

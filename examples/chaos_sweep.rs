@@ -8,11 +8,10 @@
 //! `fault_tolerance` injects faults into the *simulated* GPU; this demo
 //! injects them into the *host* that runs it: worker panics and failed
 //! disk writes, both from one seeded [`ChaosPlan`]. The sweep runner
-//! retries panicking workers (twice, after 10 ms and 20 ms),
-//! quarantines the incurable, counts every lost disk write in its
-//! `CacheStats`, and stores each completed run as it finishes — so a
-//! killed process resumes where it crashed, serving finished work
-//! bit-identically from the store.
+//! quarantines each scenario whose worker panicked, counts every lost
+//! disk write in its `CacheStats`, and stores each completed run as it
+//! finishes — so re-running the sweep simulates only what is missing
+//! and serves finished work bit-identically from the store.
 
 use rcoal::prelude::*;
 use rcoal_experiments::SweepRunner;
@@ -38,9 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Phase 1: a hostile host. Roughly every 3rd worker op panics and
-    // every 4th disk write fails; the supervisor retries panics (fresh
-    // ops, so retries usually land) and the store counts every loss.
+    // Phase 1: a hostile host. Roughly every 3rd task panics and every
+    // 4th disk write fails; the supervisor quarantines each panicking
+    // task and the store counts every loss.
     println!("phase 1: sweep under chaos (panic period 3, io-failure period 4)");
     let chaos = ChaosPlan::seeded(0xbad).with_panics(3).with_io_failures(4);
     let runner = SweepRunner::with_disk_cache(&store)?.with_chaos(chaos);
@@ -53,11 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::panic::set_hook(default_hook);
     let stats = runner.cache_stats();
     println!(
-        "  {} of {} runs completed, {} quarantined, {} retried",
+        "  {} of {} runs completed, {} quarantined",
         outcome.completed(),
         scenarios.len(),
         outcome.quarantined.len(),
-        outcome.report.retried,
     );
     println!(
         "  store: {} persisted, {} writes failed (counted, not swallowed)",

@@ -69,9 +69,9 @@ USAGE:
       The `store` line counts the runs written to DIR/cache, the
       writes that failed, and the corrupt entries moved aside to
       .corrupt files (their runs simulate again). A scenario that
-      still fails after two retries is quarantined: reported on stderr
-      and in index.json, its row skipped, while the other scenarios
-      run to completion and are saved; the sweep then exits 1.
+      fails is quarantined: reported on stderr and in index.json, its
+      row skipped, while the other scenarios run to completion and are
+      saved; the sweep then exits 1.
       --cache false simulates everything afresh and keeps no store.
       The --chaos-* flags arm seeded fault injection (worker panics /
       process abort once N runs are stored) for crash testing; they
@@ -884,15 +884,11 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), String> {
             if stats.quarantined == 1 { "y" } else { "ies" }
         );
     }
-    println!("retried          : {}", report.retried);
     let quarantined = &outcome.quarantined;
     if !quarantined.is_empty() {
         eprintln!("warning: {} scenario(s) quarantined:", quarantined.len());
         for q in quarantined {
-            eprintln!(
-                "  {:016x} after {} attempt(s): {}",
-                q.hash, q.attempts, q.reason
-            );
+            eprintln!("  {:016x}: {}", q.hash, q.reason);
         }
     }
     println!("index written    : {}", index_path.display());

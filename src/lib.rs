@@ -55,6 +55,11 @@
 
 pub mod cli;
 
+/// Compiles the README's code blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use rcoal_aes as aes;
 pub use rcoal_attack as attack;
 pub use rcoal_audit as audit;

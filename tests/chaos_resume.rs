@@ -167,39 +167,62 @@ fn killed_sweep_resumes_bit_identically() {
 
 #[test]
 fn chaos_panic_sweep_never_loses_runs() {
+    let reference_dir = temp_dir("panic-reference");
     let out_dir = temp_dir("panics");
     let spec = spec_path();
+    let sweep = |dir: &Path, chaos: &[&str]| {
+        cli()
+            .args(["sweep", "--spec", &spec, "--out", dir.to_str().unwrap()])
+            .args(["--threads", "1"])
+            .args(chaos)
+            .output()
+            .expect("failed to launch rcoal-cli")
+    };
 
-    // Panic injection at period 2 with the default retry budget: the
-    // sweep must finish (exit 0) with every scenario either resolved or
-    // explicitly quarantined in the index — nothing missing.
-    let out = run_ok(cli().args([
-        "sweep",
-        "--spec",
-        &spec,
-        "--out",
-        out_dir.to_str().unwrap(),
-        "--threads",
-        "1",
-        "--chaos-seed",
-        "11",
-        "--chaos-panic-period",
-        "2",
-    ]));
+    // Panic injection at period 2: each panicking task is quarantined,
+    // the others complete, and the sweep reports the quarantine in its
+    // exit code. Every scenario is either resolved or explicitly
+    // quarantined in the index — nothing missing.
+    let out = sweep(
+        &out_dir,
+        &["--chaos-seed", "11", "--chaos-panic-period", "2"],
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("served 3 run(s)"), "{stdout}");
-
     let index = std::fs::read_to_string(out_dir.join("index.json")).unwrap();
     let runs = index.matches("\"hash\"").count();
     assert_eq!(runs, 3, "every scenario appears in the index:\n{index}");
-    let quarantined = index.matches("\"quarantined\"").count();
+    let quarantined = index.matches("\"quarantined\":true").count();
     let with_result = index.matches("\"result\":\"results/").count();
     assert_eq!(
         with_result + quarantined,
         3,
         "each run resolved or quarantined, none lost:\n{index}"
     );
+    assert!(quarantined > 0, "period-2 injection must fire:\n{index}");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a quarantine must fail the sweep:\n{stdout}"
+    );
 
+    // Re-running without chaos simulates the quarantined scenarios and
+    // completes byte-identically to an uninterrupted sweep.
+    let rerun = sweep(&out_dir, &[]);
+    assert!(
+        rerun.status.success(),
+        "{}",
+        String::from_utf8_lossy(&rerun.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&rerun.stdout);
+    assert!(
+        stdout.contains(&format!("served 3 run(s): {quarantined} simulated")),
+        "only the quarantined runs simulate again:\n{stdout}"
+    );
+    assert!(sweep(&reference_dir, &[]).status.success());
+    assert_eq!(result_files(&out_dir), result_files(&reference_dir));
+
+    std::fs::remove_dir_all(&reference_dir).unwrap();
     std::fs::remove_dir_all(&out_dir).unwrap();
 }
 
