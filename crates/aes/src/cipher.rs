@@ -24,19 +24,12 @@ pub struct LookupTrace {
 }
 
 impl LookupTrace {
-    /// The 16 last-round T4 indices, `t_j` for ciphertext byte `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty trace.
-    pub fn last_round_indices(&self) -> [u8; 16] {
-        let last = self.rounds.last().expect("trace covers at least one round");
-        let mut out = [0u8; 16];
-        for (j, l) in last.iter().enumerate() {
-            debug_assert_eq!(l.table, 4);
-            out[j] = l.index;
-        }
-        out
+    /// The 16 last-round T4 indices, `t_j` for ciphertext byte `j`, or
+    /// `None` for an empty trace.
+    pub fn last_round_indices(&self) -> Option<[u8; 16]> {
+        let last = self.rounds.last()?;
+        debug_assert!(last.iter().all(|l| l.table == 4));
+        Some(last.map(|l| l.index))
     }
 }
 
@@ -68,16 +61,15 @@ const RCON: [u32; 10] = [
     0x3600_0000,
 ];
 
-/// FIPS-197 key expansion for a key of `nk` 32-bit words into
-/// `4 · (nr + 1)` round-key words.
-fn expand_key(key: &[u8], nk: usize, nr: usize) -> Vec<u32> {
-    debug_assert_eq!(key.len(), 4 * nk);
-    let total = 4 * (nr + 1);
-    let mut w = vec![0u32; total];
-    for (i, word) in w.iter_mut().take(nk).enumerate() {
-        *word = u32::from_be_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+/// FIPS-197 key expansion of a `K`-byte key into `W` round-key words,
+/// `4 · (rounds + 1)`.
+fn expand_key<const K: usize, const W: usize>(key: &[u8; K]) -> [u32; W] {
+    let nk = K / 4;
+    let mut w = [0u32; W];
+    for (word, bytes) in w.iter_mut().zip(key.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
     }
-    for i in nk..total {
+    for i in nk..W {
         let mut temp = w[i - 1];
         if i % nk == 0 {
             temp = sub_word(temp.rotate_left(8)) ^ RCON[i / nk - 1];
@@ -157,6 +149,94 @@ fn encrypt_rounds(
     ct
 }
 
+/// The AES-NI twin of the T-table core's kernel fill, for AES-128.
+///
+/// T-table lookup `4i + k` of a round reads row `k` of column
+/// `(i + k) mod 4` of the state entering that round, so the round's 16
+/// indices are `ShiftRows` of that state: one `pshufb` before each
+/// `aesenc` (rounds 1–9) and before the final `aesenclast`. The rows and
+/// ciphertexts equal [`Aes128::encrypt_indexed`]'s bit for bit.
+#[cfg(target_arch = "x86_64")]
+mod aes_ni {
+    use super::Block;
+    use std::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_shuffle_epi8,
+        _mm_storeu_si128, _mm_xor_si128,
+    };
+
+    /// `ShiftRows` as a byte shuffle: byte `4i + k` of the result is byte
+    /// `4 · ((i + k) mod 4) + k` of the state.
+    const SHIFT_ROWS: Block = [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11];
+
+    /// An AES-128 key schedule as 11 round keys, held only on a CPU that
+    /// reports `aes` and `ssse3`: [`AesNi::new`] is the one constructor,
+    /// and it checks.
+    #[derive(Debug, Clone)]
+    pub(crate) struct AesNi {
+        round_keys: [Block; 11],
+    }
+
+    impl AesNi {
+        /// The schedule, or `None` when the CPU lacks `aes` or `ssse3`.
+        pub(super) fn new(round_keys: [Block; 11]) -> Option<Self> {
+            (is_x86_feature_detected!("aes") && is_x86_feature_detected!("ssse3"))
+                .then_some(AesNi { round_keys })
+        }
+
+        /// [`super::Aes128::encrypt_indexed`] on AES-NI.
+        pub(crate) fn encrypt_indexed(&self, plaintext: &Block, rows: &mut [[u8; 16]]) -> Block {
+            // SAFETY: `encrypt_indexed` needs only `aes` and `ssse3`, and
+            // `new` made `self` only after the CPU reported both.
+            unsafe { encrypt_indexed(&self.round_keys, plaintext, rows) }
+        }
+    }
+
+    /// Encrypts `plaintext` under `round_keys` and writes round `r`'s
+    /// indices, `ShiftRows` of the state entering round `r`, to
+    /// `rows[r - 1]`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `aes` and `ssse3`.
+    #[target_feature(enable = "aes,ssse3")]
+    fn encrypt_indexed(
+        round_keys: &[Block; 11],
+        plaintext: &Block,
+        rows: &mut [[u8; 16]],
+    ) -> Block {
+        let shift_rows = load(&SHIFT_ROWS);
+        let mut rows = rows.iter_mut();
+        let mut state = _mm_xor_si128(load(plaintext), load(&round_keys[0]));
+        for (r, key) in round_keys.iter().enumerate().skip(1) {
+            if let Some(row) = rows.next() {
+                store(row, _mm_shuffle_epi8(state, shift_rows));
+            }
+            state = if r < 10 {
+                _mm_aesenc_si128(state, load(key))
+            } else {
+                _mm_aesenclast_si128(state, load(key))
+            };
+        }
+        let mut ct = [0u8; 16];
+        store(&mut ct, state);
+        ct
+    }
+
+    #[inline(always)]
+    fn load(bytes: &Block) -> __m128i {
+        // SAFETY: `bytes` is 16 readable bytes, and an unaligned load
+        // has no alignment requirement.
+        unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+    }
+
+    #[inline(always)]
+    fn store(out: &mut Block, value: __m128i) {
+        // SAFETY: `out` is 16 writable bytes, and an unaligned store has
+        // no alignment requirement.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), value) }
+    }
+}
+
 #[inline]
 fn sub_word(w: u32) -> u32 {
     (u32::from(SBOX[(w >> 24) as usize]) << 24)
@@ -168,9 +248,8 @@ fn sub_word(w: u32) -> u32 {
 impl Aes128 {
     /// Expands a 128-bit key into the 11-round key schedule.
     pub fn new(key: &[u8; 16]) -> Self {
-        let w = expand_key(key, 4, 10);
         Aes128 {
-            round_keys: w.try_into().expect("44 round-key words"),
+            round_keys: expand_key(key),
         }
     }
 
@@ -195,7 +274,7 @@ impl Aes128 {
 
     /// Encrypts one block with the T-table implementation.
     pub fn encrypt_block(&self, plaintext: Block) -> Block {
-        self.encrypt_block_with(plaintext, |_| {})
+        encrypt_rounds(&self.round_keys, 10, plaintext, |_| {})
     }
 
     /// Encrypts one block, also recording every table lookup the T-table
@@ -205,19 +284,30 @@ impl Aes128 {
         let mut trace = LookupTrace {
             rounds: Vec::with_capacity(10),
         };
-        let ct = self.encrypt_block_with(plaintext, |round| trace.rounds.push(*round));
+        let ct = encrypt_rounds(&self.round_keys, 10, plaintext, |round| {
+            trace.rounds.push(*round)
+        });
         (ct, trace)
     }
 
-    /// Encrypts one block, handing each round's 16 table lookups to
-    /// `record` in round order (rounds 1–9, then the last-round T4
-    /// lookups).
-    pub(crate) fn encrypt_block_with(
-        &self,
-        plaintext: Block,
-        record: impl FnMut(&[TableLookup; 16]),
-    ) -> Block {
-        encrypt_rounds(&self.round_keys, 10, plaintext, record)
+    /// Encrypts one block with the T-table core and writes round `r`'s
+    /// 16 table indices to `rows[r - 1]` (as many rounds as `rows`
+    /// holds): the portable kernel fill, and the reference the AES-NI
+    /// fill is tested against.
+    pub(crate) fn encrypt_indexed(&self, plaintext: &Block, rows: &mut [[u8; 16]]) -> Block {
+        let mut rows = rows.iter_mut();
+        encrypt_rounds(&self.round_keys, 10, *plaintext, |lookups| {
+            if let Some(row) = rows.next() {
+                *row = lookups.map(|lookup| lookup.index);
+            }
+        })
+    }
+
+    /// This schedule's AES-NI kernel fill, when the CPU reports `aes` and
+    /// `ssse3`.
+    #[cfg(target_arch = "x86_64")]
+    pub(crate) fn aes_ni(&self) -> Option<aes_ni::AesNi> {
+        aes_ni::AesNi::new(std::array::from_fn(|r| round_key_at(&self.round_keys, r)))
     }
 
     /// Decrypts one block (reference inverse cipher; not on the timing
@@ -375,7 +465,7 @@ mod tests {
                 *b = seed.wrapping_mul(13).wrapping_add(i as u8).wrapping_mul(7);
             }
             let (ct, trace) = aes.encrypt_block_traced(pt);
-            let t = trace.last_round_indices();
+            let t = trace.last_round_indices().unwrap();
             for j in 0..16 {
                 assert_eq!(
                     t[j],
@@ -383,6 +473,49 @@ mod tests {
                     "byte {j} of seed {seed}"
                 );
             }
+        }
+    }
+
+    /// Runs both fills on `line` and requires equal ciphertexts and
+    /// equal rows; returns the T-table fill's.
+    #[cfg(target_arch = "x86_64")]
+    fn fills_agree(aes: &Aes128, line: &Block) -> (Block, [[u8; 16]; 10]) {
+        let aes_ni = aes.aes_ni().expect("the CPU reported aes and ssse3");
+        let (mut want, mut got) = ([[0u8; 16]; 10], [[0xa5u8; 16]; 10]);
+        let ct = aes.encrypt_indexed(line, &mut want);
+        assert_eq!(
+            aes_ni.encrypt_indexed(line, &mut got),
+            ct,
+            "line {line:02x?}"
+        );
+        assert_eq!(got, want, "line {line:02x?}");
+        (ct, want)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn aes_ni_fill_equals_the_t_table_fill() {
+        use rcoal_rng::{Rng, SeedableRng, StdRng};
+        if Aes128::new(&[0; 16]).aes_ni().is_none() {
+            eprintln!("this CPU lacks aes or ssse3: only the T-table fill runs here");
+            return;
+        }
+        // FIPS-197 Appendix B. Round r's indices are ShiftRows of the
+        // state entering round r, so their S-box images are the
+        // appendix's "After ShiftRows" rows.
+        let aes = Aes128::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
+        let (ct, rows) = fills_agree(&aes, &block("3243f6a8885a308d313198a2e0370734"));
+        assert_eq!(ct, block("3925841d02dc09fbdc118597196a0b32"));
+        let shifted = |row: [u8; 16]| row.map(|i| SBOX[usize::from(i)]);
+        assert_eq!(shifted(rows[0]), block("d4bf5d30e0b452aeb84111f11e2798e5"));
+        assert_eq!(shifted(rows[9]), block("e9317db5cb322c723d2e895faf090794"));
+
+        let mut rng = StdRng::seed_from_u64(0xae5);
+        let (mut key, mut line) = ([0u8; 16], [0u8; 16]);
+        for _ in 0..10_000 {
+            rng.fill(&mut key);
+            rng.fill(&mut line);
+            fills_agree(&Aes128::new(&key), &line);
         }
     }
 
@@ -402,14 +535,14 @@ mod tests {
 /// defenses apply. Provided for cipher completeness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes192 {
-    round_keys: Vec<u32>,
+    round_keys: [u32; 52],
 }
 
 impl Aes192 {
     /// Expands a 192-bit key.
     pub fn new(key: &[u8; 24]) -> Self {
         Aes192 {
-            round_keys: expand_key(key, 6, 12),
+            round_keys: expand_key(key),
         }
     }
 
@@ -439,14 +572,14 @@ impl Aes192 {
 /// An expanded AES-256 key schedule (14 rounds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes256 {
-    round_keys: Vec<u32>,
+    round_keys: [u32; 60],
 }
 
 impl Aes256 {
     /// Expands a 256-bit key.
     pub fn new(key: &[u8; 32]) -> Self {
         Aes256 {
-            round_keys: expand_key(key, 8, 14),
+            round_keys: expand_key(key),
         }
     }
 
@@ -539,7 +672,7 @@ mod large_key_tests {
         for seed in 0..8u8 {
             let pt = [seed.wrapping_mul(29); 16];
             let (ct, trace) = aes.encrypt_block_traced(pt);
-            let t = trace.last_round_indices();
+            let t = trace.last_round_indices().unwrap();
             for j in 0..16 {
                 assert_eq!(t[j], last_round_index(ct[j], k_last[j]));
             }

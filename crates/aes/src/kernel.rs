@@ -72,6 +72,11 @@ impl TableKernel {
     /// `key`: rounds 1–9 read T`j mod 4` with tag `r`, round 10 reads T4
     /// with tag `LAST_ROUND_TAG_BASE + j`, and the attack text is the
     /// ciphertext.
+    ///
+    /// The fill is chosen once, here: AES-NI when the CPU reports `aes`
+    /// and `ssse3`, the T-table core otherwise. Both write the same
+    /// indices, because round `r`'s row is `ShiftRows` of the state
+    /// entering round `r`.
     pub fn aes(key: &[u8; 16], lines: &[Block], warp_size: usize) -> Self {
         let loads = (1..=10u16).flat_map(|r| {
             (0..16u16).map(move |j| {
@@ -82,15 +87,7 @@ impl TableKernel {
                 }
             })
         });
-        let aes = Aes128::new(key);
-        Self::build(loads, 16, 4, warp_size, lines, move |line, row| {
-            let mut rounds = row.as_chunks_mut::<16>().0.iter_mut();
-            aes.encrypt_block_with(*line, |lookups| {
-                if let Some(round) = rounds.next() {
-                    *round = lookups.map(|lookup| lookup.index);
-                }
-            })
-        })
+        Self::build(loads, 16, 4, warp_size, lines, aes_fill(Aes128::new(key)))
     }
 
     /// A 64-bit-block kernel attacked in its first round: `rounds`
@@ -117,10 +114,11 @@ impl TableKernel {
                 (tag, j)
             })
         });
-        Self::build(loads, 8, entry_size, warp_size, lines, move |line, row| {
+        let fill = move |line: &Block, row: &mut [u8]| {
             fill(line, row.as_chunks_mut().0);
             *line
-        })
+        };
+        Self::build(loads, 8, entry_size, warp_size, lines, Box::new(fill))
     }
 
     /// The kernel of `(tag, table)` loads in rounds of
@@ -131,7 +129,7 @@ impl TableKernel {
         entry_size: u64,
         warp_size: usize,
         lines: &[Block],
-        fill: impl Fn(&Block, &mut [u8]) -> Block + Send + Sync + 'static,
+        fill: Fill,
     ) -> Self {
         let loads = loads
             .map(|(tag, table)| TableLoad {
@@ -157,7 +155,7 @@ impl TableKernel {
             program,
             warp_traces: Vec::new(),
             attack_text: Vec::new(),
-            fill: Box::new(fill),
+            fill,
         };
         kernel.reload(lines);
         kernel
@@ -202,6 +200,16 @@ impl TableKernel {
     pub fn program(&self) -> &TableProgram {
         &self.program
     }
+}
+
+/// The AES kernel's per-line fill: AES-NI when the CPU has it, the
+/// T-table core otherwise.
+fn aes_fill(aes: Aes128) -> Fill {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(aes_ni) = aes.aes_ni() {
+        return Box::new(move |line, row| aes_ni.encrypt_indexed(line, row.as_chunks_mut().0));
+    }
+    Box::new(move |line, row| aes.encrypt_indexed(line, row.as_chunks_mut().0))
 }
 
 impl Kernel for TableKernel {

@@ -183,7 +183,8 @@ fn run() -> Result<(), String> {
     let heap_independent = hi.peak_heap_bytes
         <= (lo.peak_heap_bytes as f64 * HEAP_RATIO_FLOOR) as usize + HEAP_SLACK_BYTES;
     println!(
-        "  heap ratio: {heap_ratio:.3}x for 10x samples (floor {HEAP_RATIO_FLOOR}x) -> {}",
+        "  heap ratio: {heap_ratio:.3}x for 10x samples (floor {HEAP_RATIO_FLOOR}x \
+         + {HEAP_SLACK_BYTES} B slack) -> {}",
         if heap_independent { "ok" } else { "FAIL" }
     );
 
@@ -226,6 +227,7 @@ fn run() -> Result<(), String> {
         .field("large_peak_heap_bytes", Value::usize(hi.peak_heap_bytes))
         .field("heap_ratio", Value::f64(heap_ratio))
         .field("heap_ratio_floor", Value::f64(HEAP_RATIO_FLOOR))
+        .field("heap_slack_bytes", Value::usize(HEAP_SLACK_BYTES))
         .field("heap_independent", Value::Bool(heap_independent))
         .field("samples_per_second", Value::f64(samples_per_second))
         .field(

@@ -18,10 +18,18 @@
 //!    seeds, [`CoalescingPolicy::assignment`] must give the same subwarp
 //!    ids (or the same error) over consecutive draws, and leave the RNG
 //!    in the same state: the next `next_u64()` must agree.
+//! 3. **The victim cipher.** Kernel reuse compares the kernel only with
+//!    itself, so a wrong per-line fill would pass it. For several seeded
+//!    keys × line counts 1, 31, 32, 40 and 64, a fresh
+//!    [`TableKernel::aes`] must show the ciphertext
+//!    [`Aes128::encrypt_block_traced`] (the T-table reference) computes
+//!    for every line, and its program row must hold the 160 indices of
+//!    that line's traced lookups, round by round. The kernel runs
+//!    whichever fill the CPU selects (AES-NI or T-table).
 
 use crate::report::SectionReport;
 use crate::strategies::policy_pool;
-use rcoal_aes::{Block, TableKernel};
+use rcoal_aes::{Aes128, Block, TableKernel, TableProgram};
 use rcoal_core::{CoalescingPolicy, PolicyError, SizeDistribution, MAX_LANES};
 use rcoal_gpu_sim::Kernel;
 use rcoal_rng::seq::SliceRandom;
@@ -29,6 +37,13 @@ use rcoal_rng::{Rng, RngCore, SeedableRng, StdRng};
 
 /// Line counts one reused kernel is reloaded through, in order.
 const RELOAD_LINES: [usize; 4] = [32, 40, 32, 64];
+
+/// Line counts of the victim-cipher cases: one line, a short warp, a
+/// full warp, a partial second warp and two full warps.
+const CIPHER_LINES: [usize; 5] = [1, 31, 32, 40, 64];
+
+/// Seeded keys of the victim-cipher cases.
+const CIPHER_KEYS: usize = 4;
 
 /// Consecutive draws per (policy, width, seed) case.
 const DRAWS_PER_CASE: usize = 4;
@@ -253,8 +268,48 @@ fn kernel_difference(reused: &TableKernel, fresh: &TableKernel) -> Option<String
     None
 }
 
+/// Where an AES kernel's `program` rows or `attack_text` differ from
+/// the T-table reference `aes` on `lines`, if anywhere.
+fn cipher_difference(
+    program: &TableProgram,
+    attack_text: &[Block],
+    aes: &Aes128,
+    lines: &[Block],
+) -> Option<String> {
+    if attack_text.len() != lines.len() {
+        return Some(format!(
+            "{} attack lines for {} input lines",
+            attack_text.len(),
+            lines.len()
+        ));
+    }
+    for (l, (line, text)) in lines.iter().zip(attack_text).enumerate() {
+        let (ct, trace) = aes.encrypt_block_traced(*line);
+        if *text != ct {
+            return Some(format!(
+                "line {l}: ciphertext {text:02x?}, reference {ct:02x?}"
+            ));
+        }
+        let lookups = trace.rounds.iter().flatten();
+        if let Some((k, lookup)) = lookups
+            .enumerate()
+            .find(|&(k, lookup)| program.index(l, k) != lookup.index)
+        {
+            return Some(format!(
+                "line {l} round {} lookup {}: index {}, reference {}",
+                k / 16 + 1,
+                k % 16,
+                program.index(l, k),
+                lookup.index
+            ));
+        }
+    }
+    None
+}
+
 /// The generation-reuse section: kernel reloads against fresh builds,
-/// and inline subwarp draws against the heap-based oracle.
+/// inline subwarp draws against the heap-based oracle, and the AES
+/// kernel's fill against the T-table reference.
 pub fn section(seed: u64) -> SectionReport {
     let mut section = SectionReport::new("generation reuse");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5e1f);
@@ -286,6 +341,22 @@ pub fn section(seed: u64) -> SectionReport {
             }
         }
     }
+    for _ in 0..CIPHER_KEYS {
+        let key: [u8; 16] = std::array::from_fn(|_| rng.next_u64() as u8);
+        let aes = Aes128::new(&key);
+        for n in CIPHER_LINES {
+            section.cases += 1;
+            let lines = random_input(&mut rng, n);
+            let kernel = TableKernel::aes(&key, &lines, 32);
+            if let Some(diff) =
+                cipher_difference(kernel.program(), kernel.attack_text(), &aes, &lines)
+            {
+                section
+                    .failures
+                    .push(format!("aes kernel on {n} lines, key {key:02x?}: {diff}"));
+            }
+        }
+    }
     section
 }
 
@@ -298,8 +369,29 @@ mod tests {
         let s = section(0x5eed);
         let draws = policy_pool().len() * MAX_LANES * SEEDS as usize;
         let reloads = rcoal_workload::registry().len() * RELOAD_LINES.len();
-        assert_eq!(s.cases, reloads + draws);
+        let ciphers = CIPHER_KEYS * CIPHER_LINES.len();
+        assert_eq!(s.cases, reloads + ciphers + draws);
         assert!(s.passed(), "{:?}", s.failures);
+    }
+
+    #[test]
+    fn cipher_check_flags_a_wrong_index_and_a_wrong_ciphertext() {
+        let key = *b"rcoal-test-key!!";
+        let lines = random_input(&mut StdRng::seed_from_u64(3), 40);
+        let kernel = TableKernel::aes(&key, &lines, 32);
+        let aes = Aes128::new(&key);
+        let (program, text) = (kernel.program(), kernel.attack_text());
+        assert_eq!(cipher_difference(program, text, &aes, &lines), None);
+
+        let mut wrong_index = program.clone();
+        wrong_index.rows_mut(40).nth(33).unwrap()[150] ^= 1;
+        let diff = cipher_difference(&wrong_index, text, &aes, &lines).unwrap();
+        assert!(diff.starts_with("line 33 round 10 lookup 6"), "{diff}");
+
+        let mut wrong_text = text.to_vec();
+        wrong_text[5][0] ^= 1;
+        let diff = cipher_difference(program, &wrong_text, &aes, &lines).unwrap();
+        assert!(diff.starts_with("line 5: ciphertext"), "{diff}");
     }
 
     #[test]
